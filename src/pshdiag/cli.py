@@ -74,7 +74,7 @@ def cmd_lelong(payload: dict) -> dict:
     a = payload.get("weight")
     if not isinstance(a, list):
         raise CliInputError("'weight' must be a list of rationals")
-    value = measures.relative_type_monomial(u, [Fraction(c) for c in a])
+    value = measures.relative_type_monomial(u, [dg.rational_from_json(c) for c in a])
     return {"lelong": str(value)}
 
 
@@ -136,7 +136,7 @@ def cmd_indicator(payload: dict) -> dict:
     t = payload.get("t")
     if not isinstance(t, list):
         raise CliInputError("'t' must be a list of rationals")
-    return {"indicator": str(measures.indicator_eval(g, [Fraction(c) for c in t]))}
+    return {"indicator": str(measures.indicator_eval(g, [dg.rational_from_json(c) for c in t]))}
 
 
 COMMANDS = {
@@ -157,6 +157,8 @@ def execute(command: str, payload: dict) -> tuple[dict, int]:
     handler = COMMANDS.get(command)
     if handler is None:
         return {"error": f"unknown command {command!r}"}, EXIT_INPUT
+    if not isinstance(payload, dict):
+        return {"error": "payload must be a JSON object"}, EXIT_INPUT
     try:
         return handler(payload), EXIT_OK
     except SemanticExit as exc:

@@ -280,7 +280,9 @@ def _edge_scale_candidates(g: Diagram, system: SummandSystem):
                 obj[m * n + e] = Fraction(sgn)
                 obj[m * n + f] = Fraction(-sgn)
                 res = exactlp.solve_lp(nvars, obj, eq=eq, ub=ub, maximize=True, nonneg=True)
-                assert res.status == exactlp.OPTIMAL  # S is a bounded polytope
+                if res.status != exactlp.OPTIMAL:
+                    # S is a nonempty bounded polytope (u = v/2, t = 1/2 fits)
+                    raise VerificationFailure(f"edge-scale LP over S is {res.status}")
                 if res.value > 0:
                     all_constant = False
                     us = [tuple(res.x[i * n : (i + 1) * n]) for i in range(m)]

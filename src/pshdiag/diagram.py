@@ -19,7 +19,8 @@ from .errors import (
     NonpositiveWeight,
     PositiveDirection,
 )
-from .linalg import dot
+from .linalg import dot, rank
+from .volume import diagram_facets
 
 Point = tuple[Fraction, ...]
 
@@ -214,47 +215,23 @@ def touches_all_axes(g: Diagram) -> bool:
     return True
 
 
-def _is_compact_edge(gens: tuple[Point, ...], i: int, j: int) -> bool:
-    # exists t < 0 with <t, v_i> = <t, v_j> > <t, v_k> for all other k;
-    # by homogeneity the strict system is feasible iff this closed one is
-    n = len(gens[0])
-    vi, vj = gens[i], gens[j]
-    eq = [([vi[k] - vj[k] for k in range(n)], Fraction(0))]
-    ub = []
-    for k in range(n):
-        coeffs = [Fraction(0)] * n
-        coeffs[k] = Fraction(1)
-        ub.append((coeffs, Fraction(-1)))  # t_k <= -1
-    for m, vm in enumerate(gens):
-        if m in (i, j):
-            continue
-        ub.append(([vm[k] - vi[k] for k in range(n)], Fraction(-1)))  # <t, vm - vi> <= -1
-    return exactlp.feasible(n, eq=eq, ub=ub) is not None
-
-
 def compact_graph(g: Diagram) -> DiagramGraph:
-    """Vertices and compact 1-faces of the diagram, by exact face enumeration."""
+    """Vertices and compact 1-faces of the diagram, read off its facets.
+
+    Two vertices span a compact edge iff the normals of the facets tight at
+    both have rank n - 1, i.e. their common face is one-dimensional.
+    """
     gens = g.generators
+    facets = diagram_facets(g)
+    tight = [[dot(a, v) == b for v in gens] for a, b in facets]
     edges = []
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            if _is_compact_edge(gens, i, j):
+            normals = [list(a) for (a, _), t in zip(facets, tight) if t[i] and t[j]]
+            if rank(normals) == g.dim - 1:
                 direction = tuple(b - a for a, b in zip(gens[i], gens[j]))
                 edges.append((i, j, direction))
     return DiagramGraph(gens, tuple(edges))
-
-
-def axis_intercepts(g: Diagram) -> list[Fraction | None]:
-    """Per axis, the coordinate of the axis generator, or None."""
-    out: list[Fraction | None] = []
-    for k in range(g.dim):
-        vals = [
-            p[k]
-            for p in g.generators
-            if all(c == 0 for j, c in enumerate(p) if j != k)
-        ]
-        out.append(min(vals) if vals else None)
-    return out
 
 
 # --- serialization ---------------------------------------------------------
@@ -267,10 +244,24 @@ def diagram_to_json(g: Diagram) -> dict:
     }
 
 
+def rational_from_json(value) -> Fraction:
+    """A rational given in JSON as a string such as "3/4" or as an integer.
+
+    Floats are refused: a binary float such as 0.1 is not the rational
+    its decimal text shows.
+    """
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise TypeError(f"rationals must be strings or integers, got {value!r}")
+    return Fraction(value)
+
+
 def diagram_from_json(obj: dict) -> Diagram:
     if not isinstance(obj, dict) or "dim" not in obj or "generators" not in obj:
         raise EmptyInput("diagram JSON must have 'dim' and 'generators'")
     dim = obj["dim"]
-    if not isinstance(dim, int):
+    if not isinstance(dim, int) or isinstance(dim, bool):
         raise DimensionMismatch("'dim' must be an integer")
-    return canonicalize(dim, [[Fraction(c) for c in p] for p in obj["generators"]])
+    gens = obj["generators"]
+    if not isinstance(gens, list) or not all(isinstance(p, list) for p in gens):
+        raise TypeError("'generators' must be a list of coordinate lists")
+    return canonicalize(dim, [[rational_from_json(c) for c in p] for p in gens])

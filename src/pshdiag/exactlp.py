@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import VerificationFailure
+
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
@@ -117,7 +119,8 @@ def solve_lp(
         phase1 = [x - y for x, y in zip(phase1, tab[i])]
     tab.append(phase1)
     status = _run_simplex(tab, basis, total + m)
-    assert status == OPTIMAL  # phase 1 is bounded below by 0
+    if status != OPTIMAL:
+        raise VerificationFailure(f"phase 1 is bounded below by 0 but reported {status}")
     if -tab[-1][-1] != 0:
         return LPResult(INFEASIBLE)
     # drive remaining artificials out of the basis

@@ -108,12 +108,5 @@ def inverse(m: Matrix) -> Matrix | None:
     return [row[n:] for row in red]
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    return [
-        [sum((x * b[k][j] for k, x in enumerate(row)), Fraction(0)) for j in range(len(b[0]))]
-        for row in a
-    ]
-
-
 def dot(a, b) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))

@@ -10,17 +10,16 @@ from fractions import Fraction
 
 from .diagram import (
     Diagram,
-    axis_intercepts,
     canonicalize,
-    contains,
     lelong_directional,
     origin,
     support_value,
     touches_all_axes,
 )
 from .errors import DimensionMismatch, Unbounded
+from .linalg import dot
 from .polynomials import SingularityInput, diagram_of_input, weight
-from .volume import diagram_facets, enumerate_vertices, polytope_volume
+from .volume import diagram_facets, polytope_volume
 
 
 @dataclass(frozen=True)
@@ -61,34 +60,20 @@ def intercept_simplex(b) -> Diagram:
 def newton_number(g: Diagram) -> NewtonNumberResult:
     """n! * Vol(R^n_+ \\ diagram), or the infinite marker.
 
-    Computed inside the box [0, M]^n with M the largest axis intercept:
-    the complement volume is M^n minus the exact volume of box/diagram
-    intersection (facet enumeration plus fan triangulation).
+    For a diagram touching every axis the complement is the union of the
+    pyramids with apex 0 over the compact facets (those with a strictly
+    positive normal), so its volume is the sum of their exact volumes.
+    When the diagram contains the origin every such pyramid is flat.
     """
     n = g.dim
     if not touches_all_axes(g):
         return INFINITE
-    if contains(g, origin(n)):
-        return NewtonNumberResult(Fraction(0))
-    intercepts = axis_intercepts(g)
-    m_box = max(v for v in intercepts if v is not None)
-    # box validity: complement is confined to [0, M]^n iff M*e_k lies in
-    # the diagram for every k
-    for k in range(n):
-        corner = [Fraction(0)] * n
-        corner[k] = m_box
-        assert contains(g, corner), "box constant too small"
-    ineqs = list(diagram_facets(g))
-    for k in range(n):
-        low = [Fraction(0)] * n
-        low[k] = Fraction(1)
-        ineqs.append((tuple(low), Fraction(0)))  # x_k >= 0
-        high = [Fraction(0)] * n
-        high[k] = Fraction(-1)
-        ineqs.append((tuple(high), -m_box))  # x_k <= M
-    verts = enumerate_vertices(ineqs, n)
-    inside = polytope_volume(verts, n)
-    covol = m_box**n - inside
+    apex = origin(n)
+    covol = Fraction(0)
+    for a, b in diagram_facets(g):
+        if all(x > 0 for x in a):
+            face = [v for v in g.generators if dot(a, v) == b]
+            covol += polytope_volume([apex] + face, n)
     return NewtonNumberResult(math.factorial(n) * covol)
 
 

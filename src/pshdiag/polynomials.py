@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import Diagram, Point, canonicalize, point
+from .diagram import Diagram, Point, canonicalize, point, rational_from_json
 from .errors import (
     DimensionMismatch,
     EmptyInput,
@@ -328,13 +328,15 @@ def input_from_json(obj: dict) -> SingularityInput:
     if not isinstance(obj, dict) or "dim" not in obj or "polys" not in obj:
         raise EmptyInput("singularity JSON must have 'dim' and 'polys'")
     dim = obj["dim"]
-    if not isinstance(dim, int):
+    if not isinstance(dim, int) or isinstance(dim, bool):
         raise DimensionMismatch("'dim' must be an integer")
     return singularity_input(dim, [parse_polynomial(t, dim) for t in obj["polys"]])
 
 
 def matrix_from_json(obj, dim: int):
-    rows = frac_rows(obj)
+    if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
+        raise TypeError("matrix must be a list of rows")
+    rows = [[rational_from_json(x) for x in row] for row in obj]
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise DimensionMismatch(f"matrix must be {dim}x{dim}")
     return rows

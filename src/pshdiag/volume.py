@@ -1,6 +1,8 @@
-"""Exact polytope volume via facet enumeration and fan triangulation.
+"""Exact facets and volumes of polyhedra, by cone-facet enumeration.
 
-Internal helper for the Newton-number computation.  Works entirely over
+``diagram_facets`` is the one source of face data for diagrams: compact
+edges and Newton numbers are read off its facet list.  ``polytope_volume``
+triangulates a polytope over the facets of its hull.  Works entirely over
 rationals; intended for desk-scale dimensions (n <= 4).
 """
 
@@ -8,41 +10,46 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .diagram import Diagram, Point
+from .errors import VerificationFailure
 from .linalg import det, dot, nullspace, rank, solve_unique
+
+if TYPE_CHECKING:
+    from .diagram import Diagram, Point
 
 Inequality = tuple[tuple[Fraction, ...], Fraction]  # (a, b) meaning a.x >= b
 
 
-def _normalize_hyperplane(normal, offset):
-    """Canonical (primitive, sign-fixed) key for a hyperplane a.x = b."""
-    dens = [c.denominator for c in normal] + [offset.denominator]
-    lcm = 1
-    for d in dens:
-        lcm = lcm * d // _gcd(lcm, d)
-    ints = [int(c * lcm) for c in normal] + [int(offset * lcm)]
-    g = 0
-    for v in ints:
-        g = _gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+def _cone_facets(gens: list[tuple[Fraction, ...]]) -> list[tuple[list[Fraction], list[int]]]:
+    """Facets of the full-dimensional cone spanned by gens, each found once.
 
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a else 1
+    A facet is returned as an inward normal together with the indices of
+    the generators tight on it; the tight set spans the facet's hyperplane,
+    so it identifies the facet.
+    """
+    facets: dict[tuple[int, ...], tuple[list[Fraction], list[int]]] = {}
+    for subset in itertools.combinations(range(len(gens)), len(gens[0]) - 1):
+        basis = nullspace([list(gens[i]) for i in subset])
+        if len(basis) != 1:
+            continue
+        normal = basis[0]
+        vals = [dot(normal, v) for v in gens]
+        if any(v < 0 for v in vals):
+            if any(v > 0 for v in vals):
+                continue
+            normal = [-x for x in normal]
+        tight = [i for i, v in enumerate(vals) if v == 0]
+        facets.setdefault(tuple(tight), (normal, tight))
+    return list(facets.values())
 
 
 def diagram_facets(g: Diagram) -> list[Inequality]:
     """Facet inequalities a.x >= b (a >= 0) of conv(generators) + R^n_+.
 
     Enumerated through the homogenization cone spanned by (v, 1) for each
-    generator and (e_k, 0) for each recession direction.
+    generator and (e_k, 0) for each recession direction.  A facet is
+    compact exactly when a > 0 componentwise.
     """
     n = g.dim
     gens: list[tuple[Fraction, ...]] = [tuple(v) + (Fraction(1),) for v in g.generators]
@@ -50,29 +57,12 @@ def diagram_facets(g: Diagram) -> list[Inequality]:
         ray = [Fraction(0)] * (n + 1)
         ray[k] = Fraction(1)
         gens.append(tuple(ray))
-    facets: dict[tuple, Inequality] = {}
-    for subset in itertools.combinations(range(len(gens)), n):
-        rows = [list(gens[i]) for i in subset]
-        if rank(rows) != n:
-            continue
-        basis = nullspace(rows)
-        if len(basis) != 1:
-            continue
-        normal = basis[0]  # (c, -d): c.x - d >= 0 on the valid side
-        vals = [dot(normal, v) for v in gens]
-        if all(v >= 0 for v in vals):
-            pass
-        elif all(v <= 0 for v in vals):
-            normal = [-x for x in normal]
-        else:
-            continue
-        c = tuple(normal[:n])
-        d = -normal[n]
-        if all(x == 0 for x in c):
-            continue
-        key = _normalize_hyperplane(list(c), d)
-        facets[key] = (c, d)
-    return list(facets.values())
+    facets = []
+    for normal, _ in _cone_facets(gens):
+        c = tuple(normal[:n])  # normal is (c, -d): c.x - d >= 0 on the valid side
+        if any(x != 0 for x in c):  # c = 0 is the face at infinity
+            facets.append((c, -normal[n]))
+    return facets
 
 
 def enumerate_vertices(ineqs: list[Inequality], n: int) -> list[Point]:
@@ -104,40 +94,18 @@ def _affine_coords(points: list[Point]) -> tuple[list[Point], int]:
     # coordinates solve basis^T * coeffs = diff in least-squares-free exact
     # form: use the Gram system (basis is independent, Gram is invertible)
     gram = [[dot(bi, bj) for bj in basis] for bi in basis]
-    coords = [()]
+    coords = [(Fraction(0),) * dim]
     for d in diffs:
-        rhs = [dot(bi, d) for bi in basis]
-        sol = solve_unique(gram, rhs)
-        assert sol is not None
-        # verify d really lies in the span (points are in the affine hull)
+        sol = solve_unique(gram, [dot(bi, d) for bi in basis])
+        if sol is None:
+            raise VerificationFailure("Gram matrix of an independent basis is singular")
         coords.append(tuple(sol))
-    coords[0] = (Fraction(0),) * dim
     return coords, dim
 
 
-def _facets_of_hull(points: list[Point], d: int) -> list[list[int]]:
+def _facets_of_hull(points: list[Point]) -> list[list[int]]:
     """Facets of the full-dimensional hull of points in R^d, as index lists."""
-    facets: dict[tuple, list[int]] = {}
-    for subset in itertools.combinations(range(len(points)), d):
-        rows_h = [list(points[i]) + [Fraction(1)] for i in subset]
-        if rank(rows_h) != d:
-            continue
-        basis = nullspace(rows_h)
-        if len(basis) != 1:
-            continue
-        normal = basis[0]
-        vals = [dot(normal[:d], p) + normal[d] for p in points]
-        if all(v >= 0 for v in vals):
-            pass
-        elif all(v <= 0 for v in vals):
-            normal = [-x for x in normal]
-            vals = [-v for v in vals]
-        else:
-            continue
-        key = _normalize_hyperplane(normal[:d], -normal[d])
-        if key not in facets:
-            facets[key] = [i for i, v in enumerate(vals) if v == 0]
-    return list(facets.values())
+    return [tight for _, tight in _cone_facets([tuple(p) + (Fraction(1),) for p in points])]
 
 
 def _triangulate(points: list[Point], d: int) -> list[tuple[int, ...]]:
@@ -149,12 +117,12 @@ def _triangulate(points: list[Point], d: int) -> list[tuple[int, ...]]:
         return [(order[0], order[-1])]
     base = min(range(len(points)), key=lambda i: points[i])
     simplices: list[tuple[int, ...]] = []
-    for facet in _facets_of_hull(points, d):
+    for facet in _facets_of_hull(points):
         if base in facet:
             continue
-        fpts = [points[i] for i in facet]
-        coords, fd = _affine_coords(fpts)
-        assert fd == d - 1
+        coords, fd = _affine_coords([points[i] for i in facet])
+        if fd != d - 1:
+            raise VerificationFailure(f"facet of a {d}-polytope spans dimension {fd}")
         for sub in _triangulate(coords, fd):
             simplices.append((base,) + tuple(facet[i] for i in sub))
     return simplices

@@ -1,10 +1,16 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
+import types
 
 import pytest
 
+from pshdiag import decomposition, exactlp
 from pshdiag.cli import (
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_SEMANTIC,
     execute,
@@ -12,7 +18,8 @@ from pshdiag.cli import (
     run_batch,
 )
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "example31"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures" / "example31"
 
 
 def load(name):
@@ -104,6 +111,60 @@ class TestExecute:
         _, code = execute("diagram", {"input": {"dim": 2}})
         assert code == EXIT_INPUT
 
+    def test_non_object_payload_exit_2(self):
+        for payload in ([], "g.json", None):
+            result, code = execute("diagram", payload)
+            assert code == EXIT_INPUT
+            assert "JSON object" in result["error"]
+
+    def test_boolean_dim_exit_2(self):
+        _, code = execute("newton-number", {"diagram": {"dim": True, "generators": [["1"]]}})
+        assert code == EXIT_INPUT
+        _, code = execute("diagram", {"input": {"dim": True, "polys": ["z1"]}})
+        assert code == EXIT_INPUT
+
+    def test_json_floats_exit_2(self):
+        simplex = {"dim": 2, "generators": [["1", "0"], ["0", "1"]]}
+        requests = [
+            ("newton-number", {"diagram": {"dim": 2, "generators": [[0.1, 0], [0, 1]]}}),
+            ("lelong", {"input": load("input_original.json"), "weight": [0.5, 1]}),
+            ("indicator", {"diagram": simplex, "t": [-0.5, -1]}),
+            ("substitute", {"input": load("input_original.json"), "matrix": [[1, 0.5], [0, 1]]}),
+        ]
+        for command, payload in requests:
+            result, code = execute(command, payload)
+            assert code == EXIT_INPUT, command
+            assert "0.5" in result["error"] or "0.1" in result["error"]
+
+    def test_strings_in_place_of_lists_exit_2(self):
+        # a string is a sequence too: "20" must not become the point (2, 0)
+        _, code = execute("newton-number", {"diagram": {"dim": 2, "generators": ["20", "02"]}})
+        assert code == EXIT_INPUT
+        _, code = execute(
+            "substitute", {"input": load("input_original.json"), "matrix": ["10", "01"]}
+        )
+        assert code == EXIT_INPUT
+
+    def test_json_integers_accepted(self):
+        result, code = execute(
+            "newton-number", {"diagram": {"dim": 2, "generators": [[2, 0], [0, 2]]}}
+        )
+        assert (code, result["newton_number"]) == (EXIT_OK, "4")
+        result, code = execute("indicator", {"diagram": load("diagram_transformed.json"), "t": [-1, -1]})
+        assert (code, result["indicator"]) == (EXIT_OK, "-2")
+
+    def test_internal_lp_fault_exit_4(self, monkeypatch):
+        # only the edge-scale sweep sees the faulty LP; canonicalize keeps
+        # the real one through its own binding of exactlp
+        fake = types.SimpleNamespace(
+            OPTIMAL=exactlp.OPTIMAL,
+            solve_lp=lambda *args, **kwargs: exactlp.LPResult(exactlp.UNBOUNDED),
+        )
+        monkeypatch.setattr(decomposition, "exactlp", fake)
+        result, code = execute("decompose", {"diagram": load("diagram_transformed.json")})
+        assert code == EXIT_INTERNAL
+        assert "unbounded" in result["error"]
+
 
 class TestBatch:
     def test_fixture_manifest(self):
@@ -128,12 +189,14 @@ class TestBatch:
                 {"id": "good", "command": "newton-number",
                  "payload": {"diagram": {"dim": 2, "generators": [["1", "0"], ["0", "1"]]}}},
                 {"id": "bad", "command": "diagram", "payload": {"input": {"dim": 2, "polys": ["("]}}},
+                {"id": "not-an-object", "command": "diagram", "payload": []},
             ]
         }
         result, code = run_batch(manifest)
         assert code == EXIT_INPUT
         assert result["results"]["good"]["ok"]
         assert not result["results"]["bad"]["ok"]
+        assert result["results"]["not-an-object"]["exit_code"] == EXIT_INPUT
 
     def test_parallel_equals_sequential(self):
         manifest = load("manifest.json")
@@ -185,3 +248,21 @@ class TestMainEntry:
     def test_missing_file_exit_2(self, capsys):
         code = main(["newton-number", "/nonexistent.json"])
         assert code == 2
+
+
+def test_optimized_interpreter_gives_same_bytes():
+    # behaviour must not rest on assert statements, which -O strips
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "pshdiag.cli", "batch", str(FIXTURES / "manifest.json")],
+            capture_output=True, env=env, cwd=ROOT, timeout=300,
+        )
+        for flags in ([], ["-O"])
+    ]
+    assert runs[0].returncode == EXIT_OK
+    assert runs[0].stdout
+    assert (runs[1].returncode, runs[1].stdout, runs[1].stderr) == (
+        runs[0].returncode, runs[0].stdout, runs[0].stderr
+    )

@@ -1,0 +1,117 @@
+"""Compact edges and Newton numbers against slower reference algorithms.
+
+Neither reference reads faces off facet incidences as the package does:
+compact edges are found by one exact LP per vertex pair, and Newton
+numbers by clipping the diagram to a box and triangulating the vertices
+of the clipped polytope.
+"""
+
+import math
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from pshdiag import canonicalize, compact_graph, contains, newton_number, touches_all_axes
+from pshdiag.exactlp import feasible
+from pshdiag.volume import diagram_facets, enumerate_vertices, polytope_volume
+
+
+def lp_compact_edges(g):
+    """Pairs (i, j) for which some t < 0 makes exactly v_i, v_j maximal.
+
+    By homogeneity the strict system <t, v_i> = <t, v_j> > <t, v_k> is
+    feasible iff the closed one with margins of 1 is.
+    """
+    n = g.dim
+    gens = g.generators
+    edges = set()
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            vi, vj = gens[i], gens[j]
+            eq = [([vi[k] - vj[k] for k in range(n)], F(0))]
+            ub = []
+            for k in range(n):
+                row = [F(0)] * n
+                row[k] = F(1)
+                ub.append((row, F(-1)))  # t_k <= -1
+            for m, vm in enumerate(gens):
+                if m not in (i, j):
+                    ub.append(([vm[k] - vi[k] for k in range(n)], F(-1)))
+            if feasible(n, eq=eq, ub=ub) is not None:
+                edges.add((i, j))
+    return edges
+
+
+def box_newton_number(g):
+    """n! * (M^n - Vol(diagram within [0, M]^n)), M the largest axis intercept."""
+    n = g.dim
+    if not touches_all_axes(g):
+        return None
+    if contains(g, (0,) * n):
+        return F(0)
+    m_box = max(
+        p[k] for p in g.generators for k in range(n)
+        if all(c == 0 for j, c in enumerate(p) if j != k)
+    )
+    for k in range(n):
+        corner = [F(0)] * n
+        corner[k] = m_box
+        assert contains(g, corner)
+    ineqs = list(diagram_facets(g))
+    for k in range(n):
+        low = [F(0)] * n
+        low[k] = F(1)
+        ineqs.append((tuple(low), F(0)))
+        high = [F(0)] * n
+        high[k] = F(-1)
+        ineqs.append((tuple(high), -m_box))
+    inside = polytope_volume(enumerate_vertices(ineqs, n), n)
+    return math.factorial(n) * (m_box**n - inside)
+
+
+def random_diagrams(dim, count, seed):
+    """Seeded diagrams from points near the simplex {sum x = total}.
+
+    Even-numbered diagrams add a point on every axis (convenient); odd ones
+    are shifted off the coordinate hyperplane x_1 = 0, so they miss the
+    other axes.
+    """
+    rng = random.Random(seed)
+    total = {2: 8, 3: 6, 4: 4}[dim]
+    out = []
+    for idx in range(count):
+        pts = []
+        for _ in range(rng.randint(2, 8 - dim)):
+            cuts = sorted(rng.randint(0, total) for _ in range(dim - 1))
+            parts = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+            c = F(rng.randint(3, 6), 4)
+            pts.append(tuple(c * x for x in parts))
+        if idx % 2 == 0:
+            for k in range(dim):
+                axis = [0] * dim
+                axis[k] = F(rng.randint(3, 6), 4) * total
+                pts.append(tuple(axis))
+        else:
+            pts = [(p[0] + 1, *p[1:]) for p in pts]
+        out.append(canonicalize(dim, pts))
+    return out
+
+
+CASES = [(2, 50, 21), (3, 44, 22), (4, 6, 23)]
+
+
+@pytest.mark.parametrize("dim,count,seed", CASES)
+def test_compact_edges_match_pairwise_lp(dim, count, seed):
+    for g in random_diagrams(dim, count, seed):
+        got = {(i, j) for i, j, _ in compact_graph(g).edges}
+        assert got == lp_compact_edges(g), g
+
+
+@pytest.mark.parametrize("dim,count,seed", CASES)
+def test_newton_numbers_match_box_volume(dim, count, seed):
+    diagrams = random_diagrams(dim, count, seed)
+    assert any(touches_all_axes(g) for g in diagrams)
+    assert not all(touches_all_axes(g) for g in diagrams)
+    for g in diagrams:
+        assert newton_number(g).value == box_newton_number(g), g
