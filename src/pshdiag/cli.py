@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import diagram as dg
@@ -171,8 +170,8 @@ def execute(command: str, payload: dict) -> tuple[dict, int]:
         return {"error": str(exc)}, EXIT_INPUT
 
 
-def run_batch(manifest: dict, jobs: int = 1) -> tuple[dict, int]:
-    """Execute a manifest; aggregate output is order-independent."""
+def run_batch(manifest: dict) -> tuple[dict, int]:
+    """Execute a manifest's requests in order; output is sorted by id."""
     if not isinstance(manifest, dict) or not isinstance(manifest.get("requests", []), list):
         return {"error": "manifest must have a 'requests' list"}, EXIT_INPUT
     requests = manifest.get("requests", [])
@@ -185,17 +184,7 @@ def run_batch(manifest: dict, jobs: int = 1) -> tuple[dict, int]:
             return {"error": f"duplicate request id {req['id']!r}"}, EXIT_INPUT
         ids.add(req["id"])
         entries.append((req["id"], req["command"], req.get("payload", {})))
-
-    def run_one(entry):
-        rid, command, payload = entry
-        result, code = execute(command, payload)
-        return rid, result, code
-
-    if jobs > 1 and len(entries) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run_one, entries))
-    else:
-        outcomes = [run_one(e) for e in entries]
+    outcomes = [(rid, *execute(command, payload)) for rid, command, payload in entries]
 
     results = {}
     exit_code = EXIT_OK
@@ -329,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", help="run a manifest of requests")
     p.add_argument("manifest")
-    p.add_argument("--jobs", type=int, default=1)
 
     return parser
 
@@ -339,9 +327,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "batch":
-            manifest = _load_json(args.manifest)
-            jobs = manifest.get("jobs", args.jobs) if isinstance(manifest, dict) else args.jobs
-            result, code = run_batch(manifest, jobs=max(int(jobs or 1), 1))
+            result, code = run_batch(_load_json(args.manifest))
         else:
             payload = {}
             if args.command in ("diagram", "lelong", "classify", "substitute"):

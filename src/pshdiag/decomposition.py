@@ -12,13 +12,17 @@ complete relaxation.  It is used in two rigorous directions:
 
 * a feasible point with non-constant edge scales, whose summand pair passes
   ``verify_decomposition``, certifies decomposability;
-* if all edge scales are forced equal over the whole feasible region and
-  the edge graph is connected, every summand is a homothet of G, which
-  certifies indecomposability.
+* if all edge scales are forced equal over the whole feasible region, every
+  summand is a homothet of G, which certifies indecomposability.
 
-When neither direction applies (disconnected compact-edge graph in n >= 3,
-or an unverifiable relaxation point), ``UnsupportedDimension`` is raised
-rather than guessing.
+The second direction propagates one scale along the compact edges, which
+always connect the vertices of a diagram: from a vertex that does not
+minimise s(x) = x_1 + ... + x_n some edge decreases s, and it is compact
+because the rays e_k all increase s; the face minimising s is a polytope,
+whose graph is connected.
+
+When edge scales vary but no summand pair verifies (possible only in
+n >= 3), ``UnsupportedDimension`` is raised rather than guessing.
 """
 
 from __future__ import annotations
@@ -201,6 +205,20 @@ def _ordered(k1: Diagram, k2: Diagram):
     return (k1, k2) if k1.generators <= k2.generators else (k2, k1)
 
 
+def _first_verified(g: Diagram, candidates):
+    """The least candidate pair by ``_witness_key`` that passes verification.
+
+    The key orders distinct pairs totally, so walking the distinct pairs in
+    key order and stopping at the first verified one verifies each at most
+    once.  Returns None when no candidate verifies.
+    """
+    distinct = {_witness_key(c): c for c in candidates}
+    for key in sorted(distinct):
+        if verify_decomposition(g, *distinct[key]):
+            return distinct[key]
+    return None
+
+
 def _single_vertex_certificate(g: Diagram) -> Certificate:
     p = g.generators[0]
     n = g.dim
@@ -220,10 +238,9 @@ def _single_vertex_certificate(g: Diagram) -> Certificate:
         candidates.append(
             _ordered(canonicalize(n, [left]), canonicalize(n, [right]))
         )
-    verified = [c for c in candidates if verify_decomposition(g, *c)]
-    if not verified:
+    best = _first_verified(g, candidates)
+    if best is None:
         raise VerificationFailure("single-vertex split failed verification")
-    best = min(verified, key=_witness_key)
     return Decomposable(best[0], best[1], "point-split")
 
 
@@ -261,9 +278,10 @@ def _translation_candidates(g: Diagram):
 
 
 def _edge_scale_candidates(g: Diagram, system: SummandSystem):
-    """LP search for assignments with unequal edge scales.
+    """Summand pairs at LP optima with unequal edge scales.
 
-    Returns (candidates, all_constant) where all_constant means every pair
+    Each pair of edge scales is pushed apart in both directions; one summand
+    pair is built per distinct optimum.  An empty result means every pair
     of edge scales is provably equal over the whole feasible region.
     """
     n = g.dim
@@ -271,8 +289,7 @@ def _edge_scale_candidates(g: Diagram, system: SummandSystem):
     ne = system.num_edges
     nvars = m * n + ne
     eq, ub = system._lp_constraints()
-    candidates = []
-    all_constant = True
+    optima = set()
     for e in range(ne):
         for f in range(e + 1, ne):
             for sgn in (1, -1):
@@ -284,31 +301,13 @@ def _edge_scale_candidates(g: Diagram, system: SummandSystem):
                     # S is a nonempty bounded polytope (u = v/2, t = 1/2 fits)
                     raise VerificationFailure(f"edge-scale LP over S is {res.status}")
                 if res.value > 0:
-                    all_constant = False
-                    us = [tuple(res.x[i * n : (i + 1) * n]) for i in range(m)]
-                    ts = res.x[m * n :]
-                    k1 = summand_of(system, us, ts)
-                    k2 = co_summand_of(system, us, ts)
-                    candidates.append(_ordered(k1, k2))
-    return candidates, all_constant
-
-
-def _graph_connected(graph: DiagramGraph) -> bool:
-    m = len(graph.vertices)
-    if m <= 1:
-        return True
-    adj = {i: set() for i in range(m)}
-    for i, j, _ in graph.edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == m
+                    optima.add(tuple(res.x))
+    candidates = []
+    for x in optima:
+        us = [tuple(x[i * n : (i + 1) * n]) for i in range(m)]
+        ts = x[m * n :]
+        candidates.append(_ordered(summand_of(system, us, ts), co_summand_of(system, us, ts)))
+    return candidates
 
 
 def decide_decomposability(g: Diagram) -> Certificate:
@@ -330,22 +329,15 @@ def decide_decomposability(g: Diagram) -> Certificate:
 
 def _decide_general(g: Diagram) -> Certificate:
     system = summand_system(g)
-    candidates = list(_translation_candidates(g))
-    edge_candidates, all_constant = _edge_scale_candidates(g, system)
-    candidates += edge_candidates
-    verified = [c for c in candidates if verify_decomposition(g, *c)]
-    if verified:
-        best = min(verified, key=_witness_key)
-        method = METHOD_TWO_DIM_CHAIN if g.dim == 2 else METHOD_FACET_PAIR_LP
-        cert = Decomposable(best[0], best[1], method)
-        if not verify_decomposition(g, cert.left, cert.right):
-            raise VerificationFailure("selected witness failed re-verification")
-        return cert
-    if all_constant and _graph_connected(system.graph):
+    edge_candidates = _edge_scale_candidates(g, system)
+    best = _first_verified(g, _translation_candidates(g) + edge_candidates)
+    method = METHOD_TWO_DIM_CHAIN if g.dim == 2 else METHOD_FACET_PAIR_LP
+    if best is not None:
+        return Decomposable(best[0], best[1], method)
+    if not edge_candidates:
         # constant edge scales propagate along the connected graph, so any
         # summand equals c*G + x; with no strictly positive coordinate
         # column the translation x is nonnegative, i.e. a homothet
-        method = METHOD_TWO_DIM_CHAIN if g.dim == 2 else METHOD_FACET_PAIR_LP
         return Indecomposable(
             method,
             "edge scales constant over the summand polytope; "

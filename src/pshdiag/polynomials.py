@@ -95,6 +95,9 @@ def weight(coords) -> tuple[Fraction, ...]:
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|(z\d+)|([+\-*^()/])|(\S))")
 
+# deepest parenthesis nesting accepted; each level costs four stack frames
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, text: str, dim: int):
@@ -116,6 +119,7 @@ class _Parser:
                 raise PolynomialSyntaxError(f"unexpected character {m.group(4)!r}", m.start(4))
             pos = m.end()
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
@@ -195,8 +199,14 @@ class _Parser:
             e[idx - 1] = 1
             return polynomial(self.dim, {tuple(e): Fraction(1)})
         if kind == "op" and val == "(":
+            if self.depth == MAX_NESTING:
+                raise PolynomialSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING}", pos
+                )
+            self.depth += 1
             p = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return p
         raise PolynomialSyntaxError(f"unexpected token {val!r}", pos)
 

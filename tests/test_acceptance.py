@@ -183,8 +183,8 @@ def test_criterion_09_degenerate_but_decisive():
 
 def test_criterion_10_batch_determinism():
     manifest = json.loads((FIXTURES / "manifest.json").read_text())
-    first, code1 = run_batch(manifest, jobs=2)
-    second, code2 = run_batch(manifest, jobs=2)
+    first, code1 = run_batch(manifest)
+    second, code2 = run_batch(manifest)
     blob1 = json.dumps(first, indent=2, sort_keys=True)
     blob2 = json.dumps(second, indent=2, sort_keys=True)
     assert code1 == code2 == 0

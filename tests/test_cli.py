@@ -145,6 +145,14 @@ class TestExecute:
         )
         assert code == EXIT_INPUT
 
+    def test_deep_parentheses_exit_2(self):
+        # nesting past polynomials.MAX_NESTING is a syntax error, not a
+        # RecursionError escaping execute
+        text = "(" * 5000 + "z1" + ")" * 5000
+        result, code = execute("diagram", {"input": {"dim": 1, "polys": [text]}})
+        assert code == EXIT_INPUT
+        assert "nested" in result["error"]
+
     def test_json_integers_accepted(self):
         result, code = execute(
             "newton-number", {"diagram": {"dim": 2, "generators": [[2, 0], [0, 2]]}}
@@ -169,7 +177,7 @@ class TestExecute:
 class TestBatch:
     def test_fixture_manifest(self):
         manifest = load("manifest.json")
-        result, code = run_batch(manifest, jobs=2)
+        result, code = run_batch(manifest)
         assert code == EXIT_OK
         results = result["results"]
         assert results["classify-transformed"]["result"]["verdict"] == "not-extreme"
@@ -198,11 +206,18 @@ class TestBatch:
         assert not result["results"]["bad"]["ok"]
         assert result["results"]["not-an-object"]["exit_code"] == EXIT_INPUT
 
-    def test_parallel_equals_sequential(self):
-        manifest = load("manifest.json")
-        seq, _ = run_batch(manifest, jobs=1)
-        par, _ = run_batch(manifest, jobs=4)
-        assert json.dumps(seq, sort_keys=True) == json.dumps(par, sort_keys=True)
+    def test_jobs_key_ignored(self, capsys, tmp_path):
+        # "jobs" is no option: any value, even a malformed one, is ignored
+        path = tmp_path / "manifest.json"
+        requests = [{"id": "nn", "command": "newton-number",
+                     "payload": {"diagram": {"dim": 2, "generators": [["2", "0"], ["0", "2"]]}}}]
+        outputs = []
+        for jobs in ("x", [2], 2):
+            path.write_text(json.dumps({"jobs": jobs, "requests": requests}))
+            outputs.append(run_cli(capsys, "batch", path))
+        assert outputs[0][0] == EXIT_OK
+        assert json.loads(outputs[0][1])["results"]["nn"]["result"] == {"newton_number": "4"}
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestMainEntry:

@@ -19,6 +19,7 @@ from pshdiag import (
     verify_decomposition,
     weighted_simplex,
 )
+from pshdiag import decomposition
 from pshdiag.decomposition import _decide_general
 from pshdiag.errors import InfeasibleAssignment
 
@@ -150,6 +151,24 @@ class TestDecide:
         cert = decide_decomposability(g)
         assert isinstance(cert, Decomposable)
         assert verify_decomposition(g, cert.left, cert.right)
+
+    def test_three_dimensional_witness_pinned(self, monkeypatch):
+        # the least verified pair by witness key, among translations and
+        # edge-scale LP optima, with no pair verified twice
+        verified = []
+
+        def recording(g, k1, k2):
+            verified.append((k1, k2))
+            return verify_decomposition(g, k1, k2)
+
+        monkeypatch.setattr(decomposition, "verify_decomposition", recording)
+        g = canonicalize(3, [(1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1)])
+        cert = decide_decomposability(g)
+        assert len(verified) == len(set(verified))
+        assert isinstance(cert, Decomposable)
+        assert cert.method == "facet-pair-lp"
+        assert cert.left == canonicalize(3, [(0, 0, 1), (0, 1, 0)])
+        assert cert.right == canonicalize(3, [(0, 1, 0), (1, 0, 0)])
 
     def test_scale_invariance_of_verdict(self):
         rng = random.Random(24)

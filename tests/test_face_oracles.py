@@ -109,6 +109,22 @@ def test_compact_edges_match_pairwise_lp(dim, count, seed):
 
 
 @pytest.mark.parametrize("dim,count,seed", CASES)
+def test_compact_edges_connect_all_vertices(dim, count, seed):
+    # the decision procedure propagates one edge scale along these edges
+    for g in random_diagrams(dim, count, seed):
+        graph = compact_graph(g)
+        reached = {0}
+        grew = True
+        while grew:
+            grew = False
+            for i, j, _ in graph.edges:
+                if (i in reached) != (j in reached):
+                    reached |= {i, j}
+                    grew = True
+        assert reached == set(range(len(graph.vertices))), g
+
+
+@pytest.mark.parametrize("dim,count,seed", CASES)
 def test_newton_numbers_match_box_volume(dim, count, seed):
     diagrams = random_diagrams(dim, count, seed)
     assert any(touches_all_axes(g) for g in diagrams)

@@ -29,6 +29,7 @@ from pshdiag.errors import (
     ZeroPolynomial,
 )
 from pshdiag.linalg import inverse, frac_rows
+from pshdiag.polynomials import MAX_NESTING
 
 # z1 = zeta1, z2 = zeta2 - zeta1
 SHEAR = [[1, 0], [-1, 1]]
@@ -59,6 +60,13 @@ class TestParser:
         with pytest.raises(PolynomialSyntaxError) as err:
             P("z1 + + z2")
         assert err.value.position == 5
+
+    def test_nesting_limit(self):
+        depth = MAX_NESTING
+        assert P("(" * depth + "z1" + ")" * depth).as_dict() == {(1, 0): F(1)}
+        with pytest.raises(PolynomialSyntaxError) as err:
+            P("(" * (depth + 1) + "z1" + ")" * (depth + 1))
+        assert err.value.position == depth
 
     def test_unknown_variable(self):
         with pytest.raises(UnknownVariable):
