@@ -180,6 +180,10 @@ def run_batch(manifest: dict) -> tuple[dict, int]:
     for idx, req in enumerate(requests):
         if not isinstance(req, dict) or "id" not in req or "command" not in req:
             return {"error": f"request #{idx} needs 'id' and 'command'"}, EXIT_INPUT
+        # one id type keeps the ids comparable, so they sort as JSON keys
+        kind = type(req["id"])
+        if kind not in (str, int) or kind is not type(requests[0]["id"]):
+            return {"error": f"request #{idx}: ids must be all strings or all integers"}, EXIT_INPUT
         if req["id"] in ids:
             return {"error": f"duplicate request id {req['id']!r}"}, EXIT_INPUT
         ids.add(req["id"])
@@ -188,7 +192,7 @@ def run_batch(manifest: dict) -> tuple[dict, int]:
 
     results = {}
     exit_code = EXIT_OK
-    for rid, result, code in sorted(outcomes, key=lambda o: str(o[0])):
+    for rid, result, code in sorted(outcomes, key=lambda o: o[0]):
         results[rid] = {"ok": code == EXIT_OK, "exit_code": code, "result": result}
         exit_code = max(exit_code, code)
     return {"results": results}, exit_code

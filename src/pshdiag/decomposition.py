@@ -27,6 +27,7 @@ n >= 3), ``UnsupportedDimension`` is raised rather than guessing.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -280,28 +281,32 @@ def _translation_candidates(g: Diagram):
 def _edge_scale_candidates(g: Diagram, system: SummandSystem):
     """Summand pairs at LP optima with unequal edge scales.
 
-    Each pair of edge scales is pushed apart in both directions; one summand
-    pair is built per distinct optimum.  An empty result means every pair
-    of edge scales is provably equal over the whole feasible region.
+    Each pair of edge scales is pushed apart in both directions, all in one
+    LP call over S; one summand pair is built per distinct optimum.  An
+    empty result means every pair of edge scales is provably equal over
+    the whole feasible region.
     """
     n = g.dim
     m = system.num_vertices
-    ne = system.num_edges
-    nvars = m * n + ne
+    nvars = m * n + system.num_edges
     eq, ub = system._lp_constraints()
+    objectives = []
+    for e, f in itertools.combinations(range(m * n, nvars), 2):
+        for sgn in (1, -1):
+            obj = [Fraction(0)] * nvars
+            obj[e] = Fraction(-sgn)
+            obj[f] = Fraction(sgn)
+            objectives.append(obj)
+    results = exactlp.solve_lp(nvars, objectives, eq=eq, ub=ub, nonneg=True)
+    if results is None:
+        # S is a nonempty bounded polytope (u = v/2, t = 1/2 fits)
+        raise VerificationFailure("edge-scale LP over S is infeasible")
     optima = set()
-    for e in range(ne):
-        for f in range(e + 1, ne):
-            for sgn in (1, -1):
-                obj = [Fraction(0)] * nvars
-                obj[m * n + e] = Fraction(sgn)
-                obj[m * n + f] = Fraction(-sgn)
-                res = exactlp.solve_lp(nvars, obj, eq=eq, ub=ub, maximize=True, nonneg=True)
-                if res.status != exactlp.OPTIMAL:
-                    # S is a nonempty bounded polytope (u = v/2, t = 1/2 fits)
-                    raise VerificationFailure(f"edge-scale LP over S is {res.status}")
-                if res.value > 0:
-                    optima.add(tuple(res.x))
+    for res in results:
+        if res.status != exactlp.OPTIMAL:
+            raise VerificationFailure(f"edge-scale LP over S is {res.status}")
+        if res.value < 0:
+            optima.add(tuple(res.x))
     candidates = []
     for x in optima:
         us = [tuple(x[i * n : (i + 1) * n]) for i in range(m)]

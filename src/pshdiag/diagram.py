@@ -82,7 +82,7 @@ def member_of_hull(p: Point, points: list[Point]) -> bool:
     # variables: lambda_i >= 0, sum = 1, sum lambda_i q_i <= p componentwise
     eq = [([Fraction(1)] * m, Fraction(1))]
     ub = [([q[k] for q in points], p[k]) for k in range(n)]
-    return exactlp.feasible(m, eq=eq, ub=ub, nonneg=True) is not None
+    return exactlp.solve_lp(m, eq=eq, ub=ub, nonneg=True) is not None
 
 
 def canonicalize(dim: int, raw_points) -> Diagram:

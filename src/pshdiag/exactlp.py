@@ -2,7 +2,9 @@
 
 Tiny dense tableau implementation with Bland's anti-cycling rule.  All
 arithmetic is in `Fraction`, so feasibility and optimality answers are exact.
-Problem sizes throughout the package are desk scale (tens of variables).
+One call solves one constraint system: phase 1 finds a feasible basis once,
+and phase 2 minimises each objective from a copy of that basis.  Problem
+sizes throughout the package are desk scale (tens of variables).
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from fractions import Fraction
 from .errors import VerificationFailure
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
@@ -32,6 +33,17 @@ def _pivot(tab: list[list[Fraction]], basis: list[int], row: int, col: int) -> N
             f = r[col]
             tab[i] = [x - f * y for x, y in zip(r, tab[row])]
     basis[row] = col
+
+
+def _priced(cost: list[Fraction], tab: list[list[Fraction]], basis: list[int]) -> list[Fraction]:
+    """The cost row with each basic column priced out of it."""
+    for row, b in zip(tab, basis):
+        f = cost[b]
+        if f == 1:  # every phase-1 step; skipping the product saves a gcd per cell
+            cost = [x - y for x, y in zip(cost, row)]
+        elif f != 0:
+            cost = [x - f * y for x, y in zip(cost, row)]
+    return cost
 
 
 def _run_simplex(tab: list[list[Fraction]], basis: list[int], ncols: int) -> str:
@@ -58,23 +70,13 @@ def _run_simplex(tab: list[list[Fraction]], basis: list[int], ncols: int) -> str
         _pivot(tab, basis, best_row, col)
 
 
-def solve_lp(
-    n: int,
-    objective=None,
-    eq=(),
-    ub=(),
-    maximize: bool = False,
-    nonneg: bool = False,
-) -> LPResult:
-    """Solve min/max objective·x subject to a·x == b (eq) and a·x <= b (ub).
+def solve_lp(n: int, objectives=(), eq=(), ub=(), nonneg: bool = False) -> list[LPResult] | None:
+    """Minimize each objective·x subject to a·x == b (eq) and a·x <= b (ub).
 
-    Variables are free unless ``nonneg`` is set.  ``objective=None`` solves a
-    pure feasibility problem.
+    Variables are free unless ``nonneg`` is set.  Returns one result per
+    objective, in order, or None when the system is infeasible; with no
+    objectives, a feasible system gives an empty list.
     """
-    c = [Fraction(v) for v in objective] if objective is not None else [Fraction(0)] * n
-    if maximize:
-        c = [-v for v in c]
-
     # standard form columns: x (or x+, x-) then slacks
     width = n if nonneg else 2 * n
     nslack = len(ub)
@@ -83,14 +85,7 @@ def solve_lp(
 
     def expand(coeffs) -> list[Fraction]:
         coeffs = [Fraction(v) for v in coeffs]
-        if nonneg:
-            return coeffs
-        out = []
-        for v in coeffs:
-            out.append(v)
-        for v in coeffs:
-            out.append(-v)
-        return out
+        return coeffs if nonneg else coeffs + [-v for v in coeffs]
 
     for coeffs, b in eq:
         rows.append(expand(coeffs) + [Fraction(0)] * nslack)
@@ -101,7 +96,6 @@ def solve_lp(
         rows.append(expand(coeffs) + slack)
         rhs.append(Fraction(b))
 
-    cost = expand(c) + [Fraction(0)] * nslack
     m = len(rows)
     total = width + nslack
 
@@ -113,16 +107,12 @@ def solve_lp(
     # phase 1: artificial variables
     tab = [rows[i] + [Fraction(int(i == j)) for j in range(m)] + [rhs[i]] for i in range(m)]
     basis = [total + i for i in range(m)]
-    phase1 = [Fraction(0)] * total + [Fraction(1)] * m + [Fraction(0)]
-    # price out the artificial basis
-    for i in range(m):
-        phase1 = [x - y for x, y in zip(phase1, tab[i])]
-    tab.append(phase1)
+    tab.append(_priced([Fraction(0)] * total + [Fraction(1)] * m + [Fraction(0)], tab, basis))
     status = _run_simplex(tab, basis, total + m)
     if status != OPTIMAL:
         raise VerificationFailure(f"phase 1 is bounded below by 0 but reported {status}")
     if -tab[-1][-1] != 0:
-        return LPResult(INFEASIBLE)
+        return None
     # drive remaining artificials out of the basis
     for i in range(m):
         if basis[i] >= total:
@@ -130,36 +120,22 @@ def solve_lp(
             if col is not None:
                 _pivot(tab, basis, i, col)
     keep = [i for i in range(m) if basis[i] < total]
-    tab = [
-        [tab[i][j] for j in range(total)] + [tab[i][-1]] for i in keep
-    ]
+    tab = [tab[i][:total] + [tab[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
 
-    # phase 2
-    cost_row = cost + [Fraction(0)]
-    for i, b in enumerate(basis):
-        if cost_row[b] != 0:
-            f = cost_row[b]
-            cost_row = [x - f * y for x, y in zip(cost_row, tab[i])]
-    tab.append(cost_row)
-    status = _run_simplex(tab, basis, total)
-    if status == UNBOUNDED:
-        return LPResult(UNBOUNDED)
-
-    y = [Fraction(0)] * total
-    for i, b in enumerate(basis):
-        y[b] = tab[i][-1]
-    if nonneg:
-        x = y[:n]
-    else:
-        x = [y[i] - y[n + i] for i in range(n)]
-    value = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
-    if maximize:
-        value = -value
-    return LPResult(OPTIMAL, x, value)
-
-
-def feasible(n: int, eq=(), ub=(), nonneg: bool = False) -> list[Fraction] | None:
-    """A feasible point of the system, or None."""
-    res = solve_lp(n, None, eq=eq, ub=ub, nonneg=nonneg)
-    return res.x if res.status == OPTIMAL else None
+    # phase 2, once per objective; _pivot replaces rows rather than
+    # editing them, so a shallow copy of the feasible tableau suffices
+    results = []
+    for objective in objectives:
+        c = [Fraction(v) for v in objective]
+        run_tab = tab + [_priced(expand(c) + [Fraction(0)] * (nslack + 1), tab, basis)]
+        run_basis = list(basis)
+        if _run_simplex(run_tab, run_basis, total) == UNBOUNDED:
+            results.append(LPResult(UNBOUNDED))
+            continue
+        y = [Fraction(0)] * total
+        for i, b in enumerate(run_basis):
+            y[b] = run_tab[i][-1]
+        x = y[:n] if nonneg else [y[i] - y[n + i] for i in range(n)]
+        results.append(LPResult(OPTIMAL, x, sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))))
+    return results

@@ -97,6 +97,9 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|(z\d+)|([+\-*^()/])|(\S))")
 
 # deepest parenthesis nesting accepted; each level costs four stack frames
 MAX_NESTING = 100
+# largest dimension accepted; every exponent tuple has this length, and the
+# face code is meant for n <= 4
+MAX_DIM = 32
 
 
 class _Parser:
@@ -212,8 +215,8 @@ class _Parser:
 
 
 def parse_polynomial(text: str, dim: int) -> Polynomial:
-    if dim < 1:
-        raise DimensionMismatch(f"dimension must be >= 1, got {dim}")
+    if not 1 <= dim <= MAX_DIM:
+        raise DimensionMismatch(f"dimension must be between 1 and {MAX_DIM}, got {dim}")
     return _Parser(text, dim).parse()
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import VerificationFailure
-from .linalg import det, dot, nullspace, rank, solve_unique
+from .linalg import det, dot, nullspace, rank, rref, solve_unique
 
 if TYPE_CHECKING:
     from .diagram import Diagram, Point
@@ -80,27 +80,16 @@ def enumerate_vertices(ineqs: list[Inequality], n: int) -> list[Point]:
 
 
 def _affine_coords(points: list[Point]) -> tuple[list[Point], int]:
-    """Exact coordinates of the points in a basis of their affine hull."""
+    """Exact coordinates of the points in their affine hull, and its dimension.
+
+    Each point keeps the entries of its difference from the first point in
+    the pivot columns of the differences' echelon form.  That projection
+    maps the affine hull one-to-one onto its image, so faces are preserved.
+    """
     p0 = points[0]
-    diffs = [[q[k] - p0[k] for k in range(len(p0))] for q in points[1:]]
-    if not diffs:
-        return [()] * len(points), 0
-    # pick a maximal independent subset of difference vectors as a basis
-    basis: list[list[Fraction]] = []
-    for d in diffs:
-        if rank(basis + [d]) > len(basis):
-            basis.append(d)
-    dim = len(basis)
-    # coordinates solve basis^T * coeffs = diff in least-squares-free exact
-    # form: use the Gram system (basis is independent, Gram is invertible)
-    gram = [[dot(bi, bj) for bj in basis] for bi in basis]
-    coords = [(Fraction(0),) * dim]
-    for d in diffs:
-        sol = solve_unique(gram, [dot(bi, d) for bi in basis])
-        if sol is None:
-            raise VerificationFailure("Gram matrix of an independent basis is singular")
-        coords.append(tuple(sol))
-    return coords, dim
+    diffs = [[q[k] - p0[k] for k in range(len(p0))] for q in points]
+    _, pivots = rref(diffs)
+    return [tuple(d[c] for c in pivots) for d in diffs], len(pivots)
 
 
 def _facets_of_hull(points: list[Point]) -> list[list[int]]:

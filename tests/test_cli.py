@@ -8,6 +8,7 @@ import types
 import pytest
 
 from pshdiag import decomposition, exactlp
+from pshdiag.polynomials import MAX_DIM
 from pshdiag.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -153,6 +154,18 @@ class TestExecute:
         assert code == EXIT_INPUT
         assert "nested" in result["error"]
 
+    @pytest.mark.parametrize("dim", [MAX_DIM + 1, 10**20])
+    def test_huge_dim_exit_2(self, dim):
+        # exponent tuples have length dim, so a huge dim must stop at the parser
+        result, code = execute("diagram", {"input": {"dim": dim, "polys": ["1"]}})
+        assert code == EXIT_INPUT
+        assert str(MAX_DIM) in result["error"]
+
+    def test_max_dim_accepted(self):
+        result, code = execute("diagram", {"input": {"dim": MAX_DIM, "polys": ["z1 + z32"]}})
+        assert code == EXIT_OK
+        assert len(result["diagram"]["generators"]) == 2
+
     def test_json_integers_accepted(self):
         result, code = execute(
             "newton-number", {"diagram": {"dim": 2, "generators": [[2, 0], [0, 2]]}}
@@ -161,17 +174,25 @@ class TestExecute:
         result, code = execute("indicator", {"diagram": load("diagram_transformed.json"), "t": [-1, -1]})
         assert (code, result["indicator"]) == (EXIT_OK, "-2")
 
-    def test_internal_lp_fault_exit_4(self, monkeypatch):
+    def _run_with_faulty_lp(self, monkeypatch, answer):
         # only the edge-scale sweep sees the faulty LP; canonicalize keeps
         # the real one through its own binding of exactlp
         fake = types.SimpleNamespace(
             OPTIMAL=exactlp.OPTIMAL,
-            solve_lp=lambda *args, **kwargs: exactlp.LPResult(exactlp.UNBOUNDED),
+            solve_lp=lambda *args, **kwargs: answer,
         )
         monkeypatch.setattr(decomposition, "exactlp", fake)
-        result, code = execute("decompose", {"diagram": load("diagram_transformed.json")})
+        return execute("decompose", {"diagram": load("diagram_transformed.json")})
+
+    def test_internal_lp_fault_exit_4(self, monkeypatch):
+        result, code = self._run_with_faulty_lp(monkeypatch, [exactlp.LPResult(exactlp.UNBOUNDED)])
         assert code == EXIT_INTERNAL
         assert "unbounded" in result["error"]
+
+    def test_internal_lp_infeasible_exit_4(self, monkeypatch):
+        result, code = self._run_with_faulty_lp(monkeypatch, None)
+        assert code == EXIT_INTERNAL
+        assert "infeasible" in result["error"]
 
 
 class TestBatch:
@@ -218,6 +239,30 @@ class TestBatch:
         assert outputs[0][0] == EXIT_OK
         assert json.loads(outputs[0][1])["results"]["nn"]["result"] == {"newton_number": "4"}
         assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize(
+        "ids, bad",
+        [([1, "a"], 1), (["a", 1], 1), ([[1]], 0), (["x", None], 1), ([True], 0), ([1.5], 0), ([2, False], 1)],
+    )
+    def test_ids_of_one_type(self, capsys, tmp_path, ids, bad):
+        path = tmp_path / "manifest.json"
+        requests = [{"id": rid, "command": "sum", "payload": {}} for rid in ids]
+        path.write_text(json.dumps({"requests": requests}))
+        code, out = run_cli(capsys, "batch", path)
+        assert code == EXIT_INPUT
+        assert json.loads(out)["error"].startswith(f"request #{bad}:")
+
+    def test_integer_ids_in_numeric_order(self, capsys, tmp_path):
+        path = tmp_path / "manifest.json"
+        diagram = {"dim": 2, "generators": [["2", "0"], ["0", "2"]]}
+        requests = [
+            {"id": rid, "command": "newton-number", "payload": {"diagram": diagram}}
+            for rid in (10, 2)
+        ]
+        path.write_text(json.dumps({"requests": requests}))
+        code, out = run_cli(capsys, "batch", path)
+        assert code == EXIT_OK
+        assert list(json.loads(out)["results"]) == ["2", "10"]
 
 
 class TestMainEntry:

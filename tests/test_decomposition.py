@@ -1,4 +1,5 @@
 import random
+import types
 from fractions import Fraction as F
 
 import pytest
@@ -19,7 +20,7 @@ from pshdiag import (
     verify_decomposition,
     weighted_simplex,
 )
-from pshdiag import decomposition
+from pshdiag import decomposition, exactlp
 from pshdiag.decomposition import _decide_general
 from pshdiag.errors import InfeasibleAssignment
 
@@ -167,6 +168,22 @@ class TestDecide:
         assert len(verified) == len(set(verified))
         assert isinstance(cert, Decomposable)
         assert cert.method == "facet-pair-lp"
+        assert cert.left == canonicalize(3, [(0, 0, 1), (0, 1, 0)])
+        assert cert.right == canonicalize(3, [(0, 1, 0), (1, 0, 0)])
+
+    def test_edge_scale_sweep_is_one_lp_call(self, monkeypatch):
+        # every edge-scale objective shares one phase 1 over S
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return exactlp.solve_lp(*args, **kwargs)
+
+        fake = types.SimpleNamespace(OPTIMAL=exactlp.OPTIMAL, solve_lp=counting)
+        monkeypatch.setattr(decomposition, "exactlp", fake)
+        g = canonicalize(3, [(1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1)])
+        cert = _decide_general(g)
+        assert len(calls) == 1
         assert cert.left == canonicalize(3, [(0, 0, 1), (0, 1, 0)])
         assert cert.right == canonicalize(3, [(0, 1, 0), (1, 0, 0)])
 

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 from pshdiag import canonicalize, compact_graph, contains, newton_number, touches_all_axes
-from pshdiag.exactlp import feasible
+from pshdiag.exactlp import solve_lp
 from pshdiag.volume import diagram_facets, enumerate_vertices, polytope_volume
 
 
@@ -38,7 +38,7 @@ def lp_compact_edges(g):
             for m, vm in enumerate(gens):
                 if m not in (i, j):
                     ub.append(([vm[k] - vi[k] for k in range(n)], F(-1)))
-            if feasible(n, eq=eq, ub=ub) is not None:
+            if solve_lp(n, eq=eq, ub=ub) is not None:
                 edges.add((i, j))
     return edges
 
