@@ -3,6 +3,11 @@
 A diagram is the set conv(generators) + R^n_+, stored by its minimal
 (canonical) generator set in lexicographic order.  All operations are pure
 and exact; a diagram is immutable after construction.
+
+Only two operations run an LP: ``contains`` (one exact LP) and
+``canonicalize`` outside the plane (one exact LP per undominated point; in
+2-D it is a monotone chain).  ``compact_graph`` reads the facets from
+``volume.diagram_facets``; everything else is arithmetic on the generators.
 """
 
 from __future__ import annotations
@@ -86,10 +91,20 @@ def member_of_hull(p: Point, points: list[Point]) -> bool:
 
 
 def canonicalize(dim: int, raw_points) -> Diagram:
-    """Minimal generator set of conv(raw_points) + R^n_+.
+    """Minimal generator set (the vertices) of conv(raw_points) + R^n_+.
 
-    Idempotent and independent of input order.  A point survives iff it is
-    not contained in the hull of the remaining points plus the orthant.
+    Idempotent and independent of input order.  Two facts make this exact:
+
+    - a point q with another point p <= q componentwise lies in
+      p + R^n_+, so it is never a vertex, and removing it leaves
+      conv + R^n_+ unchanged;
+    - in 2-D the undominated points sorted by x have strictly decreasing
+      y, and the vertices are exactly their lower convex chain between the
+      two ends (Andrew's monotone chain), found in one pass with no LP.
+
+    In other dimensions the dominated points are dropped first, and an
+    undominated point survives iff it is not in the hull of the other
+    undominated points plus the orthant (one exact LP each).
     """
     if dim < 1:
         raise DimensionMismatch(f"dimension must be >= 1, got {dim}")
@@ -100,13 +115,29 @@ def canonicalize(dim: int, raw_points) -> Diagram:
         if any(c < 0 for c in p):
             raise NegativeCoordinate(f"negative coordinate in {p}")
     pts = sorted(set(pts))
-    keep = []
-    for i, p in enumerate(pts):
-        others = pts[:i] + pts[i + 1 :]
-        # points already dropped are in the hull of the rest, so testing
-        # against all other input points is equivalent and order-free
-        if not member_of_hull(p, others):
+    if dim == 2:
+        keep: list[Point] = []
+        for p in pts:
+            if keep and p[1] >= keep[-1][1]:
+                continue  # keep[-1] has the least y so far and x <= p[0]
+            while len(keep) >= 2:
+                (ax, ay), (bx, by) = keep[-2], keep[-1]
+                if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) > 0:
+                    break
+                keep.pop()  # keep[-1] lies on or above the segment keep[-2] p
             keep.append(p)
+        return Diagram(dim, tuple(keep))
+    # only a lexicographically smaller point can be <= q componentwise, and
+    # a dominated dominator has an undominated one below it
+    undominated: list[Point] = []
+    for q in pts:
+        if not any(all(a <= b for a, b in zip(p, q)) for p in undominated):
+            undominated.append(q)
+    keep = [
+        p
+        for i, p in enumerate(undominated)
+        if not member_of_hull(p, undominated[:i] + undominated[i + 1 :])
+    ]
     return Diagram(dim, tuple(keep))
 
 

@@ -56,7 +56,7 @@ class InfeasibleAssignment(PshDiagError):
 
 
 class UnsupportedDimension(PshDiagError):
-    """The exact decomposability decision does not cover this diagram."""
+    """A well-formed input the exact methods do not cover or that exceeds a budget."""
 
 
 class Unbounded(PshDiagError):

@@ -277,8 +277,12 @@ def poly_pow(p: Polynomial, k: int) -> Polynomial:
     if k < 0:
         raise NegativeExponent("exponent must be nonnegative", 0)
     result = _const(p.dim, Fraction(1))
-    for _ in range(k):
-        result = poly_mul(result, p)
+    while k:  # square and multiply: p^k from the binary digits of k
+        if k & 1:
+            result = poly_mul(result, p)
+        k >>= 1
+        if k:
+            p = poly_mul(p, p)
     return result
 
 

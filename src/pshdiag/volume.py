@@ -9,10 +9,11 @@ rationals; intended for desk-scale dimensions (n <= 4).
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import VerificationFailure
+from .errors import UnsupportedDimension, VerificationFailure
 from .linalg import det, dot, nullspace, rank, rref, solve_unique
 
 if TYPE_CHECKING:
@@ -20,14 +21,26 @@ if TYPE_CHECKING:
 
 Inequality = tuple[tuple[Fraction, ...], Fraction]  # (a, b) meaning a.x >= b
 
+# Most generator subsets one facet search may try.  Each costs about a
+# millisecond, so a search at the limit takes seconds; the largest in the
+# tests tries 5985 (a 4-D diagram with 17 vertices).
+MAX_FACET_SUBSETS = 10_000
+
 
 def _cone_facets(gens: list[tuple[Fraction, ...]]) -> list[tuple[list[Fraction], list[int]]]:
     """Facets of the full-dimensional cone spanned by gens, each found once.
 
     A facet is returned as an inward normal together with the indices of
     the generators tight on it; the tight set spans the facet's hyperplane,
-    so it identifies the facet.
+    so it identifies the facet.  Raises ``UnsupportedDimension`` when the
+    search would try more than ``MAX_FACET_SUBSETS`` subsets.
     """
+    subsets = math.comb(len(gens), len(gens[0]) - 1)
+    if subsets > MAX_FACET_SUBSETS:
+        raise UnsupportedDimension(
+            f"facet search over {subsets} generator subsets exceeds the budget "
+            f"of {MAX_FACET_SUBSETS}"
+        )
     facets: dict[tuple[int, ...], tuple[list[Fraction], list[int]]] = {}
     for subset in itertools.combinations(range(len(gens)), len(gens[0]) - 1):
         basis = nullspace([list(gens[i]) for i in subset])

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import types
 
 import pytest
@@ -165,6 +166,27 @@ class TestExecute:
         result, code = execute("diagram", {"input": {"dim": MAX_DIM, "polys": ["z1 + z32"]}})
         assert code == EXIT_OK
         assert len(result["diagram"]["generators"]) == 2
+
+    def test_diagram_of_high_power(self):
+        # every support point lies on one segment, so only its ends survive
+        result, code = execute("diagram", {"input": {"dim": 2, "polys": ["(z1+z2)^300"]}})
+        assert code == EXIT_OK
+        assert result["diagram"]["generators"] == [["0", "300"], ["300", "0"]]
+
+    def test_facet_search_budget_exit_3(self):
+        # C(24, 12) generator subsets: minutes of facet search without the budget
+        n = 12
+        simplex = [[str(k + 2) if j == k else "0" for j in range(n)] for k in range(n)]
+        requests = [
+            ("newton-number", simplex),
+            ("decompose", simplex[1:] + [["1/12"] * n]),
+        ]
+        for command, gens in requests:
+            start = time.perf_counter()
+            result, code = execute(command, {"diagram": {"dim": n, "generators": gens}})
+            assert time.perf_counter() - start < 10, command
+            assert code == EXIT_SEMANTIC, command
+            assert "budget" in result["error"]
 
     def test_json_integers_accepted(self):
         result, code = execute(

@@ -14,6 +14,7 @@ from pshdiag import (
     parse_polynomial,
     poly_add,
     poly_mul,
+    poly_pow,
     polynomial,
     serialize_polynomial,
     singularity_input,
@@ -94,6 +95,23 @@ class TestRingOps:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             poly_add(P("z1"), parse_polynomial("z1", 3))
+
+    @pytest.mark.parametrize(
+        "text,dim",
+        [
+            ("z1 + z2", 2),
+            ("2*z1^2 - z1*z2 + 1/3", 2),
+            ("z1 - 1", 2),
+            ("z1 + z2 + z3", 3),
+            ("z1*z2 - 3/2*z3^2 + z2", 3),
+        ],
+    )
+    def test_pow_equals_repeated_mul(self, text, dim):
+        p = parse_polynomial(text, dim)
+        expected = parse_polynomial("1", dim)
+        for k in range(13):
+            assert poly_pow(p, k) == expected, k
+            expected = poly_mul(expected, p)
 
 
 class TestSubstitution:
