@@ -55,6 +55,12 @@ METHOD_SIMPLEX_FACET = "simplex-facet"
 METHOD_TWO_DIM_CHAIN = "two-dim-chain"
 METHOD_FACET_PAIR_LP = "facet-pair-lp"
 
+# Most phase-1 tableau cells, summed over the objectives, that one
+# edge-scale sweep may take on.  A sweep at the limit runs about ten
+# seconds; the largest in the tests takes on 98,400 and the largest in
+# the benchmark pools 21,228.
+MAX_SWEEP_CELLS = 10_000_000
+
 
 @dataclass(frozen=True)
 class Decomposable:
@@ -284,12 +290,23 @@ def _edge_scale_candidates(g: Diagram, system: SummandSystem):
     Each pair of edge scales is pushed apart in both directions, all in one
     LP call over S; one summand pair is built per distinct optimum.  An
     empty result means every pair of edge scales is provably equal over
-    the whole feasible region.
+    the whole feasible region.  Raises ``UnsupportedDimension`` when the
+    sweep's phase-1 tableaux would exceed ``MAX_SWEEP_CELLS`` cells.
     """
     n = g.dim
     m = system.num_vertices
     nvars = m * n + system.num_edges
     eq, ub = system._lp_constraints()
+    rows = len(eq) + len(ub)
+    # the phase-1 tableau: constraint rows and the cost row, by structural,
+    # slack and artificial columns and the right-hand side
+    cells = (rows + 1) * (nvars + len(ub) + rows + 1)
+    sweep = system.num_edges * (system.num_edges - 1) * cells
+    if sweep > MAX_SWEEP_CELLS:
+        raise UnsupportedDimension(
+            f"edge-scale sweep over {sweep} tableau cells exceeds the budget "
+            f"of {MAX_SWEEP_CELLS}"
+        )
     objectives = []
     for e, f in itertools.combinations(range(m * n, nvars), 2):
         for sgn in (1, -1):

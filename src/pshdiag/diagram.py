@@ -4,10 +4,10 @@ A diagram is the set conv(generators) + R^n_+, stored by its minimal
 (canonical) generator set in lexicographic order.  All operations are pure
 and exact; a diagram is immutable after construction.
 
-Only two operations run an LP: ``contains`` (one exact LP) and
-``canonicalize`` outside the plane (one exact LP per undominated point; in
-2-D it is a monotone chain).  ``compact_graph`` reads the facets from
-``volume.diagram_facets``; everything else is arithmetic on the generators.
+No operation runs an LP: ``contains``, ``compact_graph`` and, outside the
+plane, ``canonicalize`` read the facets of ``volume.diagram_facets`` (in
+2-D ``canonicalize`` is a monotone chain); everything else is arithmetic
+on the generators.  ``member_of_hull`` is the tests' LP reference.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def _check_point(p, dim: int) -> Point:
 
 
 def member_of_hull(p: Point, points: list[Point]) -> bool:
-    """Exact test: p in conv(points) + R^n_+ (LP feasibility over rationals)."""
+    """Exact LP test of p in conv(points) + R^n_+: the tests' reference for facets."""
     if not points:
         return False
     n = len(p)
@@ -103,8 +103,8 @@ def canonicalize(dim: int, raw_points) -> Diagram:
       two ends (Andrew's monotone chain), found in one pass with no LP.
 
     In other dimensions the dominated points are dropped first, and an
-    undominated point survives iff it is not in the hull of the other
-    undominated points plus the orthant (one exact LP each).
+    undominated point is a vertex iff the facet normals tight at it have
+    rank n.
     """
     if dim < 1:
         raise DimensionMismatch(f"dimension must be >= 1, got {dim}")
@@ -133,17 +133,14 @@ def canonicalize(dim: int, raw_points) -> Diagram:
     for q in pts:
         if not any(all(a <= b for a, b in zip(p, q)) for p in undominated):
             undominated.append(q)
-    keep = [
-        p
-        for i, p in enumerate(undominated)
-        if not member_of_hull(p, undominated[:i] + undominated[i + 1 :])
-    ]
+    facets = diagram_facets(Diagram(dim, tuple(undominated)))
+    keep = [p for p in undominated if rank([list(a) for a, b in facets if dot(a, p) == b]) == dim]
     return Diagram(dim, tuple(keep))
 
 
 def contains(g: Diagram, p) -> bool:
     p = _check_point(p, g.dim)
-    return member_of_hull(p, list(g.generators))
+    return all(dot(a, p) >= b for a, b in diagram_facets(g))
 
 
 def support_value(g: Diagram, t) -> Fraction:

@@ -1,60 +1,67 @@
-"""Exact facets and volumes of polyhedra, by cone-facet enumeration.
+"""Exact facets and volumes of polyhedra, by the double description method.
 
-``diagram_facets`` is the one source of face data for diagrams: compact
-edges and Newton numbers are read off its facet list.  ``polytope_volume``
-triangulates a polytope over the facets of its hull.  Works entirely over
-rationals; intended for desk-scale dimensions (n <= 4).
+``diagram_facets`` is the one source of face data for diagrams: vertices,
+membership, compact edges and Newton numbers are read off its facet list.
+``polytope_volume`` triangulates a polytope over the facets of its hull.
+Works entirely over rationals; intended for desk-scale dimensions (n <= 4).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import UnsupportedDimension, VerificationFailure
-from .linalg import det, dot, nullspace, rank, rref, solve_unique
+from .linalg import det, dot, inverse, rank, rref, solve_unique
 
 if TYPE_CHECKING:
     from .diagram import Diagram, Point
 
 Inequality = tuple[tuple[Fraction, ...], Fraction]  # (a, b) meaning a.x >= b
 
-# Most generator subsets one facet search may try.  Each costs about a
-# millisecond, so a search at the limit takes seconds; the largest in the
-# tests tries 5985 (a 4-D diagram with 17 vertices).
-MAX_FACET_SUBSETS = 10_000
+# Most (+, -) ray pairs one facet search may test.  A test costs about a
+# microsecond, so a search at the limit takes about a second; the largest
+# search in the tests tests 593 pairs, and in the benchmark pools 135.
+MAX_RAY_PAIRS = 1_000_000
 
 
 def _cone_facets(gens: list[tuple[Fraction, ...]]) -> list[tuple[list[Fraction], list[int]]]:
-    """Facets of the full-dimensional cone spanned by gens, each found once.
+    """Facets of the full-dimensional pointed cone spanned by gens, each once.
 
-    A facet is returned as an inward normal together with the indices of
-    the generators tight on it; the tight set spans the facet's hyperplane,
-    so it identifies the facet.  Raises ``UnsupportedDimension`` when the
-    search would try more than ``MAX_FACET_SUBSETS`` subsets.
+    Double description (Motzkin et al. 1953; Fukuda, Prodon 1996): the facet
+    normals are the extreme rays of the dual cone {a : a.g >= 0}.  From the
+    dual rays of d independent generators, each further generator keeps the
+    rays on its nonnegative side and joins each adjacent (+, -) pair: rays
+    tight on at least d - 2 common generators, no third ray tight on all.
+    Joined rays are divided by their largest |entry| to keep the fractions
+    small.  Facets come with the sorted indices of their tight generators.
+    Raises ``UnsupportedDimension`` past ``MAX_RAY_PAIRS`` pairs.
     """
-    subsets = math.comb(len(gens), len(gens[0]) - 1)
-    if subsets > MAX_FACET_SUBSETS:
-        raise UnsupportedDimension(
-            f"facet search over {subsets} generator subsets exceeds the budget "
-            f"of {MAX_FACET_SUBSETS}"
-        )
-    facets: dict[tuple[int, ...], tuple[list[Fraction], list[int]]] = {}
-    for subset in itertools.combinations(range(len(gens)), len(gens[0]) - 1):
-        basis = nullspace([list(gens[i]) for i in subset])
-        if len(basis) != 1:
-            continue
-        normal = basis[0]
-        vals = [dot(normal, v) for v in gens]
-        if any(v < 0 for v in vals):
-            if any(v > 0 for v in vals):
-                continue
-            normal = [-x for x in normal]
-        tight = [i for i, v in enumerate(vals) if v == 0]
-        facets.setdefault(tuple(tight), (normal, tight))
-    return list(facets.values())
+    d = len(gens[0])
+    _, start = rref([list(col) for col in zip(*gens)])
+    inv = inverse([list(gens[i]) for i in start])
+    # a ray is a normal and the bit set of the generators cut so far tight on it
+    tight = sum(1 << i for i in start)
+    rays = [([row[j] for row in inv], tight ^ (1 << i)) for j, i in enumerate(start)]
+    pairs = 0
+    for k in sorted(set(range(len(gens))) - set(start)):
+        vals = [dot(r, gens[k]) for r, _ in rays]
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        neg = [i for i, v in enumerate(vals) if v < 0]
+        pairs += len(pos) * len(neg)
+        if pairs > MAX_RAY_PAIRS:
+            raise UnsupportedDimension(f"facet search exceeds its {MAX_RAY_PAIRS} ray-pair budget")
+        cut = [(r, z | (1 << k) if v == 0 else z) for (r, z), v in zip(rays, vals) if v >= 0]
+        for i in pos:
+            for j in neg:
+                common = rays[i][1] & rays[j][1]
+                if common.bit_count() >= d - 2 and sum(z & common == common for _, z in rays) == 2:
+                    ray = [vals[i] * y - vals[j] * x for x, y in zip(rays[i][0], rays[j][0])]
+                    top = max(abs(x) for x in ray)
+                    cut.append(([x / top for x in ray], common | (1 << k)))
+        rays = cut
+    return [(r, [i for i in range(len(gens)) if z >> i & 1]) for r, z in rays]
 
 
 def diagram_facets(g: Diagram) -> list[Inequality]:
@@ -105,11 +112,6 @@ def _affine_coords(points: list[Point]) -> tuple[list[Point], int]:
     return [tuple(d[c] for c in pivots) for d in diffs], len(pivots)
 
 
-def _facets_of_hull(points: list[Point]) -> list[list[int]]:
-    """Facets of the full-dimensional hull of points in R^d, as index lists."""
-    return [tight for _, tight in _cone_facets([tuple(p) + (Fraction(1),) for p in points])]
-
-
 def _triangulate(points: list[Point], d: int) -> list[tuple[int, ...]]:
     """Fan triangulation of the full-dimensional hull, as index tuples."""
     if d == 0:
@@ -119,7 +121,7 @@ def _triangulate(points: list[Point], d: int) -> list[tuple[int, ...]]:
         return [(order[0], order[-1])]
     base = min(range(len(points)), key=lambda i: points[i])
     simplices: list[tuple[int, ...]] = []
-    for facet in _facets_of_hull(points):
+    for _, facet in _cone_facets([tuple(p) + (Fraction(1),) for p in points]):
         if base in facet:
             continue
         coords, fd = _affine_coords([points[i] for i in facet])

@@ -1,6 +1,8 @@
 import json
+import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -173,20 +175,48 @@ class TestExecute:
         assert code == EXIT_OK
         assert result["diagram"]["generators"] == [["0", "300"], ["300", "0"]]
 
-    def test_facet_search_budget_exit_3(self):
-        # C(24, 12) generator subsets: minutes of facet search without the budget
+    def test_diagram_of_coplanar_powers(self):
+        # every support point lies on the plane x + y + z = k
+        for k in (16, 20):
+            result, code = execute("diagram", {"input": {"dim": 3, "polys": [f"(z1+z2+z3)^{k}"]}})
+            assert code == EXIT_OK
+            assert result["diagram"]["generators"] == [
+                ["0", "0", str(k)], ["0", str(k), "0"], [str(k), "0", "0"]
+            ]
+
+    def test_twelve_dim_simplex_newton_number(self):
+        # intercepts 2, ..., 13: the Newton number is their product, 13!
         n = 12
         simplex = [[str(k + 2) if j == k else "0" for j in range(n)] for k in range(n)]
-        requests = [
-            ("newton-number", simplex),
-            ("decompose", simplex[1:] + [["1/12"] * n]),
-        ]
-        for command, gens in requests:
-            start = time.perf_counter()
-            result, code = execute(command, {"diagram": {"dim": n, "generators": gens}})
-            assert time.perf_counter() - start < 10, command
-            assert code == EXIT_SEMANTIC, command
-            assert "budget" in result["error"]
+        result, code = execute("newton-number", {"diagram": {"dim": n, "generators": simplex}})
+        assert (code, result["newton_number"]) == (EXIT_OK, "6227020800")
+
+    def test_facet_search_budget_exit_3(self):
+        # 30 points near a sphere in 8-D: about 66 million ray pairs and
+        # 50 s of facet search without the budget
+        rng = random.Random(8)
+        n = 8
+        gens = []
+        for _ in range(30):
+            u = [abs(rng.gauss(0, 1)) for _ in range(n)]
+            norm = math.sqrt(sum(x * x for x in u))
+            gens.append([str(round(100 - 100 * x / norm)) for x in u])
+        start = time.perf_counter()
+        result, code = execute("newton-number", {"diagram": {"dim": n, "generators": gens}})
+        assert time.perf_counter() - start < 10
+        assert code == EXIT_SEMANTIC
+        assert "1000000 ray-pair budget" in result["error"]
+
+    def test_sweep_budget_exit_3(self):
+        # 66 compact edges: 4290 edge-scale objectives over a tableau of
+        # 1.4 million cells, minutes of LP without the budget
+        n = 12
+        gens = [[str(k + 2) if j == k else "0" for j in range(n)] for k in range(1, n)]
+        start = time.perf_counter()
+        result, code = execute("decompose", {"diagram": {"dim": n, "generators": gens + [["1/12"] * n]}})
+        assert time.perf_counter() - start < 10
+        assert code == EXIT_SEMANTIC
+        assert "sweep" in result["error"] and "budget" in result["error"]
 
     def test_json_integers_accepted(self):
         result, code = execute(

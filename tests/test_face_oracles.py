@@ -1,20 +1,76 @@
-"""Compact edges and Newton numbers against slower reference algorithms.
+"""Facets, membership, compact edges and Newton numbers against slower
+reference algorithms.
 
-Neither reference reads faces off facet incidences as the package does:
-compact edges are found by one exact LP per vertex pair, and Newton
-numbers by clipping the diagram to a box and triangulating the vertices
-of the clipped polytope.
+None of the references reads faces off facet incidences as the package
+does: cone facets are found by trying every generator subset that can
+span a facet, membership by one exact LP, compact edges by one exact LP
+per vertex pair, and Newton numbers by clipping the diagram to a box and
+triangulating the vertices of the clipped polytope.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from pshdiag import canonicalize, compact_graph, contains, newton_number, touches_all_axes
+from pshdiag import (
+    canonicalize,
+    compact_graph,
+    contains,
+    minkowski_sum,
+    newton_number,
+    touches_all_axes,
+)
+from pshdiag.diagram import member_of_hull
 from pshdiag.exactlp import solve_lp
-from pshdiag.volume import diagram_facets, enumerate_vertices, polytope_volume
+from pshdiag.linalg import dot, nullspace
+from pshdiag.volume import _cone_facets, diagram_facets, enumerate_vertices, polytope_volume
+from test_canonicalize_oracle import CASES as CLOUD_CASES
+from test_canonicalize_oracle import clouds, undominated
+
+
+def subset_cone_facets(gens):
+    """Facets of the full-dimensional cone spanned by gens, each found once.
+
+    Every d - 1 generators whose span is a hyperplane give a candidate
+    normal; it is a facet normal when all generators lie on one side.
+    """
+    facets = {}
+    for subset in itertools.combinations(range(len(gens)), len(gens[0]) - 1):
+        basis = nullspace([list(gens[i]) for i in subset])
+        if len(basis) != 1:
+            continue
+        normal = basis[0]
+        vals = [dot(normal, v) for v in gens]
+        if any(v < 0 for v in vals):
+            if any(v > 0 for v in vals):
+                continue
+            normal = [-x for x in normal]
+        tight = [i for i, v in enumerate(vals) if v == 0]
+        facets.setdefault(tuple(tight), (normal, tight))
+    return list(facets.values())
+
+
+def homogenized(points, dim):
+    """Generators (p, 1) of the points and (e_k, 0) of the orthant, as
+    ``diagram_facets`` builds them."""
+    gens = [tuple(F(c) for c in p) + (F(1),) for p in points]
+    for k in range(dim):
+        gens.append(tuple(F(int(j == k)) for j in range(dim + 1)))
+    return gens
+
+
+def assert_same_facets(gens):
+    got = _cone_facets(gens)
+    want = {tuple(tight): normal for normal, tight in subset_cone_facets(gens)}
+    assert sorted(tuple(tight) for _, tight in got) == sorted(want), gens
+    for normal, tight in got:
+        ref = want[tuple(tight)]
+        k = next(i for i, x in enumerate(ref) if x != 0)
+        factor = normal[k] / ref[k]
+        assert factor > 0 and [factor * x for x in ref] == list(normal), gens
 
 
 def lp_compact_edges(g):
@@ -131,3 +187,58 @@ def test_newton_numbers_match_box_volume(dim, count, seed):
     assert not all(touches_all_axes(g) for g in diagrams)
     for g in diagrams:
         assert newton_number(g).value == box_newton_number(g), g
+
+
+@pytest.mark.parametrize("dim,count,seed", CASES)
+def test_cone_facets_match_subset_search(dim, count, seed):
+    for g in random_diagrams(dim, count, seed):
+        assert_same_facets(homogenized(g.generators, dim))
+
+
+@pytest.mark.parametrize("dim,seed", CLOUD_CASES)
+def test_cone_facets_match_subset_search_on_clouds(dim, seed):
+    # coplanar, rational and single-point supports, not yet canonical
+    for pts in clouds(dim, seed):
+        assert_same_facets(homogenized(undominated(pts), dim))
+
+
+def test_cone_facets_match_subset_search_on_simplex_sums():
+    rng = random.Random(24)
+    for size in (3, 4) * 6:
+        a, b = (
+            canonicalize(3, [[rng.randint(0, 6) for _ in range(3)] for _ in range(size)])
+            for _ in range(2)
+        )
+        sums = [tuple(x + y for x, y in zip(p, q)) for p in a.generators for q in b.generators]
+        assert_same_facets(homogenized(undominated(sums), 3))
+        assert_same_facets(homogenized(minkowski_sum(a, b).generators, 3))
+
+
+def test_cone_facets_match_subset_search_on_lattice_layer():
+    # every lattice point of R^4_+ with coordinate sum 2: collinear
+    # generators, so two rays can share d - 2 tight generators and still
+    # not be adjacent
+    layer = [p for p in itertools.product(range(3), repeat=4) if sum(p) == 2]
+    assert_same_facets(homogenized(layer, 4))
+
+
+@pytest.mark.parametrize("dim,count,seed", CASES)
+def test_contains_matches_lp(dim, count, seed):
+    seventh = F(1, 7)
+    for g in random_diagrams(dim, count, seed):
+        graph = compact_graph(g)
+        probes = [
+            tuple((x + y) / 2 for x, y in zip(graph.vertices[i], graph.vertices[j]))
+            for i, j, _ in graph.edges
+        ]
+        for v in g.generators:
+            probes.append(v)
+            probes.append(tuple(x - seventh for x in v))
+            for k in range(dim):
+                for step in (seventh, -seventh):
+                    probes.append(tuple(x + step * (j == k) for j, x in enumerate(v)))
+        answers = []
+        for p in probes:
+            answers.append(contains(g, p))
+            assert answers[-1] == member_of_hull(p, list(g.generators)), (g, p)
+        assert set(answers) == {True, False}, g
