@@ -21,8 +21,20 @@ minimise s(x) = x_1 + ... + x_n some edge decreases s, and it is compact
 because the rays e_k all increase s; the face minimising s is a polytope,
 whose graph is connected.
 
-When edge scales vary but no summand pair verifies (possible only in
-n >= 3), ``UnsupportedDimension`` is raised rather than guessing.
+The first direction is complete: every point of S with unequal edge
+scales gives a pair that passes ``verify_decomposition`` (Shephard,
+Mathematika 10, 1963; McMullen, Geom. Dedicata 2, 1973; Smilansky, Geom.
+Dedicata 24, 1987, for the unbounded case).  On the open orthant let
+h(a) = a.u_i on the normal cone of v_i.  The walls between these cones
+there are exactly the compact edges, and across the wall of edge (i, j)
+h is continuous, since a.(u_i - u_j) = t_e a.(v_i - v_j) = 0 on it, and
+concave, since t_e >= 0.  Concave across every wall on a convex domain,
+h is concave, so h(a) = min_i a.u_i is the support function of
+K1 = conv(u) + R^n_+.  The same holds for v - u and 1 - t, and the two
+support functions sum to G's, so K1 + K2 = G.  K1 = c*G + x would force
+u_i = c v_i + x and every t_e = c, so unequal scales rule out homothets
+on both sides.  A candidate that fails verification is therefore a bug,
+and raises ``VerificationFailure``.
 """
 
 from __future__ import annotations
@@ -365,13 +377,7 @@ def _decide_general(g: Diagram) -> Certificate:
             "edge scales constant over the summand polytope; "
             "all summands are homothets",
         )
-    if g.dim == 2:
-        raise VerificationFailure(
-            "two-dimensional decision reached an impossible state"
-        )
-    raise UnsupportedDimension(
-        "compact-face structure does not determine summands; cannot decide"
-    )
+    raise VerificationFailure("edge scales vary but no summand pair verified")
 
 
 def classify_extreme(u: SingularityInput) -> ExtremityReport:

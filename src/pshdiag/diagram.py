@@ -4,10 +4,11 @@ A diagram is the set conv(generators) + R^n_+, stored by its minimal
 (canonical) generator set in lexicographic order.  All operations are pure
 and exact; a diagram is immutable after construction.
 
-No operation runs an LP: ``contains``, ``compact_graph`` and, outside the
-plane, ``canonicalize`` read the facets of ``volume.diagram_facets`` (in
-2-D ``canonicalize`` is a monotone chain); everything else is arithmetic
-on the generators.  ``member_of_hull`` is the tests' LP reference.
+No operation runs an LP: ``contains`` checks the inequalities of
+``volume.diagram_facets``, and ``compact_graph`` and, outside the plane,
+``canonicalize`` read its tight sets (in 2-D ``canonicalize`` is a
+monotone chain); everything else is arithmetic on the generators.
+``member_of_hull`` is the tests' LP reference.
 """
 
 from __future__ import annotations
@@ -23,19 +24,22 @@ from .errors import (
     NonpositiveScale,
     NonpositiveWeight,
     PositiveDirection,
+    UnsupportedDimension,
 )
-from .linalg import dot, rank
-from .volume import diagram_facets
+from .linalg import dot
+from .volume import diagram_facets, least_face
 
 Point = tuple[Fraction, ...]
+
+# Most point comparisons the dominance filter of one canonicalize may make.
+# A comparison costs about 3 microseconds, so a filter at the limit takes
+# about a second; the largest filter in the tests makes 26,565 and in the
+# benchmark pools 105.
+MAX_DOMINANCE_TESTS = 300_000
 
 
 def point(coords) -> Point:
     return tuple(Fraction(c) for c in coords)
-
-
-def origin(dim: int) -> Point:
-    return (Fraction(0),) * dim
 
 
 @dataclass(frozen=True)
@@ -103,8 +107,9 @@ def canonicalize(dim: int, raw_points) -> Diagram:
       two ends (Andrew's monotone chain), found in one pass with no LP.
 
     In other dimensions the dominated points are dropped first, and an
-    undominated point is a vertex iff the facet normals tight at it have
-    rank n.
+    undominated point is a vertex iff ``volume.least_face`` of it holds no
+    other point.  The dominance filter makes up to m^2/2 comparisons for m
+    points, and raises ``UnsupportedDimension`` past ``MAX_DOMINANCE_TESTS``.
     """
     if dim < 1:
         raise DimensionMismatch(f"dimension must be >= 1, got {dim}")
@@ -130,17 +135,23 @@ def canonicalize(dim: int, raw_points) -> Diagram:
     # only a lexicographically smaller point can be <= q componentwise, and
     # a dominated dominator has an undominated one below it
     undominated: list[Point] = []
+    tests = 0
     for q in pts:
+        tests += len(undominated)
+        if tests > MAX_DOMINANCE_TESTS:
+            raise UnsupportedDimension(
+                f"dominance filter exceeds its budget of {MAX_DOMINANCE_TESTS} tests"
+            )
         if not any(all(a <= b for a, b in zip(p, q)) for p in undominated):
             undominated.append(q)
-    facets = diagram_facets(Diagram(dim, tuple(undominated)))
-    keep = [p for p in undominated if rank([list(a) for a, b in facets if dot(a, p) == b]) == dim]
+    tights = [t for _, _, t in diagram_facets(Diagram(dim, tuple(undominated)))]
+    keep = [p for i, p in enumerate(undominated) if least_face(tights, frozenset([i])) == {i}]
     return Diagram(dim, tuple(keep))
 
 
 def contains(g: Diagram, p) -> bool:
     p = _check_point(p, g.dim)
-    return all(dot(a, p) >= b for a, b in diagram_facets(g))
+    return all(dot(a, p) >= b for a, b, _ in diagram_facets(g))
 
 
 def support_value(g: Diagram, t) -> Fraction:
@@ -246,17 +257,15 @@ def touches_all_axes(g: Diagram) -> bool:
 def compact_graph(g: Diagram) -> DiagramGraph:
     """Vertices and compact 1-faces of the diagram, read off its facets.
 
-    Two vertices span a compact edge iff the normals of the facets tight at
-    both have rank n - 1, i.e. their common face is one-dimensional.
+    Two vertices span a compact edge iff ``volume.least_face`` of the pair
+    holds no other vertex.
     """
     gens = g.generators
-    facets = diagram_facets(g)
-    tight = [[dot(a, v) == b for v in gens] for a, b in facets]
+    tights = [t for _, _, t in diagram_facets(g)]
     edges = []
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            normals = [list(a) for (a, _), t in zip(facets, tight) if t[i] and t[j]]
-            if rank(normals) == g.dim - 1:
+            if least_face(tights, frozenset([i, j])) == {i, j}:
                 direction = tuple(b - a for a, b in zip(gens[i], gens[j]))
                 edges.append((i, j, direction))
     return DiagramGraph(gens, tuple(edges))

@@ -4,7 +4,6 @@ relative types for monomial weights, and the standard simplex families.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -12,14 +11,13 @@ from .diagram import (
     Diagram,
     canonicalize,
     lelong_directional,
-    origin,
     support_value,
     touches_all_axes,
 )
 from .errors import DimensionMismatch, Unbounded
-from .linalg import dot
+from .linalg import det
 from .polynomials import SingularityInput, diagram_of_input, weight
-from .volume import diagram_facets, polytope_volume
+from .volume import diagram_facets, triangulate_face
 
 
 @dataclass(frozen=True)
@@ -62,19 +60,19 @@ def newton_number(g: Diagram) -> NewtonNumberResult:
 
     For a diagram touching every axis the complement is the union of the
     pyramids with apex 0 over the compact facets (those with a strictly
-    positive normal), so its volume is the sum of their exact volumes.
-    When the diagram contains the origin every such pyramid is flat.
+    positive normal).  Over each simplex sigma of n generators that
+    ``volume.triangulate_face`` cuts a facet into, n! * Vol = |det sigma|.
     """
-    n = g.dim
     if not touches_all_axes(g):
         return INFINITE
-    apex = origin(n)
-    covol = Fraction(0)
-    for a, b in diagram_facets(g):
+    facets = diagram_facets(g)
+    tights = [t for _, _, t in facets]
+    total = Fraction(0)
+    for a, _, tight in facets:
         if all(x > 0 for x in a):
-            face = [v for v in g.generators if dot(a, v) == b]
-            covol += polytope_volume([apex] + face, n)
-    return NewtonNumberResult(math.factorial(n) * covol)
+            for simplex in triangulate_face(tight, tights, g.generators):
+                total += abs(det([list(g.generators[i]) for i in simplex]))
+    return NewtonNumberResult(total)
 
 
 def covolume_2d_oracle(g: Diagram) -> Fraction:

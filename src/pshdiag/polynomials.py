@@ -27,6 +27,7 @@ from .errors import (
     PolynomialSyntaxError,
     SingularMatrix,
     UnknownVariable,
+    UnsupportedDimension,
     ZeroPolynomial,
 )
 from .linalg import det, frac_rows
@@ -100,6 +101,10 @@ MAX_NESTING = 100
 # largest dimension accepted; every exponent tuple has this length, and the
 # face code is meant for n <= 4
 MAX_DIM = 32
+# most term pairs one product may multiply; a pair costs 6 to 9
+# microseconds, so a product at the limit takes about 2 s.  The largest
+# product in the tests multiplies 16,641 pairs and in the benchmark pools 272.
+MAX_TERM_PAIRS = 250_000
 
 
 class _Parser:
@@ -265,6 +270,11 @@ def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
 def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
     if p.dim != q.dim:
         raise DimensionMismatch(f"{p.dim} != {q.dim}")
+    pairs = len(p.terms) * len(q.terms)
+    if pairs > MAX_TERM_PAIRS:
+        raise UnsupportedDimension(
+            f"product of {pairs} term pairs exceeds the budget of {MAX_TERM_PAIRS}"
+        )
     terms: Terms = {}
     for e1, c1 in p.terms:
         for e2, c2 in q.terms:

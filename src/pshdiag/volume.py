@@ -1,14 +1,16 @@
 """Exact facets and volumes of polyhedra, by the double description method.
 
-``diagram_facets`` is the one source of face data for diagrams: vertices,
-membership, compact edges and Newton numbers are read off its facet list.
-``polytope_volume`` triangulates a polytope over the facets of its hull.
-Works entirely over rationals; intended for desk-scale dimensions (n <= 4).
+``diagram_facets`` is the one source of face data for diagrams: each facet
+comes with the generators tight on it, and vertices, compact edges and the
+triangulations behind Newton numbers and volumes are read off these
+incidences.  Works entirely over rationals; intended for n <= 4.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Sequence
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -19,6 +21,7 @@ if TYPE_CHECKING:
     from .diagram import Diagram, Point
 
 Inequality = tuple[tuple[Fraction, ...], Fraction]  # (a, b) meaning a.x >= b
+Facet = tuple[tuple[Fraction, ...], Fraction, frozenset[int]]  # (a, b, tight)
 
 # Most (+, -) ray pairs one facet search may test.  A test costs about a
 # microsecond, so a search at the limit takes about a second; the largest
@@ -64,25 +67,60 @@ def _cone_facets(gens: list[tuple[Fraction, ...]]) -> list[tuple[list[Fraction],
     return [(r, [i for i in range(len(gens)) if z >> i & 1]) for r, z in rays]
 
 
-def diagram_facets(g: Diagram) -> list[Inequality]:
-    """Facet inequalities a.x >= b (a >= 0) of conv(generators) + R^n_+.
+def diagram_facets(g: Diagram) -> list[Facet]:
+    """Facets (a, b, tight) of conv(generators) + R^n_+: a.x >= b with a >= 0.
 
-    Enumerated through the homogenization cone spanned by (v, 1) for each
-    generator and (e_k, 0) for each recession direction.  A facet is
-    compact exactly when a > 0 componentwise.
+    ``tight`` holds the indices of the generators on the facet.  The cone
+    searched is spanned by (e_k, 0) for each recession direction, then
+    (v, 1) for each generator.  A facet is compact exactly when a > 0.
     """
     n = g.dim
-    gens: list[tuple[Fraction, ...]] = [tuple(v) + (Fraction(1),) for v in g.generators]
-    for k in range(n):
-        ray = [Fraction(0)] * (n + 1)
-        ray[k] = Fraction(1)
-        gens.append(tuple(ray))
+    gens = [tuple(Fraction(int(j == k)) for j in range(n + 1)) for k in range(n)]
+    gens += [tuple(v) + (Fraction(1),) for v in g.generators]
     facets = []
-    for normal, _ in _cone_facets(gens):
+    for normal, tight in _cone_facets(gens):
         c = tuple(normal[:n])  # normal is (c, -d): c.x - d >= 0 on the valid side
         if any(x != 0 for x in c):  # c = 0 is the face at infinity
-            facets.append((c, -normal[n]))
+            facets.append((c, -normal[n], frozenset(i - n for i in tight if i >= n)))
     return facets
+
+
+def least_face(tights: list[frozenset[int]], members: frozenset[int]) -> frozenset[int] | None:
+    """Generators of the least face holding the members, or None when no facet does.
+
+    When the face's only generators are the members, it has no recession
+    ray, or the members' own hull would be a smaller face: so one member is
+    a vertex, and two span a compact edge.
+    """
+    faces = [t for t in tights if members <= t]
+    return frozenset.intersection(*faces) if faces else None
+
+
+def triangulate_face(
+    face: frozenset[int], tights: list[frozenset[int]], points: Sequence[Point]
+) -> list[tuple[int, ...]]:
+    """Pulling triangulation of a bounded face, as tuples of indices into points.
+
+    ``face`` and the polyhedron's facets ``tights`` are sets of indices into
+    ``points``.  The facets of the face are its largest proper traces
+    ``face & t``; cones from its least point over those that miss it
+    triangulate it (De Loera, Rambau, Santos, Triangulations, 4.3).  The
+    simplices of a k-face have k + 1 points, so ``VerificationFailure`` is
+    raised when those of one face differ in size.
+    """
+    if len(face) == 1:
+        return [tuple(face)]
+    apex = min(face, key=points.__getitem__)
+    traces = {face & t for t in tights} - {face}
+    simplices = [
+        (apex,) + s
+        for f in traces
+        if f and apex not in f and not any(f < h for h in traces)
+        for s in triangulate_face(f, tights, points)
+    ]
+    if len({len(s) for s in simplices}) != 1:
+        raise VerificationFailure(f"simplices of face {sorted(face)} differ in size")
+    return simplices
 
 
 def enumerate_vertices(ineqs: list[Inequality], n: int) -> list[Point]:
@@ -99,54 +137,19 @@ def enumerate_vertices(ineqs: list[Inequality], n: int) -> list[Point]:
     return sorted(verts)
 
 
-def _affine_coords(points: list[Point]) -> tuple[list[Point], int]:
-    """Exact coordinates of the points in their affine hull, and its dimension.
-
-    Each point keeps the entries of its difference from the first point in
-    the pivot columns of the differences' echelon form.  That projection
-    maps the affine hull one-to-one onto its image, so faces are preserved.
-    """
-    p0 = points[0]
-    diffs = [[q[k] - p0[k] for k in range(len(p0))] for q in points]
-    _, pivots = rref(diffs)
-    return [tuple(d[c] for c in pivots) for d in diffs], len(pivots)
-
-
-def _triangulate(points: list[Point], d: int) -> list[tuple[int, ...]]:
-    """Fan triangulation of the full-dimensional hull, as index tuples."""
-    if d == 0:
-        return [(0,)]
-    if d == 1:
-        order = sorted(range(len(points)), key=lambda i: points[i][0])
-        return [(order[0], order[-1])]
-    base = min(range(len(points)), key=lambda i: points[i])
-    simplices: list[tuple[int, ...]] = []
-    for _, facet in _cone_facets([tuple(p) + (Fraction(1),) for p in points]):
-        if base in facet:
-            continue
-        coords, fd = _affine_coords([points[i] for i in facet])
-        if fd != d - 1:
-            raise VerificationFailure(f"facet of a {d}-polytope spans dimension {fd}")
-        for sub in _triangulate(coords, fd):
-            simplices.append((base,) + tuple(facet[i] for i in sub))
-    return simplices
-
-
 def polytope_volume(vertices: list[Point], n: int) -> Fraction:
     """Euclidean volume of the convex hull of the vertices in R^n.
 
     Assumes the hull is full-dimensional (returns 0 when it is not).
     """
-    if len(vertices) <= n:
+    points = sorted(set(vertices))
+    if len(points) <= n:
         return Fraction(0)
-    if rank([[q[k] - vertices[0][k] for k in range(n)] for q in vertices[1:]]) < n:
+    if rank([[q[k] - points[0][k] for k in range(n)] for q in points[1:]]) < n:
         return Fraction(0)
+    tights = [frozenset(t) for _, t in _cone_facets([tuple(p) + (Fraction(1),) for p in points])]
     total = Fraction(0)
-    fact = 1
-    for k in range(2, n + 1):
-        fact *= k
-    for simplex in _triangulate(list(vertices), n):
-        p0 = vertices[simplex[0]]
-        mat = [[vertices[i][k] - p0[k] for k in range(n)] for i in simplex[1:]]
-        total += abs(det(mat))
-    return total / fact
+    for simplex in triangulate_face(frozenset(range(len(points))), tights, points):
+        p0 = points[simplex[0]]
+        total += abs(det([[points[i][k] - p0[k] for k in range(n)] for i in simplex[1:]]))
+    return total / math.factorial(n)

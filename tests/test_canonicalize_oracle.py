@@ -4,7 +4,7 @@ The reference keeps a point iff one exact LP finds it outside the hull of
 all other input points plus the orthant.  The package runs no LP: it
 finds the 2-D vertices by a monotone chain and, in other dimensions,
 keeps each point that no other point is below componentwise and whose
-tight facet normals have full rank.
+least face, read off the facets' tight sets, holds no other point.
 """
 
 import random

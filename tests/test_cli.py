@@ -218,6 +218,30 @@ class TestExecute:
         assert code == EXIT_SEMANTIC
         assert "sweep" in result["error"] and "budget" in result["error"]
 
+    @pytest.mark.parametrize(
+        "command,payload,budget",
+        [
+            # C(45, 5) terms; squaring the 1287 terms of p^8 takes 1.7 million pairs
+            ("diagram", {"input": {"dim": 6, "polys": ["(z1+z2+z3+z4+z5+z6)^40"]}}, "term pairs"),
+            # squaring the 561 terms of p^32 takes 314,721 pairs
+            ("diagram", {"input": {"dim": 3, "polys": ["(z1+z2+z3)^80"]}}, "term pairs"),
+            # 5151 coplanar points: about 13 million dominance tests
+            (
+                "decompose",
+                {"diagram": {"dim": 3, "generators": [
+                    [a, b, 100 - a - b] for a in range(101) for b in range(101 - a)
+                ]}},
+                "dominance filter",
+            ),
+        ],
+    )
+    def test_expansion_and_dominance_budgets_exit_3(self, command, payload, budget):
+        start = time.perf_counter()
+        result, code = execute(command, payload)
+        assert time.perf_counter() - start < 5
+        assert code == EXIT_SEMANTIC
+        assert budget in result["error"] and "budget" in result["error"]
+
     def test_json_integers_accepted(self):
         result, code = execute(
             "newton-number", {"diagram": {"dim": 2, "generators": [[2, 0], [0, 2]]}}

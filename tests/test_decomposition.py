@@ -25,6 +25,7 @@ from pshdiag.decomposition import _decide_general
 from pshdiag.errors import InfeasibleAssignment
 
 from oracle2d import decomposable_oracle
+from test_canonicalize_oracle import on_hyperplane
 
 
 def D(*pts):
@@ -186,6 +187,35 @@ class TestDecide:
         assert len(calls) == 1
         assert cert.left == canonicalize(3, [(0, 0, 1), (0, 1, 0)])
         assert cert.right == canonicalize(3, [(0, 1, 0), (1, 0, 0)])
+
+    def test_every_edge_scale_candidate_verifies(self):
+        # the module docstring proves that a point of S with unequal edge
+        # scales always gives a verified pair, so no verdict is left open;
+        # half of the diagrams are Minkowski sums of two supports, each on
+        # one plane sum x = s
+        rng = random.Random(31)
+
+        def on_plane(dim, size, total):
+            return canonicalize(dim, [on_hyperplane(rng, dim, total) for _ in range(size)])
+
+        checked = sums = 0
+        for i in range(32):
+            dim = 3 + (i // 2) % 2
+            if i % 2 == 0:
+                g = minkowski_sum(
+                    on_plane(dim, 2, rng.randint(1, 3)),
+                    on_plane(dim, rng.randint(2, 5 - dim + 1), rng.randint(1, 3)),
+                )
+            else:
+                g = on_plane(dim, rng.randint(3, 8 - dim), rng.randint(2, 5))
+            if len(g.generators) == 1 or decomposition._is_axis_simplex(g):
+                continue
+            candidates = decomposition._edge_scale_candidates(g, summand_system(g))
+            for pair in candidates:
+                assert verify_decomposition(g, *pair), (g, pair)
+            checked += len(candidates)
+            sums += bool(candidates) and i % 2 == 0
+        assert checked >= 20 and sums >= 8
 
     def test_scale_invariance_of_verdict(self):
         rng = random.Random(24)

@@ -1,5 +1,5 @@
-"""Facets, membership, compact edges and Newton numbers against slower
-reference algorithms.
+"""Facets, membership, compact edges, Newton numbers and volumes against
+slower reference algorithms and closed forms.
 
 None of the references reads faces off facet incidences as the package
 does: cone facets are found by trying every generator subset that can
@@ -11,6 +11,7 @@ triangulating the vertices of the clipped polytope.
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -23,9 +24,10 @@ from pshdiag import (
     newton_number,
     touches_all_axes,
 )
+from pshdiag import diagram, linalg, volume
 from pshdiag.diagram import member_of_hull
 from pshdiag.exactlp import solve_lp
-from pshdiag.linalg import dot, nullspace
+from pshdiag.linalg import det, dot, nullspace
 from pshdiag.volume import _cone_facets, diagram_facets, enumerate_vertices, polytope_volume
 from test_canonicalize_oracle import CASES as CLOUD_CASES
 from test_canonicalize_oracle import clouds, undominated
@@ -54,12 +56,10 @@ def subset_cone_facets(gens):
 
 
 def homogenized(points, dim):
-    """Generators (p, 1) of the points and (e_k, 0) of the orthant, as
+    """Generators (e_k, 0) of the orthant and (p, 1) of the points, as
     ``diagram_facets`` builds them."""
-    gens = [tuple(F(c) for c in p) + (F(1),) for p in points]
-    for k in range(dim):
-        gens.append(tuple(F(int(j == k)) for j in range(dim + 1)))
-    return gens
+    gens = [tuple(F(int(j == k)) for j in range(dim + 1)) for k in range(dim)]
+    return gens + [tuple(F(c) for c in p) + (F(1),) for p in points]
 
 
 def assert_same_facets(gens):
@@ -114,7 +114,7 @@ def box_newton_number(g):
         corner = [F(0)] * n
         corner[k] = m_box
         assert contains(g, corner)
-    ineqs = list(diagram_facets(g))
+    ineqs = [(a, b) for a, b, _ in diagram_facets(g)]
     for k in range(n):
         low = [F(0)] * n
         low[k] = F(1)
@@ -242,3 +242,56 @@ def test_contains_matches_lp(dim, count, seed):
             answers.append(contains(g, p))
             assert answers[-1] == member_of_hull(p, list(g.generators)), (g, p)
         assert set(answers) == {True, False}, g
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_polytope_volume_closed_forms(n):
+    cube = [tuple(F(c) for c in p) for p in itertools.product((0, 1), repeat=n)]
+    assert polytope_volume(cube, n) == 1  # its facets are not simplices
+    assert polytope_volume(cube + [(F(1, 2),) * n], n) == 1
+    cross = [tuple(F(s * (j == k)) for j in range(n)) for k in range(n) for s in (1, -1)]
+    assert polytope_volume(cross, n) == F(2**n, math.factorial(n))
+    rng = random.Random(n)
+    for _ in range(5):
+        simplex = [tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)) for _ in range(n + 1)]
+        edges = [[q[k] - simplex[0][k] for k in range(n)] for q in simplex[1:]]
+        assert polytope_volume(simplex, n) == abs(det(edges)) / math.factorial(n)
+
+
+def test_one_dimensional_newton_number():
+    assert newton_number(canonicalize(1, [[F(7, 3)], [5]])).value == F(7, 3)
+    assert newton_number(canonicalize(1, [[0]])).value == 0
+
+
+def test_one_facet_search_per_call(monkeypatch):
+    diagrams = random_diagrams(3, 8, 22) + random_diagrams(4, 4, 23)
+    cube = list(itertools.product((F(0), F(1)), repeat=4))
+    calls = []
+    search = volume._cone_facets
+
+    def counting(gens):
+        calls.append(gens)
+        return search(gens)
+
+    monkeypatch.setattr(volume, "_cone_facets", counting)
+    for g in diagrams:
+        calls.clear()
+        newton_number(g)
+        assert len(calls) == touches_all_axes(g), g
+    calls.clear()
+    assert polytope_volume(cube, 4) == 1
+    assert len(calls) == 1
+
+
+def test_vertices_and_edges_need_no_rank(monkeypatch):
+    assert not hasattr(diagram, "rank")
+
+    def refuse(m):
+        raise AssertionError("rank called")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("pshdiag")]:
+        if getattr(module, "rank", None) is linalg.rank:
+            monkeypatch.setattr(module, "rank", refuse)
+    for dim, seed in CLOUD_CASES:
+        for pts in clouds(dim, seed):
+            compact_graph(canonicalize(dim, pts))

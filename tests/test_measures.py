@@ -175,7 +175,7 @@ class TestBoxIdentity:
         g = D((3, 0), (1, 1), (0, 2))
         covol = newton_number(g).value / math.factorial(2)
         m_box = 3
-        ineqs = list(diagram_facets(g))
+        ineqs = [(a, b) for a, b, _ in diagram_facets(g)]
         for k in range(2):
             low = [F(0)] * 2
             low[k] = F(1)
