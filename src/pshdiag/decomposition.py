@@ -68,9 +68,11 @@ METHOD_TWO_DIM_CHAIN = "two-dim-chain"
 METHOD_FACET_PAIR_LP = "facet-pair-lp"
 
 # Most phase-1 tableau cells, summed over the objectives, that one
-# edge-scale sweep may take on.  A sweep at the limit runs about ten
-# seconds; the largest in the tests takes on 98,400 and the largest in
-# the benchmark pools 21,228.
+# edge-scale sweep may take on.  A sweep takes 0.03-0.5 microseconds per
+# cell (2-D chains of 12 and 20 edges, 5-D and 6-D diagrams of 10 and 15
+# edges, Python 3.11 on a 2-vCPU host), so one at the limit runs up to
+# about five seconds; the largest in the tests takes on 98,400 and the
+# largest in the benchmark pools 21,228.
 MAX_SWEEP_CELLS = 10_000_000
 
 

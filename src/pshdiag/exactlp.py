@@ -1,7 +1,20 @@
 """Exact rational linear programming via the two-phase simplex method.
 
-Tiny dense tableau implementation with Bland's anti-cycling rule.  All
-arithmetic is in `Fraction`, so feasibility and optimality answers are exact.
+Tiny dense tableau implementation with Bland's anti-cycling rule.  The
+tableau holds Python ints, not `Fraction`s (fraction-free elimination:
+Edmonds, J. Res. NBS 71B, 1967; Bareiss, Math. Comp. 22, 1968): answers
+are exact at one gcd per row update, not one per operation.
+
+Row invariant: each constraint row is a positive multiple of its
+`Fraction` row, the multiple being its entry in its basic column, and the
+cost row is a positive multiple of the reduced costs.  A row starts as
+its coefficients times the lcm of their denominators, which is also its
+artificial entry; a pivot on (row, col) with entry pv > 0 replaces every
+other row r by pv*r - r[col]*pivot_row over their gcd.  Each decision of
+Bland's rule reads a sign or compares ratios r[-1]/r[col] of single rows,
+and neither changes under positive row scaling, so the pivots, and the
+answers x_b = r[-1]/r[b], are those of the `Fraction` tableau.
+
 One call solves one constraint system: phase 1 finds a feasible basis once,
 and phase 2 minimises each objective from a copy of that basis.  Problem
 sizes throughout the package are desk scale (tens of variables).
@@ -9,6 +22,7 @@ sizes throughout the package are desk scale (tens of variables).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,28 +39,41 @@ class LPResult:
     value: Fraction | None = None
 
 
-def _pivot(tab: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    pv = tab[row][col]
-    tab[row] = [x / pv for x in tab[row]]
+def _integral(values: list[Fraction]) -> tuple[int, list[int]]:
+    """The lcm of the denominators, and the values times it."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _reduced(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _pivot(tab: list[list[int]], basis: list[int], row: int, col: int) -> None:
+    pr = tab[row]
+    pv = pr[col]
+    if pv < 0:
+        pr = tab[row] = [-x for x in pr]
+        pv = -pv
     for i, r in enumerate(tab):
-        if i != row and r[col] != 0:
-            f = r[col]
-            tab[i] = [x - f * y for x, y in zip(r, tab[row])]
+        f = r[col]
+        if i != row and f != 0:
+            tab[i] = _reduced([pv * x - f * y for x, y in zip(r, pr)])
     basis[row] = col
 
 
-def _priced(cost: list[Fraction], tab: list[list[Fraction]], basis: list[int]) -> list[Fraction]:
-    """The cost row with each basic column priced out of it."""
+def _priced(cost: list[int], tab: list[list[int]], basis: list[int]) -> list[int]:
+    """A positive multiple of the cost row with each basic column priced out."""
     for row, b in zip(tab, basis):
         f = cost[b]
-        if f == 1:  # every phase-1 step; skipping the product saves a gcd per cell
-            cost = [x - y for x, y in zip(cost, row)]
-        elif f != 0:
-            cost = [x - f * y for x, y in zip(cost, row)]
-    return cost
+        if f != 0:
+            s = row[b]
+            cost = [s * x - f * y for x, y in zip(cost, row)]
+    return _reduced(cost)
 
 
-def _run_simplex(tab: list[list[Fraction]], basis: list[int], ncols: int) -> str:
+def _run_simplex(tab: list[list[int]], basis: list[int], ncols: int) -> str:
     """Minimize; last tableau row holds reduced costs. Bland's rule."""
     while True:
         cost = tab[-1]
@@ -54,17 +81,13 @@ def _run_simplex(tab: list[list[Fraction]], basis: list[int], ncols: int) -> str
         if col is None:
             return OPTIMAL
         best_row = None
-        best_ratio = None
         for i in range(len(tab) - 1):
-            if tab[i][col] > 0:
-                ratio = tab[i][-1] / tab[i][col]
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[best_row])
-                ):
-                    best_ratio = ratio
-                    best_row = i
+            r = tab[i]
+            if r[col] > 0:
+                # r[-1]/r[col] against the best row's ratio, by cross-multiplication
+                diff = None if best_row is None else r[-1] * best[col] - best[-1] * r[col]
+                if diff is None or diff < 0 or (diff == 0 and basis[i] < basis[best_row]):
+                    best_row, best = i, r
         if best_row is None:
             return UNBOUNDED
         _pivot(tab, basis, best_row, col)
@@ -77,41 +100,36 @@ def solve_lp(n: int, objectives=(), eq=(), ub=(), nonneg: bool = False) -> list[
     objective, in order, or None when the system is infeasible; with no
     objectives, a feasible system gives an empty list.
     """
-    # standard form columns: x (or x+, x-) then slacks
+    # standard form columns: x (or x+, x-), slacks, artificials, rhs
     width = n if nonneg else 2 * n
     nslack = len(ub)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-
-    def expand(coeffs) -> list[Fraction]:
-        coeffs = [Fraction(v) for v in coeffs]
-        return coeffs if nonneg else coeffs + [-v for v in coeffs]
-
-    for coeffs, b in eq:
-        rows.append(expand(coeffs) + [Fraction(0)] * nslack)
-        rhs.append(Fraction(b))
-    for k, (coeffs, b) in enumerate(ub):
-        slack = [Fraction(0)] * nslack
-        slack[k] = Fraction(1)
-        rows.append(expand(coeffs) + slack)
-        rhs.append(Fraction(b))
-
+    rows = [*eq, *ub]
     m = len(rows)
+    neq = m - nslack
     total = width + nslack
 
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
+    def expand(coeffs: list[int]) -> list[int]:
+        return coeffs if nonneg else coeffs + [-v for v in coeffs]
 
-    # phase 1: artificial variables
-    tab = [rows[i] + [Fraction(int(i == j)) for j in range(m)] + [rhs[i]] for i in range(m)]
+    tab = []
+    for i, (coeffs, b) in enumerate(rows):
+        scale, row = _integral([Fraction(v) for v in coeffs] + [Fraction(b)])
+        sign = -1 if row[-1] < 0 else 1
+        row = [sign * v for v in row]
+        slack = [0] * nslack
+        if i >= neq:
+            slack[i - neq] = sign * scale
+        art = [0] * m
+        art[i] = scale
+        tab.append(expand(row[:-1]) + slack + art + row[-1:])
+
+    # phase 1: minimise the sum of the artificials
     basis = [total + i for i in range(m)]
-    tab.append(_priced([Fraction(0)] * total + [Fraction(1)] * m + [Fraction(0)], tab, basis))
+    tab.append(_priced([0] * total + [1] * m + [0], tab, basis))
     status = _run_simplex(tab, basis, total + m)
     if status != OPTIMAL:
         raise VerificationFailure(f"phase 1 is bounded below by 0 but reported {status}")
-    if -tab[-1][-1] != 0:
+    if tab[-1][-1] != 0:
         return None
     # drive remaining artificials out of the basis
     for i in range(m):
@@ -128,14 +146,15 @@ def solve_lp(n: int, objectives=(), eq=(), ub=(), nonneg: bool = False) -> list[
     results = []
     for objective in objectives:
         c = [Fraction(v) for v in objective]
-        run_tab = tab + [_priced(expand(c) + [Fraction(0)] * (nslack + 1), tab, basis)]
+        _, cost = _integral(c)
+        run_tab = tab + [_priced(expand(cost) + [0] * (nslack + 1), tab, basis)]
         run_basis = list(basis)
         if _run_simplex(run_tab, run_basis, total) == UNBOUNDED:
             results.append(LPResult(UNBOUNDED))
             continue
         y = [Fraction(0)] * total
-        for i, b in enumerate(run_basis):
-            y[b] = run_tab[i][-1]
+        for r, b in zip(run_tab, run_basis):
+            y[b] = Fraction(r[-1], r[b])
         x = y[:n] if nonneg else [y[i] - y[n + i] for i in range(n)]
         results.append(LPResult(OPTIMAL, x, sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))))
     return results

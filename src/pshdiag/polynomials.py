@@ -105,6 +105,20 @@ MAX_DIM = 32
 # microseconds, so a product at the limit takes about 2 s.  The largest
 # product in the tests multiplies 16,641 pairs and in the benchmark pools 272.
 MAX_TERM_PAIRS = 250_000
+# largest exponent k > 1 of a power p^k, times the size of p (see _size).
+# Nested powers multiply exponents, so a bound on k alone would let
+# ((2*z1)^1000)^1000 through; weighted, every power has degree and
+# coefficient bits of about this bound at most.  The largest weighted power
+# in the tests is (z1+z2)^300 and in the benchmark pools 31 * 3 = 93.
+MAX_EXPONENT = 10_000
+
+
+def _size(p: Polynomial) -> int:
+    """The larger of p's total degree and its coefficients' bit length (1 for p = 0)."""
+    size = 1
+    for e, c in p.terms:
+        size = max(size, sum(e), c.numerator.bit_length(), c.denominator.bit_length())
+    return size
 
 
 class _Parser:
@@ -184,7 +198,13 @@ class _Parser:
             kind, val, pos = self.take()
             if kind != "int":
                 raise NegativeExponent("exponent must be a nonnegative integer", pos)
-            p = poly_pow(p, int(val))
+            k = int(val)
+            if k > 1 and k * _size(p) > MAX_EXPONENT:
+                raise UnsupportedDimension(
+                    f"exponent at position {pos} times base size {_size(p)} exceeds the "
+                    f"budget of {MAX_EXPONENT}"
+                )
+            p = poly_pow(p, k)
         return p
 
     def base(self) -> Polynomial:

@@ -11,7 +11,7 @@ import types
 import pytest
 
 from pshdiag import decomposition, exactlp
-from pshdiag.polynomials import MAX_DIM
+from pshdiag.polynomials import MAX_DIM, MAX_EXPONENT
 from pshdiag.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -209,7 +209,8 @@ class TestExecute:
 
     def test_sweep_budget_exit_3(self):
         # 66 compact edges: 4290 edge-scale objectives over a tableau of
-        # 1.4 million cells, minutes of LP without the budget
+        # 1.4 million cells, about 50 s of LP without the budget (phase 1
+        # takes 10 s, each objective 9 ms)
         n = 12
         gens = [[str(k + 2) if j == k else "0" for j in range(n)] for k in range(1, n)]
         start = time.perf_counter()
@@ -233,6 +234,12 @@ class TestExecute:
                 ]}},
                 "dominance filter",
             ),
+            # the coefficient 2^(10^30) would never finish
+            ("diagram", {"input": {"dim": 1, "polys": ["(2*z1)^1000000000000000000000000000000"]}}, "base size"),
+            ("diagram", {"input": {"dim": 1, "polys": ["z1^" + "1" * 4000]}}, "base size"),
+            # nested powers multiply exponents: z1^(10^9) with coefficient 2^(10^9)
+            ("diagram", {"input": {"dim": 1, "polys": ["(((2*z1)^1000)^1000)^1000"]}}, "base size"),
+            ("diagram", {"input": {"dim": 1, "polys": ["(((2^1000)^1000)^1000)*z1"]}}, "base size"),
         ],
     )
     def test_expansion_and_dominance_budgets_exit_3(self, command, payload, budget):
@@ -241,6 +248,19 @@ class TestExecute:
         assert time.perf_counter() - start < 5
         assert code == EXIT_SEMANTIC
         assert budget in result["error"] and "budget" in result["error"]
+
+    def test_exponent_budget_edge(self):
+        # the budget weighs the exponent by the base's degree or coefficient bits
+        for text, code in [
+            (f"z1^{MAX_EXPONENT}", EXIT_OK),
+            (f"z1^{MAX_EXPONENT + 1}", EXIT_SEMANTIC),
+            (f"(2*z1)^{MAX_EXPONENT // 2}", EXIT_OK),
+            (f"(2*z1)^{MAX_EXPONENT // 2 + 1}", EXIT_SEMANTIC),
+            (f"(z1^2 + 1)^{MAX_EXPONENT // 2 + 1}", EXIT_SEMANTIC),
+            # a first power grows nothing
+            (f"(z1^{MAX_EXPONENT // 2} * z1^{MAX_EXPONENT // 2 + 1})^1", EXIT_OK),
+        ]:
+            assert execute("diagram", {"input": {"dim": 1, "polys": [text]}})[1] == code, text
 
     def test_json_integers_accepted(self):
         result, code = execute(
