@@ -74,7 +74,7 @@ def cmd_lelong(payload: dict) -> dict:
     if not isinstance(a, list):
         raise CliInputError("'weight' must be a list of rationals")
     value = measures.relative_type_monomial(u, [dg.rational_from_json(c) for c in a])
-    return {"lelong": str(value)}
+    return {"lelong": dg.rational_to_json(value)}
 
 
 def cmd_sum(payload: dict) -> dict:
@@ -91,8 +91,8 @@ def cmd_homothetic(payload: dict) -> dict:
         return {"homothetic": False}
     return {
         "homothetic": True,
-        "c": str(witness.c),
-        "x": [str(c) for c in witness.x],
+        "c": dg.rational_to_json(witness.c),
+        "x": [dg.rational_to_json(c) for c in witness.x],
     }
 
 
@@ -118,7 +118,7 @@ def cmd_newton_number(payload: dict) -> dict:
     result = measures.newton_number(g)
     if result.infinite:
         raise SemanticExit({"newton_number": "infinite"})
-    return {"newton_number": str(result.value)}
+    return {"newton_number": dg.rational_to_json(result.value)}
 
 
 def cmd_substitute(payload: dict) -> dict:
@@ -135,7 +135,8 @@ def cmd_indicator(payload: dict) -> dict:
     t = payload.get("t")
     if not isinstance(t, list):
         raise CliInputError("'t' must be a list of rationals")
-    return {"indicator": str(measures.indicator_eval(g, [dg.rational_from_json(c) for c in t]))}
+    value = measures.indicator_eval(g, [dg.rational_from_json(c) for c in t])
+    return {"indicator": dg.rational_to_json(value)}
 
 
 COMMANDS = {
@@ -270,11 +271,16 @@ def emit(result: dict, fmt: str, command: str, output_path: str | None) -> None:
 # --- argument parsing -------------------------------------------------------
 
 
+def _json_int(text: str) -> int:
+    dg.check_digits(text)
+    return int(text)
+
+
 def _load_json(path: str):
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return json.load(fh, parse_int=_json_int)
+    except (OSError, json.JSONDecodeError, PshDiagError) as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
 
 

@@ -13,6 +13,7 @@ monotone chain); everything else is arithmetic on the generators.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from .errors import (
     NegativeCoordinate,
     NonpositiveScale,
     NonpositiveWeight,
+    PolynomialSyntaxError,
     PositiveDirection,
     UnsupportedDimension,
 )
@@ -36,6 +38,17 @@ Point = tuple[Fraction, ...]
 # about a second; the largest filter in the tests makes 26,565 and in the
 # benchmark pools 105.
 MAX_DOMINANCE_TESTS = 300_000
+# Most generators a diagram read from JSON may list.  Reading and
+# canonicalizing one costs 40 to 60 microseconds in 2-D, so 20,000 random
+# 2-D generators take about 0.8 s through newton-number (3-D inputs that
+# large stop at MAX_DOMINANCE_TESTS); the largest input in the tests lists
+# 5,151 and in the benchmark pools 16.
+MAX_GENERATORS = 20_000
+# Most digits the text of one number may hold.  Python converts no longer
+# decimal string to an int (its int_max_str_digits default), and its error
+# names an interpreter setting a caller of the CLI cannot reach, so longer
+# text is refused before it is converted.
+MAX_DIGITS = 4_300
 
 
 def point(coords) -> Point:
@@ -277,18 +290,41 @@ def compact_graph(g: Diagram) -> DiagramGraph:
 def diagram_to_json(g: Diagram) -> dict:
     return {
         "dim": g.dim,
-        "generators": [[str(c) for c in p] for p in g.generators],
+        "generators": [[rational_to_json(c) for c in p] for p in g.generators],
     }
+
+
+def check_digits(text: str, position: int = 0) -> None:
+    """Raise ``PolynomialSyntaxError`` at position when text holds over MAX_DIGITS digits."""
+    digits = sum(c.isdigit() for c in text)
+    if digits > MAX_DIGITS:
+        raise PolynomialSyntaxError(
+            f"number with {digits} digits exceeds the limit of {MAX_DIGITS} digits", position
+        )
+
+
+def rational_to_json(c: Fraction) -> str:
+    """A rational as JSON text, such as "3/4" or "3".
+
+    Equal texts are one string (``sys.intern``): the small coordinates that
+    fill a result repeat within it and across results, and a caller that
+    keeps many results would otherwise hold a fresh copy of each.  An
+    interned string is freed with its last reference, so nothing is kept
+    beyond the results that use it.
+    """
+    return sys.intern(str(c))
 
 
 def rational_from_json(value) -> Fraction:
     """A rational given in JSON as a string such as "3/4" or as an integer.
 
     Floats are refused: a binary float such as 0.1 is not the rational
-    its decimal text shows.
+    its decimal text shows.  A string holds at most ``MAX_DIGITS`` digits.
     """
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise TypeError(f"rationals must be strings or integers, got {value!r}")
+    if isinstance(value, str):
+        check_digits(value)
     return Fraction(value)
 
 
@@ -301,4 +337,8 @@ def diagram_from_json(obj: dict) -> Diagram:
     gens = obj["generators"]
     if not isinstance(gens, list) or not all(isinstance(p, list) for p in gens):
         raise TypeError("'generators' must be a list of coordinate lists")
+    if len(gens) > MAX_GENERATORS:
+        raise UnsupportedDimension(
+            f"{len(gens)} generators exceed the budget of {MAX_GENERATORS} per diagram"
+        )
     return canonicalize(dim, [[rational_from_json(c) for c in p] for p in gens])

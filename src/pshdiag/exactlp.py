@@ -22,11 +22,11 @@ sizes throughout the package are desk scale (tens of variables).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import VerificationFailure
+from .linalg import integral, reduced
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -39,17 +39,6 @@ class LPResult:
     value: Fraction | None = None
 
 
-def _integral(values: list[Fraction]) -> tuple[int, list[int]]:
-    """The lcm of the denominators, and the values times it."""
-    scale = math.lcm(*(v.denominator for v in values))
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
-
-
-def _reduced(row: list[int]) -> list[int]:
-    g = math.gcd(*row)
-    return [x // g for x in row] if g > 1 else row
-
-
 def _pivot(tab: list[list[int]], basis: list[int], row: int, col: int) -> None:
     pr = tab[row]
     pv = pr[col]
@@ -59,7 +48,7 @@ def _pivot(tab: list[list[int]], basis: list[int], row: int, col: int) -> None:
     for i, r in enumerate(tab):
         f = r[col]
         if i != row and f != 0:
-            tab[i] = _reduced([pv * x - f * y for x, y in zip(r, pr)])
+            tab[i] = reduced([pv * x - f * y for x, y in zip(r, pr)])
     basis[row] = col
 
 
@@ -70,7 +59,7 @@ def _priced(cost: list[int], tab: list[list[int]], basis: list[int]) -> list[int
         if f != 0:
             s = row[b]
             cost = [s * x - f * y for x, y in zip(cost, row)]
-    return _reduced(cost)
+    return reduced(cost)
 
 
 def _run_simplex(tab: list[list[int]], basis: list[int], ncols: int) -> str:
@@ -113,7 +102,7 @@ def solve_lp(n: int, objectives=(), eq=(), ub=(), nonneg: bool = False) -> list[
 
     tab = []
     for i, (coeffs, b) in enumerate(rows):
-        scale, row = _integral([Fraction(v) for v in coeffs] + [Fraction(b)])
+        scale, row = integral([Fraction(v) for v in coeffs] + [Fraction(b)])
         sign = -1 if row[-1] < 0 else 1
         row = [sign * v for v in row]
         slack = [0] * nslack
@@ -146,7 +135,7 @@ def solve_lp(n: int, objectives=(), eq=(), ub=(), nonneg: bool = False) -> list[
     results = []
     for objective in objectives:
         c = [Fraction(v) for v in objective]
-        _, cost = _integral(c)
+        _, cost = integral(c)
         run_tab = tab + [_priced(expand(cost) + [0] * (nslack + 1), tab, basis)]
         run_basis = list(basis)
         if _run_simplex(run_tab, run_basis, total) == UNBOUNDED:

@@ -1,11 +1,14 @@
 """Small exact linear algebra routines over `fractions.Fraction`.
 
 Everything here is dense Gaussian elimination at desk scale; no pivoting
-heuristics are needed because the arithmetic is exact.
+heuristics are needed because the arithmetic is exact.  ``integral`` and
+``reduced`` serve the fraction-free kernels, which keep each rational row
+as a positive integer multiple of it.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Vector = tuple[Fraction, ...]
@@ -99,14 +102,17 @@ def nullspace(m: Matrix) -> list[list[Fraction]]:
     return basis
 
 
-def inverse(m: Matrix) -> Matrix | None:
-    n = len(m)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in red]
-
-
 def dot(a, b) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
+def integral(values) -> tuple[int, list[int]]:
+    """The lcm of the denominators, and the values times it."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def reduced(row: list[int]) -> list[int]:
+    """The row over the gcd of its entries; a zero row is returned as it is."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row

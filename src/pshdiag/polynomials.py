@@ -9,16 +9,22 @@ Grammar for the text form (whitespace insignificant)::
     variable := "z" positive-integer
     rational := integer ("/" positive-integer)?
 
-A leading sign on the first term is accepted as a convenience.
+A leading sign on the first term is accepted as a convenience.  A number
+or variable index has at most ``diagram.MAX_DIGITS`` digits.
+
+Coefficients are `Fraction`s, but products multiply out on Python ints
+(see ``poly_mul``).  A parsed sum is validated once, and a power of a
+single term is c^k * z^(k*e), with no product at all.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import Diagram, Point, canonicalize, point, rational_from_json
+from .diagram import Diagram, Point, canonicalize, check_digits, point, rational_from_json
 from .errors import (
     DimensionMismatch,
     EmptyInput,
@@ -30,7 +36,7 @@ from .errors import (
     UnsupportedDimension,
     ZeroPolynomial,
 )
-from .linalg import det, frac_rows
+from .linalg import det, frac_rows, integral
 
 Exponent = tuple[int, ...]
 Terms = dict[Exponent, Fraction]
@@ -101,9 +107,10 @@ MAX_NESTING = 100
 # largest dimension accepted; every exponent tuple has this length, and the
 # face code is meant for n <= 4
 MAX_DIM = 32
-# most term pairs one product may multiply; a pair costs 6 to 9
-# microseconds, so a product at the limit takes about 2 s.  The largest
-# product in the tests multiplies 16,641 pairs and in the benchmark pools 272.
+# most term pairs one product may multiply; on integer numerators a pair
+# costs about a microsecond (0.9 to 1.2 on Python 3.11, 2-vCPU host), so a
+# product at the limit takes about 0.3 s.  The largest product in the tests
+# multiplies 23,409 pairs and in the benchmark pools 272.
 MAX_TERM_PAIRS = 250_000
 # largest exponent k > 1 of a power p^k, times the size of p (see _size).
 # Nested powers multiply exponents, so a bound on k alone would let
@@ -132,8 +139,10 @@ class _Parser:
             if m is None:
                 break
             if m.group(1):
+                check_digits(m.group(1), m.start(1))
                 self.tokens.append(("int", m.group(1), m.start(1)))
             elif m.group(2):
+                check_digits(m.group(2), m.start(2))
                 self.tokens.append(("var", m.group(2), m.start(2)))
             elif m.group(3):
                 self.tokens.append(("op", m.group(3), m.start(3)))
@@ -164,21 +173,21 @@ class _Parser:
         return p
 
     def expr(self) -> Polynomial:
-        sign = Fraction(1)
+        # every term is summed into one dict, validated once at the end
+        terms: Terms = {}
         kind, val, _ = self.peek()
+        sign = "+"
         if kind == "op" and val in "+-":
             self.take()
-            if val == "-":
-                sign = Fraction(-1)
-        p = _scale(self.term(), sign)
+            sign = val
         while True:
+            for e, c in self.term().terms:
+                terms[e] = terms.get(e, 0) + (c if sign == "+" else -c)
             kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                q = self.term()
-                p = poly_add(p, _scale(q, Fraction(-1) if val == "-" else Fraction(1)))
-            else:
-                return p
+            if kind != "op" or val not in "+-":
+                return polynomial(self.dim, terms)
+            self.take()
+            sign = val
 
     def term(self) -> Polynomial:
         p = self.factor()
@@ -274,10 +283,6 @@ def _const(dim: int, c: Fraction) -> Polynomial:
     return polynomial(dim, {(0,) * dim: c})
 
 
-def _scale(p: Polynomial, c: Fraction) -> Polynomial:
-    return polynomial(p.dim, {e: c * v for e, v in p.terms})
-
-
 def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
     if p.dim != q.dim:
         raise DimensionMismatch(f"{p.dim} != {q.dim}")
@@ -288,6 +293,12 @@ def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
 
 
 def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
+    """The product, multiplied out on integer numerators.
+
+    Each factor's coefficients are scaled by the lcm of their denominators,
+    so a term pair costs one integer product, and each output term one
+    ``Fraction``: its integer sum over the product of the two lcms.
+    """
     if p.dim != q.dim:
         raise DimensionMismatch(f"{p.dim} != {q.dim}")
     pairs = len(p.terms) * len(q.terms)
@@ -295,17 +306,25 @@ def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
         raise UnsupportedDimension(
             f"product of {pairs} term pairs exceeds the budget of {MAX_TERM_PAIRS}"
         )
-    terms: Terms = {}
-    for e1, c1 in p.terms:
-        for e2, c2 in q.terms:
-            e = tuple(a + b for a, b in zip(e1, e2))
-            terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-    return polynomial(p.dim, terms)
+    dp, nums_p = integral([c for _, c in p.terms])
+    dq, nums_q = integral([c for _, c in q.terms])
+    right = [(e, c) for (e, _), c in zip(q.terms, nums_q)]
+    sums: dict[Exponent, int] = {}
+    for (e1, _), a in zip(p.terms, nums_p):
+        for e2, b in right:
+            e = tuple(map(operator.add, e1, e2))
+            sums[e] = sums.get(e, 0) + a * b
+    den = dp * dq
+    return Polynomial(p.dim, tuple(sorted((e, Fraction(c, den)) for e, c in sums.items() if c)))
 
 
 def poly_pow(p: Polynomial, k: int) -> Polynomial:
+    """p^k by repeated squaring; a single term c*z^e gives c^k * z^(k*e) directly."""
     if k < 0:
         raise NegativeExponent("exponent must be nonnegative", 0)
+    if len(p.terms) == 1:
+        ((e, c),) = p.terms
+        return Polynomial(p.dim, ((tuple(k * x for x in e), c**k),))
     result = _const(p.dim, Fraction(1))
     while k:  # square and multiply: p^k from the binary digits of k
         if k & 1:

@@ -3,19 +3,24 @@
 ``diagram_facets`` is the one source of face data for diagrams: each facet
 comes with the generators tight on it, and vertices, compact edges and the
 triangulations behind Newton numbers and volumes are read off these
-incidences.  Works entirely over rationals; intended for n <= 4.
+incidences.  Exact throughout, and intended for n <= 4: the facet search
+runs on Python ints, each generator and ray a positive integer multiple of
+its rational vector, which has the same signs, so every decision is that
+of the search over `Fraction`s; normals come out primitive (integer
+entries with gcd 1, as `Fraction`s).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Sequence
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import UnsupportedDimension, VerificationFailure
-from .linalg import det, dot, inverse, rank, rref, solve_unique
+from .linalg import det, dot, integral, rank, reduced, solve_unique
 
 if TYPE_CHECKING:
     from .diagram import Diagram, Point
@@ -23,10 +28,52 @@ if TYPE_CHECKING:
 Inequality = tuple[tuple[Fraction, ...], Fraction]  # (a, b) meaning a.x >= b
 Facet = tuple[tuple[Fraction, ...], Fraction, frozenset[int]]  # (a, b, tight)
 
-# Most (+, -) ray pairs one facet search may test.  A test costs about a
-# microsecond, so a search at the limit takes about a second; the largest
-# search in the tests tests 593 pairs, and in the benchmark pools 135.
+# Most (+, -) ray pairs one facet search may test.  On integer rays a test
+# costs about a third of a microsecond (Python 3.11, 2-vCPU host), so a
+# search stops at the limit within about 0.35 s; the largest search in the
+# tests tests 593 pairs, and in the benchmark pools 135.
 MAX_RAY_PAIRS = 1_000_000
+
+
+def _dual_basis(gens: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """The first d independent generators, in index order, and their dual rays.
+
+    Fraction-free Gauss-Jordan on the rows [g | e_i] of the chosen
+    generators: every row is kept reduced in the other rows' pivot columns
+    and divided by its gcd, so it ends as [D_i e_c | m_i] where m_i times
+    the chosen generators is D_i e_c.  Ray j, tight on every chosen
+    generator but the j-th, is column j of their inverse, whose entry c is
+    m_i[j] / D_i; a ratio that no nonzero row scaling changes, so the ray
+    is read off exactly, times the lcm of the |D_i|.
+    """
+    d = len(gens[0])
+    start: list[int] = []
+    rows: list[tuple[int, list[int]]] = []  # (pivot column, row)
+    for k, g in enumerate(gens):
+        row = g + [0] * d
+        row[d + len(start)] = 1
+        for c, r in rows:
+            f = row[c]
+            if f:
+                row = reduced([r[c] * x - f * y for x, y in zip(row, r)])
+        col = next((c for c in range(d) if row[c]), None)
+        if col is None:
+            continue  # g lies in the span of the generators chosen before it
+        pv = row[col]
+        rows = [
+            (c, reduced([pv * x - r[col] * y for x, y in zip(r, row)]) if r[col] else r)
+            for c, r in rows
+        ]
+        rows.append((col, row))
+        start.append(k)
+        if len(start) == d:
+            break
+    scale = math.lcm(*(r[c] for c, r in rows))
+    rays = [[0] * d for _ in range(d)]
+    for c, r in rows:
+        for j in range(d):
+            rays[j][c] = r[d + j] * (scale // r[c])
+    return start, [reduced(ray) for ray in rays]
 
 
 def _cone_facets(gens: list[tuple[Fraction, ...]]) -> list[tuple[list[Fraction], list[int]]]:
@@ -37,19 +84,28 @@ def _cone_facets(gens: list[tuple[Fraction, ...]]) -> list[tuple[list[Fraction],
     dual rays of d independent generators, each further generator keeps the
     rays on its nonnegative side and joins each adjacent (+, -) pair: rays
     tight on at least d - 2 common generators, no third ray tight on all.
-    Joined rays are divided by their largest |entry| to keep the fractions
-    small.  Facets come with the sorted indices of their tight generators.
-    Raises ``UnsupportedDimension`` past ``MAX_RAY_PAIRS`` pairs.
+
+    The search runs on Python ints (fraction-free, as in Bareiss, Math.
+    Comp. 22, 1968): each generator is replaced by its least positive
+    integer multiple, and each ray is kept primitive, divided by the gcd of
+    its entries.  A positive multiple spans the same cone and has the same
+    signs against every ray, so the (+, -) split, adjacency, the pair count
+    and the order of the rays are those of the same search over the
+    rationals.  Facets come with the sorted indices of their tight
+    generators; each normal is the primitive integer vector, with
+    ``Fraction`` entries.  Raises ``UnsupportedDimension`` past
+    ``MAX_RAY_PAIRS`` pairs.
     """
     d = len(gens[0])
-    _, start = rref([list(col) for col in zip(*gens)])
-    inv = inverse([list(gens[i]) for i in start])
+    ints = [reduced(integral(g)[1]) for g in gens]
+    start, normals = _dual_basis(ints)
     # a ray is a normal and the bit set of the generators cut so far tight on it
     tight = sum(1 << i for i in start)
-    rays = [([row[j] for row in inv], tight ^ (1 << i)) for j, i in enumerate(start)]
+    rays = [(r, tight ^ (1 << i)) for r, i in zip(normals, start)]
     pairs = 0
     for k in sorted(set(range(len(gens))) - set(start)):
-        vals = [dot(r, gens[k]) for r, _ in rays]
+        g = ints[k]
+        vals = [sum(map(operator.mul, r, g)) for r, _ in rays]
         pos = [i for i, v in enumerate(vals) if v > 0]
         neg = [i for i, v in enumerate(vals) if v < 0]
         pairs += len(pos) * len(neg)
@@ -61,10 +117,11 @@ def _cone_facets(gens: list[tuple[Fraction, ...]]) -> list[tuple[list[Fraction],
                 common = rays[i][1] & rays[j][1]
                 if common.bit_count() >= d - 2 and sum(z & common == common for _, z in rays) == 2:
                     ray = [vals[i] * y - vals[j] * x for x, y in zip(rays[i][0], rays[j][0])]
-                    top = max(abs(x) for x in ray)
-                    cut.append(([x / top for x in ray], common | (1 << k)))
+                    cut.append((reduced(ray), common | (1 << k)))
         rays = cut
-    return [(r, [i for i in range(len(gens)) if z >> i & 1]) for r, z in rays]
+    return [
+        ([Fraction(x) for x in r], [i for i in range(len(gens)) if z >> i & 1]) for r, z in rays
+    ]
 
 
 def diagram_facets(g: Diagram) -> list[Facet]:
@@ -73,6 +130,7 @@ def diagram_facets(g: Diagram) -> list[Facet]:
     ``tight`` holds the indices of the generators on the facet.  The cone
     searched is spanned by (e_k, 0) for each recession direction, then
     (v, 1) for each generator.  A facet is compact exactly when a > 0.
+    (a, -b) is primitive: integers with gcd 1, as `Fraction`s.
     """
     n = g.dim
     gens = [tuple(Fraction(int(j == k)) for j in range(n + 1)) for k in range(n)]

@@ -11,6 +11,7 @@ import types
 import pytest
 
 from pshdiag import decomposition, exactlp
+from pshdiag.diagram import MAX_DIGITS, MAX_GENERATORS
 from pshdiag.polynomials import MAX_DIM, MAX_EXPONENT
 from pshdiag.cli import (
     EXIT_INPUT,
@@ -77,6 +78,18 @@ class TestExecute:
             "newton-number", {"diagram": load("diagram_original.json")}
         )
         assert (code, result["newton_number"]) == (EXIT_OK, "4")
+
+    def test_results_share_equal_numbers(self):
+        # a caller that keeps many results holds each number text once
+        payload = {"input": {"dim": 2, "polys": ["z1^12 + z1*z2 + z2^12"]}}
+        (a, _), (b, _) = execute("diagram", payload), execute("diagram", payload)
+        gens = a["diagram"]["generators"]
+        assert gens == [["0", "12"], ["1", "1"], ["12", "0"]]
+        assert gens[0][0] is gens[2][1] and gens[0][1] is gens[2][0]
+        assert all(x is y for p, q in zip(gens, b["diagram"]["generators"]) for x, y in zip(p, q))
+        (n, _), (m, _) = (execute("newton-number", {"diagram": a["diagram"]}) for _ in range(2))
+        assert n == m == {"newton_number": "24"}
+        assert n["newton_number"] is m["newton_number"]
 
     def test_newton_number_infinite_exit_3(self):
         result, code = execute(
@@ -262,6 +275,38 @@ class TestExecute:
         ]:
             assert execute("diagram", {"input": {"dim": 1, "polys": [text]}})[1] == code, text
 
+    @pytest.mark.parametrize(
+        "command,payload,position",
+        [
+            ("diagram", {"input": {"dim": 1, "polys": ["z1^" + "1" * 5000]}}, 3),
+            ("diagram", {"input": {"dim": 1, "polys": ["z1 + " + "7" * 5000 + "/3"]}}, 5),
+            ("diagram", {"input": {"dim": 1, "polys": ["z" + "1" * 5000]}}, 0),
+            ("newton-number", {"diagram": {"dim": 1, "generators": [["1" * 5000]]}}, 0),
+            ("newton-number", {"diagram": {"dim": 2, "generators": [["1", "2/" + "3" * 5000]]}}, 0),
+        ],
+    )
+    def test_digit_limit_exit_2(self, command, payload, position):
+        # Python's own error past its digit limit would point at sys
+        result, code = execute(command, payload)
+        assert code == EXIT_INPUT
+        assert f"limit of {MAX_DIGITS} digits (at position {position})" in result["error"]
+        assert "sys" not in result["error"]
+
+    def test_digit_limit_edge(self):
+        payload = {"diagram": {"dim": 1, "generators": [["9" * MAX_DIGITS]]}}
+        result, code = execute("newton-number", payload)
+        assert (code, result["newton_number"]) == (EXIT_OK, "9" * MAX_DIGITS)
+
+    def test_generator_budget_exit_3(self):
+        # refused before any coordinate is read: "x" would exit 2
+        gens = [["x", "x"]] * (MAX_GENERATORS + 1)
+        result, code = execute("newton-number", {"diagram": {"dim": 2, "generators": gens}})
+        assert code == EXIT_SEMANTIC
+        assert f"budget of {MAX_GENERATORS}" in result["error"]
+        gens = [["1", "0"], ["0", "1"]] * (MAX_GENERATORS // 2)
+        result, code = execute("newton-number", {"diagram": {"dim": 2, "generators": gens}})
+        assert (code, result["newton_number"]) == (EXIT_OK, "1")
+
     def test_json_integers_accepted(self):
         result, code = execute(
             "newton-number", {"diagram": {"dim": 2, "generators": [[2, 0], [0, 2]]}}
@@ -400,6 +445,13 @@ class TestMainEntry:
         code, out = run_cli(capsys, "newton-number", path)
         assert code == 3
         assert json.loads(out) == {"newton_number": "infinite"}
+
+    def test_long_json_integer_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text('{"dim": 1, "generators": [[' + "1" * 5000 + "]]}")
+        assert main(["newton-number", str(path)]) == EXIT_INPUT
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert f"limit of {MAX_DIGITS} digits" in error and "sys" not in error
 
     def test_missing_file_exit_2(self, capsys):
         code = main(["newton-number", "/nonexistent.json"])

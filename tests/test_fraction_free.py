@@ -1,0 +1,135 @@
+"""The fraction-free facet search and polynomial expansion against the
+`Fraction` kernels they replaced (``fraction_kernels``).
+
+The facet search must find the same tight sets in the same order, with
+normals equal up to a positive factor; products and powers must be equal
+polynomials.  Every facet entry and coefficient must be a `Fraction`:
+equal values alone would not catch a plain int leaking out.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+import fraction_kernels
+from pshdiag import linalg, parse_polynomial, poly_add, poly_mul, poly_pow, polynomial, volume
+from pshdiag.volume import _cone_facets
+from test_canonicalize_oracle import on_hyperplane, undominated
+from test_face_oracles import homogenized
+
+
+def assert_same_search(gens):
+    got = _cone_facets(gens)
+    want = fraction_kernels.cone_facets(gens)
+    assert [tight for _, tight in got] == [tight for _, tight in want], gens
+    for (normal, _), (ref, _) in zip(got, want):
+        assert all(type(x) is F for x in normal), normal
+        k = next(i for i, x in enumerate(ref) if x != 0)
+        factor = normal[k] / ref[k]
+        assert factor > 0 and [factor * x for x in ref] == normal, gens
+
+
+def point_sets(dim, seed, count=40):
+    """Seeded supports: lattice points, the same scaled by a rational, and
+    lattice points on one hyperplane; every fifth set is a single point."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        size = 1 if i % 5 == 0 else rng.randint(2, 9 if dim < 4 else 7)
+        if i % 3 == 2:
+            pts = [on_hyperplane(rng, dim, rng.randint(1, 6)) for _ in range(size)]
+        else:
+            pts = [tuple(rng.randint(0, 6) for _ in range(dim)) for _ in range(size)]
+        if i % 3 == 1:
+            c = F(rng.randint(1, 9), rng.randint(2, 7))
+            pts = [tuple(c * x for x in p) for p in pts]
+        out.append(undominated(pts))
+    return out
+
+
+@pytest.mark.parametrize("dim,seed", [(2, 61), (3, 62), (4, 63)])
+def test_cone_facets_match_fraction_search(dim, seed):
+    for pts in point_sets(dim, seed):
+        assert_same_search(homogenized(pts, dim))
+
+
+@pytest.mark.parametrize("dim,seed", [(2, 64), (3, 65), (4, 66)])
+def test_polytope_cones_with_dependent_leading_points(dim, seed, monkeypatch):
+    # polytope_volume lifts its sorted points to (p, 1); the first dim + 1
+    # here lie on the hyperplane x_1 = 0, so the start must skip one
+    rng = random.Random(seed)
+    for _ in range(12):
+        face = {(0, *(rng.randint(0, 4) for _ in range(dim - 1))) for _ in range(dim + 2)}
+        rest = {
+            (rng.randint(1, 6), *(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(dim - 1)))
+            for _ in range(dim + 1)
+        }
+        points = sorted(tuple(F(x) for x in p) for p in face | rest)
+        gens = [p + (F(1),) for p in points]
+        if len(face) < dim + 1 or linalg.rank([list(g) for g in gens]) < dim + 1:
+            continue
+        assert linalg.rref([list(col) for col in zip(*gens)])[1] != list(range(dim + 1))
+        assert_same_search(gens)
+        got = volume.polytope_volume(points, dim)
+        monkeypatch.setattr(volume, "_cone_facets", fraction_kernels.cone_facets)
+        assert got == volume.polytope_volume(points, dim) > 0
+        monkeypatch.undo()
+
+
+def random_polynomial(rng, dim):
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        e = tuple(rng.randint(0, 3) for _ in range(dim))
+        terms[e] = F(rng.randint(-9, 9), rng.randint(1, 6))
+    return polynomial(dim, terms)
+
+
+def assert_fraction_terms(p):
+    assert all(type(c) is F and type(e) is tuple for e, c in p.terms), p
+
+
+def test_products_and_powers_match_fraction_kernels():
+    rng = random.Random(67)
+    for _ in range(150):
+        dim = rng.randint(1, 3)
+        p, q = random_polynomial(rng, dim), random_polynomial(rng, dim)
+        product = poly_mul(p, q)
+        assert product == fraction_kernels.poly_mul(p, q), (p, q)
+        assert_fraction_terms(product)
+        k = rng.randint(0, 4)
+        power = poly_pow(p, k)
+        assert power == fraction_kernels.poly_pow(p, k), (p, k)
+        assert_fraction_terms(power)
+
+
+def test_products_cancel():
+    p, q = parse_polynomial("z1 - 1/2*z2", 2), parse_polynomial("z1 + 1/2*z2", 2)
+    square = parse_polynomial("z1^2 - 1/4*z2^2", 2)
+    assert poly_mul(p, q) == square == fraction_kernels.poly_mul(p, q)
+    assert poly_mul(p, parse_polynomial("0", 2)).is_zero()
+    assert parse_polynomial("(z1+z2)^2 - z1^2 - 2*z1*z2", 2) == polynomial(2, {(0, 2): F(1)})
+    assert parse_polynomial("(z1 - z2)*(z1 + z2) - z1^2 + z2^2", 2).is_zero()
+
+
+@pytest.mark.parametrize("k", [0, 1, 5])
+@pytest.mark.parametrize("c", [F(1), F(-3, 4), F(5)])
+def test_single_term_powers(c, k):
+    p = polynomial(2, {(2, 3): c})
+    power = poly_pow(p, k)
+    assert power == fraction_kernels.poly_pow(p, k)
+    assert power == polynomial(2, {(2 * k, 3 * k): c**k})
+    assert_fraction_terms(power)
+    text = f"({c.numerator}/{c.denominator}*z1^2*z2^3)^{k}"
+    assert parse_polynomial(text, 2) == power
+
+
+def test_parsed_sums_match_fraction_kernels():
+    rng = random.Random(68)
+    for _ in range(100):
+        dim = rng.randint(1, 3)
+        p, q, r = (random_polynomial(rng, dim) for _ in range(3))
+        minus_r2 = polynomial(dim, {e: -c for e, c in fraction_kernels.poly_pow(r, 2).terms})
+        got = parse_polynomial(f"({p})*({q}) - ({r})^2", dim)
+        assert got == poly_add(fraction_kernels.poly_mul(p, q), minus_r2), (p, q, r)
+        assert_fraction_terms(got)

@@ -29,7 +29,8 @@ from pshdiag.errors import (
     UnknownVariable,
     ZeroPolynomial,
 )
-from pshdiag.linalg import inverse, frac_rows
+from fraction_kernels import inverse
+from pshdiag.linalg import frac_rows
 from pshdiag.polynomials import MAX_NESTING
 
 # z1 = zeta1, z2 = zeta2 - zeta1
