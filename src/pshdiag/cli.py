@@ -10,6 +10,7 @@ unsupported result; 4 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -284,6 +285,7 @@ def _load_json(path: str):
         raise CliInputError(f"cannot read {path}: {exc}") from exc
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pshdiag",

@@ -9,10 +9,16 @@ No operation runs an LP: ``contains`` checks the inequalities of
 ``canonicalize`` read its tight sets (in 2-D ``canonicalize`` is a
 monotone chain); everything else is arithmetic on the generators.
 ``member_of_hull`` is the tests' LP reference.
+
+Generators are `Fraction`s, but ``canonicalize`` compares int and
+`Fraction` coordinates as it is given them, so a lattice support is
+sorted, deduplicated and filtered on Python ints; only what it keeps
+becomes `Fraction`.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,21 +40,28 @@ from .volume import diagram_facets, least_face
 Point = tuple[Fraction, ...]
 
 # Most point comparisons the dominance filter of one canonicalize may make.
-# A comparison costs about 3 microseconds, so a filter at the limit takes
-# about a second; the largest filter in the tests makes 26,565 and in the
-# benchmark pools 105.
+# On 3-D points a comparison costs about 1 microsecond when the coordinates
+# are ints and 2.3 to 2.7 when they are Fractions (Python 3.11, 2-vCPU
+# host), so a filter at the limit takes 0.3 to 0.8 s; the largest filter
+# in the tests makes 26,565 and in the benchmark pools 105.
 MAX_DOMINANCE_TESTS = 300_000
 # Most generators a diagram read from JSON may list.  Reading and
-# canonicalizing one costs 40 to 60 microseconds in 2-D, so 20,000 random
-# 2-D generators take about 0.8 s through newton-number (3-D inputs that
-# large stop at MAX_DOMINANCE_TESTS); the largest input in the tests lists
-# 5,151 and in the benchmark pools 16.
+# canonicalizing one costs 30 to 36 microseconds in 2-D (Python 3.11,
+# 2-vCPU host), so 20,000 random 2-D generators take about 0.6 to 0.7 s
+# through newton-number (3-D inputs that large stop at
+# MAX_DOMINANCE_TESTS); the largest input in the tests lists 5,151 and in
+# the benchmark pools 16.
 MAX_GENERATORS = 20_000
 # Most digits the text of one number may hold.  Python converts no longer
 # decimal string to an int (its int_max_str_digits default), and its error
 # names an interpreter setting a caller of the CLI cannot reach, so longer
-# text is refused before it is converted.
+# text is refused before it is converted, and an answer holding a longer
+# number before it is printed (``check_printable``).
 MAX_DIGITS = 4_300
+# least integer with more than MAX_DIGITS digits
+_PRINT_LIMIT = 10**MAX_DIGITS
+# the text of a rational in JSON: numerator, then an optional denominator
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def point(coords) -> Point:
@@ -88,11 +101,19 @@ class DiagramGraph:
     edges: tuple[tuple[int, int, Point], ...]
 
 
-def _check_point(p, dim: int) -> Point:
-    p = point(p)
+def _check_length(p: tuple, dim: int) -> tuple:
     if len(p) != dim:
         raise DimensionMismatch(f"point of length {len(p)}, expected {dim}")
     return p
+
+
+def _check_point(p, dim: int) -> Point:
+    return _check_length(point(p), dim)
+
+
+def _exact(coords) -> tuple:
+    """The coordinates, each int or `Fraction` as given and any other through `Fraction`."""
+    return tuple(c if type(c) is int or type(c) is Fraction else Fraction(c) for c in coords)
 
 
 def member_of_hull(p: Point, points: list[Point]) -> bool:
@@ -110,7 +131,13 @@ def member_of_hull(p: Point, points: list[Point]) -> bool:
 def canonicalize(dim: int, raw_points) -> Diagram:
     """Minimal generator set (the vertices) of conv(raw_points) + R^n_+.
 
-    Idempotent and independent of input order.  Two facts make this exact:
+    Idempotent and independent of input order.  An int or `Fraction`
+    coordinate is used as it is given and any other goes through
+    `Fraction`; ints and Fractions compare and hash alike, so the sort, the
+    deduplication, the dominance filter and the 2-D chain run on ints for
+    a lattice support, and only the points kept, and outside the plane the
+    undominated points handed to ``volume.diagram_facets``, become
+    `Fraction`s.  Two facts make this exact:
 
     - a point q with another point p <= q componentwise lies in
       p + R^n_+, so it is never a vertex, and removing it leaves
@@ -126,12 +153,12 @@ def canonicalize(dim: int, raw_points) -> Diagram:
     """
     if dim < 1:
         raise DimensionMismatch(f"dimension must be >= 1, got {dim}")
-    pts = [_check_point(p, dim) for p in raw_points]
+    pts = [_check_length(_exact(p), dim) for p in raw_points]
     if not pts:
         raise EmptyInput("at least one generator is required")
     for p in pts:
         if any(c < 0 for c in p):
-            raise NegativeCoordinate(f"negative coordinate in {p}")
+            raise NegativeCoordinate(f"negative coordinate in {point(p)}")
     pts = sorted(set(pts))
     if dim == 2:
         keep: list[Point] = []
@@ -144,7 +171,7 @@ def canonicalize(dim: int, raw_points) -> Diagram:
                     break
                 keep.pop()  # keep[-1] lies on or above the segment keep[-2] p
             keep.append(p)
-        return Diagram(dim, tuple(keep))
+        return Diagram(dim, tuple(map(point, keep)))
     # only a lexicographically smaller point can be <= q componentwise, and
     # a dominated dominator has an undominated one below it
     undominated: list[Point] = []
@@ -157,6 +184,7 @@ def canonicalize(dim: int, raw_points) -> Diagram:
             )
         if not any(all(a <= b for a, b in zip(p, q)) for p in undominated):
             undominated.append(q)
+    undominated = [point(p) for p in undominated]
     tights = [t for _, _, t in diagram_facets(Diagram(dim, tuple(undominated)))]
     keep = [p for i, p in enumerate(undominated) if least_face(tights, frozenset([i])) == {i}]
     return Diagram(dim, tuple(keep))
@@ -303,6 +331,19 @@ def check_digits(text: str, position: int = 0) -> None:
         )
 
 
+def check_printable(c) -> None:
+    """Raise ``UnsupportedDimension`` when c has a part of over MAX_DIGITS digits.
+
+    Python prints no longer int in decimal, and its error names an
+    interpreter setting; an answer that large is refused by name instead.
+    The part is c's numerator or its denominator.
+    """
+    if abs(c.numerator) >= _PRINT_LIMIT or c.denominator >= _PRINT_LIMIT:
+        raise UnsupportedDimension(
+            f"the answer holds a number of over {MAX_DIGITS} digits, the most one may print"
+        )
+
+
 def rational_to_json(c: Fraction) -> str:
     """A rational as JSON text, such as "3/4" or "3".
 
@@ -310,22 +351,35 @@ def rational_to_json(c: Fraction) -> str:
     fill a result repeat within it and across results, and a caller that
     keeps many results would otherwise hold a fresh copy of each.  An
     interned string is freed with its last reference, so nothing is kept
-    beyond the results that use it.
+    beyond the results that use it.  See ``check_printable``.
     """
+    check_printable(c)
     return sys.intern(str(c))
 
 
 def rational_from_json(value) -> Fraction:
-    """A rational given in JSON as a string such as "3/4" or as an integer.
+    """A rational given in JSON as an integer or as a string such as "3", "-3" or "3/4".
 
     Floats are refused: a binary float such as 0.1 is not the rational
-    its decimal text shows.  A string holds at most ``MAX_DIGITS`` digits.
+    its decimal text shows.  A string is an optional minus sign, digits
+    and an optional "/" with a positive denominator, as ``rational_to_json``
+    prints; it holds at most ``MAX_DIGITS`` digits.
     """
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise TypeError(f"rationals must be strings or integers, got {value!r}")
-    if isinstance(value, str):
+    if isinstance(value, int):
+        return Fraction(value)
+    m = _RATIONAL.fullmatch(value)
+    if m is not None:
         check_digits(value)
-    return Fraction(value)
+        den = int(m.group(2) or 1)
+        if den:
+            return Fraction(int(m.group(1)), den)
+    raise PolynomialSyntaxError(
+        'a rational must read like "3", "-3" or "3/4": digits, an optional leading "-" '
+        'and an optional "/" with a positive denominator',
+        0,
+    )
 
 
 def diagram_from_json(obj: dict) -> Diagram:

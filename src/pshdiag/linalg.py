@@ -1,7 +1,8 @@
 """Small exact linear algebra routines over `fractions.Fraction`.
 
 Everything here is dense Gaussian elimination at desk scale; no pivoting
-heuristics are needed because the arithmetic is exact.  ``integral`` and
+heuristics are needed because the arithmetic is exact.  ``det`` runs
+fraction-free (Bareiss) on rows scaled to integers.  ``integral`` and
 ``reduced`` serve the fraction-free kernels, which keep each rational row
 as a positive integer multiple of it.
 """
@@ -51,23 +52,36 @@ def rank(m: Matrix) -> int:
 
 
 def det(m: Matrix) -> Fraction:
-    a = [row[:] for row in m]
+    """The determinant, by fraction-free elimination (Bareiss, Math. Comp. 22, 1968).
+
+    Each row is scaled to integers (``integral``).  After step k every
+    entry below the pivots is a (k+1)-minor of that integer matrix, so the
+    division by the previous pivot is exact and no entry grows past a
+    minor; the last pivot is the determinant of the scaled rows.  Rows are
+    swapped as in Gaussian elimination, at the first nonzero entry of the
+    column.
+    """
+    scale = 1
+    a = []
+    for row in m:
+        s, ints = integral(row)
+        scale *= s
+        a.append(ints)
     n = len(a)
-    result = Fraction(1)
+    sign, prev = 1, 1
     for c in range(n):
-        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
+        pivot = next((i for i in range(c, n) if a[i][c]), None)
         if pivot is None:
             return Fraction(0)
         if pivot != c:
             a[c], a[pivot] = a[pivot], a[c]
-            result = -result
-        result *= a[c][c]
-        inv = 1 / a[c][c]
+            sign = -sign
+        p = a[c][c]
         for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return result
+            f = a[i][c]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[c])]
+        prev = p
+    return Fraction(sign * prev, scale)
 
 
 def solve_unique(a: Matrix, b: list[Fraction]) -> list[Fraction] | None:

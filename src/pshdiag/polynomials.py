@@ -13,8 +13,9 @@ A leading sign on the first term is accepted as a convenience.  A number
 or variable index has at most ``diagram.MAX_DIGITS`` digits.
 
 Coefficients are `Fraction`s, but products multiply out on Python ints
-(see ``poly_mul``).  A parsed sum is validated once, and a power of a
-single term is c^k * z^(k*e), with no product at all.
+(see ``poly_mul``).  A parsed sum is validated once, constants and
+variables are built as the valid terms they are, and a power of a single
+term is c^k * z^(k*e), with no product at all.
 """
 
 from __future__ import annotations
@@ -24,7 +25,16 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import Diagram, Point, canonicalize, check_digits, point, rational_from_json
+from .diagram import (
+    MAX_DIGITS,
+    Diagram,
+    Point,
+    canonicalize,
+    check_digits,
+    check_printable,
+    point,
+    rational_from_json,
+)
 from .errors import (
     DimensionMismatch,
     EmptyInput,
@@ -138,11 +148,15 @@ class _Parser:
             m = _TOKEN.match(text, pos)
             if m is None:
                 break
+            # every character of a number or index is a digit, so only a
+            # token longer than MAX_DIGITS can hold too many
             if m.group(1):
-                check_digits(m.group(1), m.start(1))
+                if len(m.group(1)) > MAX_DIGITS:
+                    check_digits(m.group(1), m.start(1))
                 self.tokens.append(("int", m.group(1), m.start(1)))
             elif m.group(2):
-                check_digits(m.group(2), m.start(2))
+                if len(m.group(2)) > MAX_DIGITS:
+                    check_digits(m.group(2), m.start(2))
                 self.tokens.append(("var", m.group(2), m.start(2)))
             elif m.group(3):
                 self.tokens.append(("op", m.group(3), m.start(3)))
@@ -234,7 +248,7 @@ class _Parser:
                 raise UnknownVariable(f"variable {val} out of range for dimension {self.dim}", pos)
             e = [0] * self.dim
             e[idx - 1] = 1
-            return polynomial(self.dim, {tuple(e): Fraction(1)})
+            return Polynomial(self.dim, ((tuple(e), Fraction(1)),))
         if kind == "op" and val == "(":
             if self.depth == MAX_NESTING:
                 raise PolynomialSyntaxError(
@@ -255,11 +269,12 @@ def parse_polynomial(text: str, dim: int) -> Polynomial:
 
 
 def serialize_polynomial(p: Polynomial) -> str:
-    """Canonical text form; parse(serialize(p)) == p."""
+    """Canonical text form; parse(serialize(p)) == p.  See ``diagram.check_printable``."""
     if p.is_zero():
         return "0"
     parts = []
     for e, c in sorted(p.terms, reverse=True):
+        check_printable(c)
         factors = []
         if abs(c) != 1 or all(k == 0 for k in e):
             factors.append(str(abs(c)))
@@ -280,7 +295,7 @@ def serialize_polynomial(p: Polynomial) -> str:
 
 
 def _const(dim: int, c: Fraction) -> Polynomial:
-    return polynomial(dim, {(0,) * dim: c})
+    return Polynomial(dim, (((0,) * dim, c),) if c else ())
 
 
 def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -367,10 +382,8 @@ def support_of(p: Polynomial) -> set[Point]:
 
 
 def diagram_of_input(u: SingularityInput) -> Diagram:
-    pts: set[Point] = set()
-    for p in u.polys:
-        pts |= support_of(p)
-    return canonicalize(u.dim, pts)
+    # the exponents as they are: canonicalize keeps integer points as given
+    return canonicalize(u.dim, {e for p in u.polys for e, _ in p.terms})
 
 
 def index_of(p: Polynomial, a) -> Fraction:

@@ -1,21 +1,31 @@
 """Reference `Fraction` kernels, kept to check their fraction-free versions.
 
-These are the facet search and the polynomial product and power the
-package ran before they moved to Python ints, with the `Fraction` matrix
-inverse the facet search started from.  ``pshdiag.volume._cone_facets``
-must find the same tight sets in the same order, with normals equal up to
-a positive factor, and ``pshdiag.polynomials.poly_mul`` and ``poly_pow``
-must return equal polynomials; tests compare them.
+These are the facet search, the polynomial product and power, the
+canonical generator set and the determinant the package ran before they
+moved to Python ints, with the `Fraction` matrix inverse the facet search
+started from.  ``pshdiag.volume._cone_facets`` must find the same tight
+sets in the same order, with normals equal up to a positive factor;
+``pshdiag.polynomials.poly_mul`` and ``poly_pow`` must return equal
+polynomials; ``pshdiag.diagram.canonicalize`` must return equal diagrams
+and raise the same errors, and ``pshdiag.linalg.det`` equal values.
+Tests compare them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from pshdiag.errors import DimensionMismatch, NegativeExponent, UnsupportedDimension
+from pshdiag.diagram import MAX_DOMINANCE_TESTS, Diagram, Point, point
+from pshdiag.errors import (
+    DimensionMismatch,
+    EmptyInput,
+    NegativeCoordinate,
+    NegativeExponent,
+    UnsupportedDimension,
+)
 from pshdiag.linalg import Matrix, dot, rref
 from pshdiag.polynomials import MAX_TERM_PAIRS, Polynomial, Terms, _const, polynomial
-from pshdiag.volume import MAX_RAY_PAIRS
+from pshdiag.volume import MAX_RAY_PAIRS, diagram_facets, least_face
 
 
 def inverse(m: Matrix) -> Matrix | None:
@@ -91,4 +101,70 @@ def poly_pow(p: Polynomial, k: int) -> Polynomial:
         k >>= 1
         if k:
             p = poly_mul(p, p)
+    return result
+
+
+def _check_point(p, dim: int) -> Point:
+    p = point(p)
+    if len(p) != dim:
+        raise DimensionMismatch(f"point of length {len(p)}, expected {dim}")
+    return p
+
+
+def canonicalize(dim: int, raw_points) -> Diagram:
+    if dim < 1:
+        raise DimensionMismatch(f"dimension must be >= 1, got {dim}")
+    pts = [_check_point(p, dim) for p in raw_points]
+    if not pts:
+        raise EmptyInput("at least one generator is required")
+    for p in pts:
+        if any(c < 0 for c in p):
+            raise NegativeCoordinate(f"negative coordinate in {p}")
+    pts = sorted(set(pts))
+    if dim == 2:
+        keep: list[Point] = []
+        for p in pts:
+            if keep and p[1] >= keep[-1][1]:
+                continue  # keep[-1] has the least y so far and x <= p[0]
+            while len(keep) >= 2:
+                (ax, ay), (bx, by) = keep[-2], keep[-1]
+                if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) > 0:
+                    break
+                keep.pop()  # keep[-1] lies on or above the segment keep[-2] p
+            keep.append(p)
+        return Diagram(dim, tuple(keep))
+    # only a lexicographically smaller point can be <= q componentwise, and
+    # a dominated dominator has an undominated one below it
+    undominated: list[Point] = []
+    tests = 0
+    for q in pts:
+        tests += len(undominated)
+        if tests > MAX_DOMINANCE_TESTS:
+            raise UnsupportedDimension(
+                f"dominance filter exceeds its budget of {MAX_DOMINANCE_TESTS} tests"
+            )
+        if not any(all(a <= b for a, b in zip(p, q)) for p in undominated):
+            undominated.append(q)
+    tights = [t for _, _, t in diagram_facets(Diagram(dim, tuple(undominated)))]
+    keep = [p for i, p in enumerate(undominated) if least_face(tights, frozenset([i])) == {i}]
+    return Diagram(dim, tuple(keep))
+
+
+def det(m: Matrix) -> Fraction:
+    a = [row[:] for row in m]
+    n = len(a)
+    result = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            result = -result
+        result *= a[c][c]
+        inv = 1 / a[c][c]
+        for i in range(c + 1, n):
+            if a[i][c] != 0:
+                f = a[i][c] * inv
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
     return result

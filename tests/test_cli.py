@@ -18,6 +18,7 @@ from pshdiag.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_SEMANTIC,
+    build_parser,
     execute,
     main,
     run_batch,
@@ -297,6 +298,60 @@ class TestExecute:
         result, code = execute("newton-number", payload)
         assert (code, result["newton_number"]) == (EXIT_OK, "9" * MAX_DIGITS)
 
+    @pytest.mark.parametrize(
+        "command,payload",
+        [
+            ("newton-number", {"diagram": {"dim": 2, "generators": [["1e300000", "0"], ["0", "1"]]}}),
+            ("lelong", {"input": {"dim": 2, "polys": ["z1 + z2"]}, "weight": ["1e300000", "1"]}),
+        ],
+    )
+    def test_exponent_notation_exit_2(self, command, payload):
+        # read as a Python Fraction, "1e300000" would build 10^300000
+        t0 = time.perf_counter()
+        result, code = execute(command, payload)
+        assert time.perf_counter() - t0 < 0.05
+        assert code == EXIT_INPUT
+        assert '"3/4"' in result["error"] and "sys" not in result["error"]
+
+    @pytest.mark.parametrize(
+        "text", ["0.5", "1e3", "+1", " 1", "1 ", "1_000", "1/0", "1/-2", "--1", "", "\u0663"]
+    )
+    def test_rationals_only_in_printed_form(self, text):
+        result, code = execute("newton-number", {"diagram": {"dim": 1, "generators": [[text]]}})
+        assert code == EXIT_INPUT and '"3/4"' in result["error"], text
+
+    @pytest.mark.parametrize("text,value", [("-0", "0"), ("-007", "-7"), ("-6/4", "-3/2"), ("-6/04", "-3/2")])
+    def test_printed_form_rationals(self, text, value):
+        # the indicator of the diagram [1, oo) at t <= 0 is t
+        result, code = execute("indicator", {"diagram": {"dim": 1, "generators": [["1"]]}, "t": [text]})
+        assert (code, result) == (EXIT_OK, {"indicator": value}), text
+
+    @pytest.mark.parametrize(
+        "command,payload",
+        [  # serialize_polynomial: a product of two literals inside the digit limit
+            ("substitute", {"input": {"dim": 1, "polys": ["1" + "0" * 4000 + "*1" + "0" * 4000 + "*z1"]},
+                            "matrix": [["1"]]}),
+            ("substitute", {"input": {"dim": 1, "polys": ["1/1" + "0" * 2200 + "*1/1" + "0" * 2200]},
+                            "matrix": [["1"]]}),
+            # rational_to_json: a JSON integer has no digit limit through execute
+            ("newton-number", {"diagram": {"dim": 1, "generators": [[10**MAX_DIGITS]]}}),
+            ("lelong", {"input": {"dim": 1, "polys": ["z1"]}, "weight": [10**MAX_DIGITS]}),
+        ],
+    )
+    def test_answer_past_the_digit_limit_exit_3(self, command, payload):
+        result, code = execute(command, payload)
+        assert code == EXIT_SEMANTIC
+        assert f"over {MAX_DIGITS} digits" in result["error"] and "sys" not in result["error"]
+
+    def test_answer_at_the_digit_limit(self):
+        big = 10**MAX_DIGITS - 1
+        result, code = execute("newton-number", {"diagram": {"dim": 1, "generators": [[big]]}})
+        assert (code, result["newton_number"]) == (EXIT_OK, str(big))
+        payload = {"input": {"dim": 1, "polys": ["1/1" + "0" * 2149 + "*1/1" + "0" * 2150]},
+                   "matrix": [["1"]]}
+        result, code = execute("substitute", payload)
+        assert (code, result["input"]["polys"]) == (EXIT_OK, ["1/1" + "0" * 4299])
+
     def test_generator_budget_exit_3(self):
         # refused before any coordinate is read: "x" would exit 2
         gens = [["x", "x"]] * (MAX_GENERATORS + 1)
@@ -456,6 +511,16 @@ class TestMainEntry:
     def test_missing_file_exit_2(self, capsys):
         code = main(["newton-number", "/nonexistent.json"])
         assert code == 2
+
+    def test_parser_built_once(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"dim": 1, "generators": [["2"]]}))
+        assert build_parser() is build_parser()
+        # options of one call do not carry over to the next
+        as_json = '{\n  "newton_number": "2"\n}\n'
+        assert run_cli(capsys, "--format", "json", "newton-number", path) == (0, as_json)
+        assert run_cli(capsys, "--format", "text", "newton-number", path) == (0, 'newton_number: "2"\n')
+        assert run_cli(capsys, "newton-number", path) == (0, as_json)
 
 
 def test_optimized_interpreter_gives_same_bytes():

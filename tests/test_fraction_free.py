@@ -1,9 +1,11 @@
-"""The fraction-free facet search and polynomial expansion against the
-`Fraction` kernels they replaced (``fraction_kernels``).
+"""The fraction-free kernels against the `Fraction` kernels they replaced
+(``fraction_kernels``).
 
 The facet search must find the same tight sets in the same order, with
 normals equal up to a positive factor; products and powers must be equal
-polynomials.  Every facet entry and coefficient must be a `Fraction`:
+polynomials; canonicalize must give equal diagrams and raise the same
+errors with the same messages, and det equal values.  Every facet entry,
+coefficient, generator coordinate and determinant must be a `Fraction`:
 equal values alone would not catch a plain int leaking out.
 """
 
@@ -13,7 +15,9 @@ from fractions import Fraction as F
 import pytest
 
 import fraction_kernels
+from pshdiag import diagram as dg
 from pshdiag import linalg, parse_polynomial, poly_add, poly_mul, poly_pow, polynomial, volume
+from pshdiag.polynomials import _const, _Parser
 from pshdiag.volume import _cone_facets
 from test_canonicalize_oracle import on_hyperplane, undominated
 from test_face_oracles import homogenized
@@ -133,3 +137,115 @@ def test_parsed_sums_match_fraction_kernels():
         got = parse_polynomial(f"({p})*({q}) - ({r})^2", dim)
         assert got == poly_add(fraction_kernels.poly_mul(p, q), minus_r2), (p, q, r)
         assert_fraction_terms(got)
+
+
+def assert_same_canonical(dim, raw):
+    got = dg.canonicalize(dim, raw)
+    assert got == fraction_kernels.canonicalize(dim, raw), raw
+    assert all(type(c) is F for p in got.generators for c in p), got
+
+
+def as_given(rng, p):
+    """p with each coordinate an int (when integral), a Fraction or a string."""
+    kinds = (int, F, str)
+    return [rng.choice(kinds if c == int(c) else kinds[1:])(c) for c in p]
+
+
+def canonical_inputs(dim, seed, count=30):
+    """Seeded supports with duplicates, dominated points and collinear points,
+    as lattice points or scaled by a rational, in mixed types."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        size = rng.randint(1, 10 if dim < 4 else 7)
+        pts = [tuple(rng.randint(0, 6) for _ in range(dim)) for _ in range(size)]
+        pts += [tuple(x + rng.randint(0, 2) for x in rng.choice(pts)) for _ in range(3)]
+        a, b = rng.choice(pts), rng.choice(pts)
+        pts += [tuple(x + t * (y - x) for x, y in zip(a, b)) for t in range(3)]  # a line
+        pts += rng.sample(pts, 2)
+        if i % 2:
+            c = F(rng.randint(1, 9), rng.randint(2, 7))
+            pts = [tuple(c * x for x in p) for p in pts]
+        rng.shuffle(pts)
+        out.append([as_given(rng, p) for p in pts if min(p) >= 0])
+    return out
+
+
+@pytest.mark.parametrize("dim,seed", [(1, 71), (2, 72), (3, 73), (4, 74)])
+def test_canonicalize_matches_fraction_kernel(dim, seed):
+    for raw in canonical_inputs(dim, seed):
+        assert_same_canonical(dim, raw)
+    # a 2-D chain with collinear vertices and points on its edges
+    chain = [(0, 6), (1, 4), (2, 2), (3, 0), (F(1, 2), 5), (F(3, 2), 3), (4, 0), (3, 1)]
+    assert_same_canonical(2, chain)
+
+
+@pytest.mark.parametrize(
+    "dim,raw",
+    [
+        (2, []),
+        (0, [(1,)]),
+        (2, [(1, 2, 3)]),
+        (2, [(1, 2), (1,)]),
+        (2, [(1, -2)]),
+        (3, [(F(-1, 2), "1", 0)]),
+        (2, [(1, -2), (1,)]),  # every length is checked before any sign
+        (2, [(1, "-3/4")]),
+        (2, [(1, "x")]),
+        (2, [(1, None)]),
+        (2, [(1, "1/0")]),
+        (3, [(i, j, 9 - i - j) for i in range(10) for j in range(10 - i)]),  # over budget
+    ],
+)
+def test_canonicalize_errors_match_fraction_kernel(dim, raw, monkeypatch):
+    monkeypatch.setattr(dg, "MAX_DOMINANCE_TESTS", 100)
+    monkeypatch.setattr(fraction_kernels, "MAX_DOMINANCE_TESTS", 100)
+    with pytest.raises(Exception) as want:
+        fraction_kernels.canonicalize(dim, raw)
+    with pytest.raises(want.type) as got:
+        dg.canonicalize(dim, raw)
+    assert str(got.value) == str(want.value)
+
+
+def random_matrix(rng, n):
+    rows = [[F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
+    shape = rng.randrange(4)
+    if n and shape == 1:
+        rows[0][0] = F(0)  # the first column needs a row swap
+    elif n > 1 and shape == 2:  # singular: one row a combination of two others
+        c = F(rng.randint(-4, 4), rng.randint(1, 3))
+        rows[-1] = [x + c * y for x, y in zip(rows[0], rows[n // 2])]
+    elif n and shape == 3:
+        for row in rows:
+            row[rng.randrange(n)] = F(0)
+    return rows
+
+
+def test_det_matches_fraction_kernel():
+    rng = random.Random(75)
+    singular = swapped = 0
+    for _ in range(400):
+        rows = random_matrix(rng, rng.randint(0, 5))
+        got = linalg.det(rows)
+        assert type(got) is F
+        assert got == fraction_kernels.det(rows), rows
+        singular += got == 0
+        swapped += bool(rows) and rows[0][0] == 0
+    assert singular > 50 and swapped > 50
+    assert linalg.det([]) == 1
+    assert linalg.det([[F(0), F(1)], [F(1), F(0)]]) == -1
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_parsed_atoms_equal_validated_forms(dim):
+    origin = (0,) * dim
+    atoms = {"0": {}, "0/7": {}, "7": {origin: F(7)}, "6/4": {origin: F(3, 2)}}
+    for k in range(dim):
+        atoms[f"z{k + 1}"] = {tuple(int(i == k) for i in range(dim)): F(1)}
+    for text, terms in atoms.items():
+        want = polynomial(dim, terms)
+        for got in (_Parser(text, dim).base(), parse_polynomial(text, dim)):
+            assert got == want, text
+            assert_fraction_terms(got)
+    assert _const(dim, F(0)) == polynomial(dim, {origin: F(0)})
+    assert _const(dim, F(-2, 3)) == polynomial(dim, {origin: F(-2, 3)})
