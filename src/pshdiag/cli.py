@@ -14,7 +14,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import diagram as dg
 from . import measures
@@ -40,13 +39,6 @@ class CliInputError(Exception):
 class SemanticExit(Exception):
     def __init__(self, payload: dict):
         self.payload = payload
-
-
-def _parse_vector(text: str):
-    try:
-        return [Fraction(part.strip()) for part in text.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliInputError(f"bad vector {text!r}: {exc}") from exc
 
 
 def _diagram_from_payload(payload) -> dg.Diagram:
@@ -285,6 +277,28 @@ def _load_json(path: str):
         raise CliInputError(f"cannot read {path}: {exc}") from exc
 
 
+def _vector(text: str) -> list[str]:
+    """A comma-separated vector, as the texts ``rational_from_json`` reads in a payload."""
+    return [part.strip() for part in text.split(",")]
+
+
+# Each command's help text and arguments: a name with "--" is an option,
+# any other a positional.  ``main`` puts each argument into the payload
+# under its name without dashes, as its reader returns it.
+ARGUMENTS = {
+    "diagram": ("indicator diagram of an input", [("--input", _load_json)]),
+    "lelong": ("directional Lelong number", [("--input", _load_json), ("--weight", _vector)]),
+    "sum": ("Minkowski sum of two diagrams", [("a", _load_json), ("b", _load_json)]),
+    "homothetic": ("homothety witness A = c*B + x", [("a", _load_json), ("b", _load_json)]),
+    "decompose": ("decomposability certificate", [("diagram", _load_json)]),
+    "classify": ("extremity of a homogeneous singularity", [("--input", _load_json)]),
+    "newton-number": ("Newton number of a diagram", [("diagram", _load_json)]),
+    "substitute": ("linear change of variables", [("--input", _load_json), ("--matrix", _load_json)]),
+    "indicator": ("indicator value at t <= 0", [("diagram", _load_json), ("--t", _vector)]),
+    "batch": ("run a manifest of requests", [("manifest", _load_json)]),
+}
+
+
 @functools.cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -295,66 +309,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--output", help="write the result to a file")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("diagram", help="indicator diagram of an input")
-    p.add_argument("--input", required=True)
-
-    p = sub.add_parser("lelong", help="directional Lelong number")
-    p.add_argument("--input", required=True)
-    p.add_argument("--weight", required=True)
-
-    p = sub.add_parser("sum", help="Minkowski sum of two diagrams")
-    p.add_argument("a")
-    p.add_argument("b")
-
-    p = sub.add_parser("homothetic", help="homothety witness A = c*B + x")
-    p.add_argument("a")
-    p.add_argument("b")
-
-    p = sub.add_parser("decompose", help="decomposability certificate")
-    p.add_argument("diagram")
-
-    p = sub.add_parser("classify", help="extremity of a homogeneous singularity")
-    p.add_argument("--input", required=True)
-
-    p = sub.add_parser("newton-number", help="Newton number of a diagram")
-    p.add_argument("diagram")
-
-    p = sub.add_parser("substitute", help="linear change of variables")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--input", required=True)
-
-    p = sub.add_parser("indicator", help="indicator value at t <= 0")
-    p.add_argument("diagram")
-    p.add_argument("--t", required=True)
-
-    p = sub.add_parser("batch", help="run a manifest of requests")
-    p.add_argument("manifest")
-
+    for command, (text, arguments) in ARGUMENTS.items():
+        p = sub.add_parser(command, help=text)
+        for name, _ in arguments:
+            p.add_argument(name, **({"required": True} if name.startswith("--") else {}))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        payload = {
+            name.lstrip("-"): read(getattr(args, name.lstrip("-")))
+            for name, read in ARGUMENTS[args.command][1]
+        }
         if args.command == "batch":
-            result, code = run_batch(_load_json(args.manifest))
+            result, code = run_batch(payload["manifest"])
         else:
-            payload = {}
-            if args.command in ("diagram", "lelong", "classify", "substitute"):
-                payload["input"] = _load_json(args.input)
-            if args.command == "lelong":
-                payload["weight"] = [str(c) for c in _parse_vector(args.weight)]
-            if args.command == "substitute":
-                payload["matrix"] = _load_json(args.matrix)
-            if args.command in ("sum", "homothetic"):
-                payload["a"] = _load_json(args.a)
-                payload["b"] = _load_json(args.b)
-            if args.command in ("decompose", "newton-number", "indicator"):
-                payload["diagram"] = _load_json(args.diagram)
-            if args.command == "indicator":
-                payload["t"] = [str(c) for c in _parse_vector(args.t)]
             result, code = execute(args.command, payload)
     except CliInputError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

@@ -12,14 +12,16 @@ monotone chain); everything else is arithmetic on the generators.
 
 Generators are `Fraction`s, but ``canonicalize`` compares int and
 `Fraction` coordinates as it is given them, so a lattice support is
-sorted, deduplicated and filtered on Python ints; only what it keeps
+sorted, deduplicated and searched on Python ints; only what it keeps
 becomes `Fraction`.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,18 +41,11 @@ from .volume import diagram_facets, least_face
 
 Point = tuple[Fraction, ...]
 
-# Most point comparisons the dominance filter of one canonicalize may make.
-# On 3-D points a comparison costs about 1 microsecond when the coordinates
-# are ints and 2.3 to 2.7 when they are Fractions (Python 3.11, 2-vCPU
-# host), so a filter at the limit takes 0.3 to 0.8 s; the largest filter
-# in the tests makes 26,565 and in the benchmark pools 105.
-MAX_DOMINANCE_TESTS = 300_000
-# Most generators a diagram read from JSON may list.  Reading and
-# canonicalizing one costs 30 to 36 microseconds in 2-D (Python 3.11,
-# 2-vCPU host), so 20,000 random 2-D generators take about 0.6 to 0.7 s
-# through newton-number (3-D inputs that large stop at
-# MAX_DOMINANCE_TESTS); the largest input in the tests lists 5,151 and in
-# the benchmark pools 16.
+# Most generators a diagram read from JSON may list.  20,000 random
+# lattice generators take about 0.07 s through newton-number in 2-D and
+# 0.5 s in 3-D, where all of them go to the facet search (Python 3.11,
+# 2-vCPU host); inputs in the tests list up to 20,000 and in the benchmark
+# pools 16.
 MAX_GENERATORS = 20_000
 # Most digits the text of one number may hold.  Python converts no longer
 # decimal string to an int (its int_max_str_digits default), and its error
@@ -134,22 +129,22 @@ def canonicalize(dim: int, raw_points) -> Diagram:
     Idempotent and independent of input order.  An int or `Fraction`
     coordinate is used as it is given and any other goes through
     `Fraction`; ints and Fractions compare and hash alike, so the sort, the
-    deduplication, the dominance filter and the 2-D chain run on ints for
-    a lattice support, and only the points kept, and outside the plane the
-    undominated points handed to ``volume.diagram_facets``, become
-    `Fraction`s.  Two facts make this exact:
+    deduplication, the 2-D chain and the facet search run on ints for a
+    lattice support, and only the points kept become `Fraction`s.
 
-    - a point q with another point p <= q componentwise lies in
-      p + R^n_+, so it is never a vertex, and removing it leaves
-      conv + R^n_+ unchanged;
-    - in 2-D the undominated points sorted by x have strictly decreasing
-      y, and the vertices are exactly their lower convex chain between the
-      two ends (Andrew's monotone chain), found in one pass with no LP.
+    In 2-D a point with an earlier point <= it componentwise is never a
+    vertex, the other points sorted by x have strictly decreasing y, and
+    the vertices are exactly their lower convex chain between the two ends
+    (Andrew's monotone chain), found in one pass.
 
-    In other dimensions the dominated points are dropped first, and an
-    undominated point is a vertex iff ``volume.least_face`` of it holds no
-    other point.  The dominance filter makes up to m^2/2 comparisons for m
-    points, and raises ``UnsupportedDimension`` past ``MAX_DOMINANCE_TESTS``.
+    In other dimensions every point goes to ``volume.diagram_facets`` in
+    sorted order, and a point is a vertex iff ``volume.least_face`` of it
+    holds no other point.  Only a point on at least n facets can be a
+    vertex of the full-dimensional diagram, so the others skip that test.
+    A point q >= p componentwise sorts after p and lies in the cone the
+    search has built by then, so it costs one sign test per current ray and
+    adds no ray; the search raises ``UnsupportedDimension`` past its
+    budget, ``volume.MAX_RAY_TESTS``.
     """
     if dim < 1:
         raise DimensionMismatch(f"dimension must be >= 1, got {dim}")
@@ -172,21 +167,13 @@ def canonicalize(dim: int, raw_points) -> Diagram:
                 keep.pop()  # keep[-1] lies on or above the segment keep[-2] p
             keep.append(p)
         return Diagram(dim, tuple(map(point, keep)))
-    # only a lexicographically smaller point can be <= q componentwise, and
-    # a dominated dominator has an undominated one below it
-    undominated: list[Point] = []
-    tests = 0
-    for q in pts:
-        tests += len(undominated)
-        if tests > MAX_DOMINANCE_TESTS:
-            raise UnsupportedDimension(
-                f"dominance filter exceeds its budget of {MAX_DOMINANCE_TESTS} tests"
-            )
-        if not any(all(a <= b for a, b in zip(p, q)) for p in undominated):
-            undominated.append(q)
-    undominated = [point(p) for p in undominated]
-    tights = [t for _, _, t in diagram_facets(Diagram(dim, tuple(undominated)))]
-    keep = [p for i, p in enumerate(undominated) if least_face(tights, frozenset([i])) == {i}]
+    tights = [t for _, _, t in diagram_facets(Diagram(dim, tuple(pts)))]
+    on_facets = Counter(itertools.chain.from_iterable(tights))
+    keep = [
+        point(p)
+        for i, p in enumerate(pts)
+        if on_facets[i] >= dim and least_face(tights, frozenset([i])) == {i}
+    ]
     return Diagram(dim, tuple(keep))
 
 
@@ -357,24 +344,28 @@ def rational_to_json(c: Fraction) -> str:
     return sys.intern(str(c))
 
 
-def rational_from_json(value) -> Fraction:
+def rational_from_json(value) -> int | Fraction:
     """A rational given in JSON as an integer or as a string such as "3", "-3" or "3/4".
 
     Floats are refused: a binary float such as 0.1 is not the rational
     its decimal text shows.  A string is an optional minus sign, digits
     and an optional "/" with a positive denominator, as ``rational_to_json``
-    prints; it holds at most ``MAX_DIGITS`` digits.
+    prints; it holds at most ``MAX_DIGITS`` digits.  A JSON integer, and a
+    string whose denominator is 1 or absent, comes back as an `int`, which
+    ``canonicalize`` compares as it is; any other value as a `Fraction`.
     """
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise TypeError(f"rationals must be strings or integers, got {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     m = _RATIONAL.fullmatch(value)
     if m is not None:
         check_digits(value)
-        den = int(m.group(2) or 1)
+        num, den = int(m.group(1)), int(m.group(2) or 1)
+        if den == 1:
+            return num
         if den:
-            return Fraction(int(m.group(1)), den)
+            return Fraction(num, den)
     raise PolynomialSyntaxError(
         'a rational must read like "3", "-3" or "3/4": digits, an optional leading "-" '
         'and an optional "/" with a positive denominator',

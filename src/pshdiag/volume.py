@@ -28,11 +28,15 @@ if TYPE_CHECKING:
 Inequality = tuple[tuple[Fraction, ...], Fraction]  # (a, b) meaning a.x >= b
 Facet = tuple[tuple[Fraction, ...], Fraction, frozenset[int]]  # (a, b, tight)
 
-# Most (+, -) ray pairs one facet search may test.  On integer rays a test
-# costs about a third of a microsecond (Python 3.11, 2-vCPU host), so a
-# search stops at the limit within about 0.35 s; the largest search in the
-# tests tests 593 pairs, and in the benchmark pools 135.
-MAX_RAY_PAIRS = 1_000_000
+# Most ray tests one facet search may make: a sign test of one ray against
+# one generator, and a test of one (+, -) ray pair.  The sign tests bound
+# the generators that cut off nothing: 400 points that build 800 facets
+# and then 19,600 points above them all searched for 7.3 s when only the
+# pairs counted.  On integer rays a test costs 0.3 to 0.45 microseconds
+# (Python 3.11, 2-vCPU host), so a search stops at the limit within about
+# 0.45 s; the largest search in the tests makes 55,849 tests, and in the
+# benchmark pools 285.
+MAX_RAY_TESTS = 1_000_000
 
 
 def _dual_basis(gens: list[list[int]]) -> tuple[list[int], list[list[int]]]:
@@ -89,12 +93,12 @@ def _cone_facets(gens: list[tuple[Fraction, ...]]) -> list[tuple[list[Fraction],
     Comp. 22, 1968): each generator is replaced by its least positive
     integer multiple, and each ray is kept primitive, divided by the gcd of
     its entries.  A positive multiple spans the same cone and has the same
-    signs against every ray, so the (+, -) split, adjacency, the pair count
+    signs against every ray, so the (+, -) split, adjacency, the test count
     and the order of the rays are those of the same search over the
     rationals.  Facets come with the sorted indices of their tight
     generators; each normal is the primitive integer vector, with
     ``Fraction`` entries.  Raises ``UnsupportedDimension`` past
-    ``MAX_RAY_PAIRS`` pairs.
+    ``MAX_RAY_TESTS`` sign tests and pair tests together.
     """
     d = len(gens[0])
     ints = [reduced(integral(g)[1]) for g in gens]
@@ -102,15 +106,15 @@ def _cone_facets(gens: list[tuple[Fraction, ...]]) -> list[tuple[list[Fraction],
     # a ray is a normal and the bit set of the generators cut so far tight on it
     tight = sum(1 << i for i in start)
     rays = [(r, tight ^ (1 << i)) for r, i in zip(normals, start)]
-    pairs = 0
+    tests = 0
     for k in sorted(set(range(len(gens))) - set(start)):
         g = ints[k]
         vals = [sum(map(operator.mul, r, g)) for r, _ in rays]
         pos = [i for i, v in enumerate(vals) if v > 0]
         neg = [i for i, v in enumerate(vals) if v < 0]
-        pairs += len(pos) * len(neg)
-        if pairs > MAX_RAY_PAIRS:
-            raise UnsupportedDimension(f"facet search exceeds its {MAX_RAY_PAIRS} ray-pair budget")
+        tests += len(rays) + len(pos) * len(neg)
+        if tests > MAX_RAY_TESTS:
+            raise UnsupportedDimension(f"facet search exceeds its budget of {MAX_RAY_TESTS} ray tests")
         cut = [(r, z | (1 << k) if v == 0 else z) for (r, z), v in zip(rays, vals) if v >= 0]
         for i in pos:
             for j in neg:

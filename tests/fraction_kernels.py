@@ -6,16 +6,17 @@ moved to Python ints, with the `Fraction` matrix inverse the facet search
 started from.  ``pshdiag.volume._cone_facets`` must find the same tight
 sets in the same order, with normals equal up to a positive factor;
 ``pshdiag.polynomials.poly_mul`` and ``poly_pow`` must return equal
-polynomials; ``pshdiag.diagram.canonicalize`` must return equal diagrams
-and raise the same errors, and ``pshdiag.linalg.det`` equal values.
-Tests compare them.
+polynomials; ``pshdiag.diagram.canonicalize``, which hands dominated
+points to the facet search where this one filters them out first, must
+return equal diagrams and raise the same errors; and ``pshdiag.linalg.det``
+must return equal values.  Tests compare them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from pshdiag.diagram import MAX_DOMINANCE_TESTS, Diagram, Point, point
+from pshdiag.diagram import Diagram, Point, point
 from pshdiag.errors import (
     DimensionMismatch,
     EmptyInput,
@@ -25,7 +26,12 @@ from pshdiag.errors import (
 )
 from pshdiag.linalg import Matrix, dot, rref
 from pshdiag.polynomials import MAX_TERM_PAIRS, Polynomial, Terms, _const, polynomial
-from pshdiag.volume import MAX_RAY_PAIRS, diagram_facets, least_face
+from pshdiag.volume import MAX_RAY_TESTS, diagram_facets, least_face
+
+# Most point comparisons the dominance filter of ``canonicalize`` may make,
+# the budget the package kept before its facet search took in dominated
+# points.
+MAX_DOMINANCE_TESTS = 300_000
 
 
 def inverse(m: Matrix) -> Matrix | None:
@@ -47,7 +53,8 @@ def cone_facets(gens: list[tuple[Fraction, ...]]) -> list[tuple[list[Fraction], 
     tight on at least d - 2 common generators, no third ray tight on all.
     Joined rays are divided by their largest |entry| to keep the fractions
     small.  Facets come with the sorted indices of their tight generators.
-    Raises ``UnsupportedDimension`` past ``MAX_RAY_PAIRS`` pairs.
+    Raises ``UnsupportedDimension`` past ``MAX_RAY_TESTS`` sign tests and
+    pair tests together.
     """
     d = len(gens[0])
     _, start = rref([list(col) for col in zip(*gens)])
@@ -55,14 +62,14 @@ def cone_facets(gens: list[tuple[Fraction, ...]]) -> list[tuple[list[Fraction], 
     # a ray is a normal and the bit set of the generators cut so far tight on it
     tight = sum(1 << i for i in start)
     rays = [([row[j] for row in inv], tight ^ (1 << i)) for j, i in enumerate(start)]
-    pairs = 0
+    tests = 0
     for k in sorted(set(range(len(gens))) - set(start)):
         vals = [dot(r, gens[k]) for r, _ in rays]
         pos = [i for i, v in enumerate(vals) if v > 0]
         neg = [i for i, v in enumerate(vals) if v < 0]
-        pairs += len(pos) * len(neg)
-        if pairs > MAX_RAY_PAIRS:
-            raise UnsupportedDimension(f"facet search exceeds its {MAX_RAY_PAIRS} ray-pair budget")
+        tests += len(rays) + len(pos) * len(neg)
+        if tests > MAX_RAY_TESTS:
+            raise UnsupportedDimension(f"facet search exceeds its budget of {MAX_RAY_TESTS} ray tests")
         cut = [(r, z | (1 << k) if v == 0 else z) for (r, z), v in zip(rays, vals) if v >= 0]
         for i in pos:
             for j in neg:

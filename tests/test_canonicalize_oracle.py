@@ -3,8 +3,10 @@
 The reference keeps a point iff one exact LP finds it outside the hull of
 all other input points plus the orthant.  The package runs no LP: it
 finds the 2-D vertices by a monotone chain and, in other dimensions,
-keeps each point that no other point is below componentwise and whose
-least face, read off the facets' tight sets, holds no other point.
+keeps each point whose least face, read off the facets' tight sets, holds
+no other point.  A point above another one componentwise reaches the
+facet search too, where it must cost one sign test per ray and change
+nothing else.
 """
 
 import random
@@ -12,7 +14,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from pshdiag import canonicalize, diagram_to_json, exactlp
+from pshdiag import canonicalize, diagram_to_json, exactlp, volume
 from pshdiag import diagram as dg
 
 
@@ -112,3 +114,52 @@ def test_no_lp_in_any_dimension(dim, seed, monkeypatch):
     for pts in clouds(dim, seed):
         g = canonicalize(dim, pts)
         assert all(dg.contains(g, p) for p in pts)
+
+
+def searched(monkeypatch, dim, points):
+    """The facets of the points' diagram, and the ray tests each cut makes.
+
+    The facet search cuts by the sorted points after the first and checks
+    ``tests > MAX_RAY_TESTS`` after each; Python asks an int subclass on
+    the right first, so a budget of this type sees every running count.
+    """
+    counts = []
+
+    class Budget(int):
+        def __lt__(self, tests):
+            counts.append(tests)
+            return int.__lt__(self, tests)
+
+    monkeypatch.setattr(volume, "MAX_RAY_TESTS", Budget(volume.MAX_RAY_TESTS))
+    facets = volume.diagram_facets(dg.Diagram(dim, tuple(points)))
+    monkeypatch.undo()
+    return facets, [b - a for a, b in zip([0] + counts, counts)]
+
+
+@pytest.mark.parametrize("dim,seed", [(3, 45), (4, 46)])
+def test_dominated_points_add_one_sign_test_per_ray(dim, seed, monkeypatch):
+    rng = random.Random(seed)
+    for pts in clouds(dim, seed):
+        clean = sorted(undominated(pts))
+        last = max(p[0] for p in clean) + 1
+        above = set()
+        for _ in range(6):
+            p = rng.choice(clean)
+            bump = [rng.randint(0, 2) for _ in range(dim)]
+            bump[rng.randrange(dim)] += 1
+            above.add(tuple(c + b for c, b in zip(p, bump)))  # among the points
+            above.add((last + bump[0],) + tuple(c + b for c, b in zip(p[1:], bump[1:])))  # after all
+        mixed = sorted(set(clean) | above)
+        assert canonicalize(dim, mixed) == canonicalize(dim, clean)
+        facets, tests = searched(monkeypatch, dim, clean)
+        mixed_facets, mixed_tests = searched(monkeypatch, dim, mixed)
+        # the same facets in the same order; a dominated point is only tight
+        at = [mixed.index(p) for p in clean]
+        assert [(a, b, {at[i] for i in t}) for a, b, t in facets] == [
+            (a, b, t & set(at)) for a, b, t in mixed_facets
+        ]
+        # each point of the clean cloud costs what it did, ray pairs included
+        assert [mixed_tests[at[i] - 1] for i in range(1, len(clean))] == tests
+        # and one after all of them meets every final ray and joins no pair
+        rays = len(facets) + 1  # with the face at infinity
+        assert all(mixed_tests[i - 1] == rays for i, p in enumerate(mixed) if p[0] >= last)

@@ -32,6 +32,18 @@ def load(name):
     return json.loads((FIXTURES / name).read_text())
 
 
+def sphere_then_dominated():
+    """400 lattice points near a sphere, each a vertex, then 19,600 points above every one."""
+    rng = random.Random(8)
+    r = 10**4
+    gens = []
+    for _ in range(400):
+        u = [abs(rng.gauss(0, 1)) for _ in range(3)]
+        norm = math.sqrt(sum(x * x for x in u))
+        gens.append([r - round(r * x / norm) for x in u])
+    return gens + [[r + 1 + i, r + 1 + j, r + 1] for i in range(196) for j in range(100)]
+
+
 def run_cli(capsys, *args):
     code = main([str(a) for a in args])
     out = capsys.readouterr().out
@@ -191,7 +203,7 @@ class TestExecute:
 
     def test_diagram_of_coplanar_powers(self):
         # every support point lies on the plane x + y + z = k
-        for k in (16, 20):
+        for k in (16, 20, 60):
             result, code = execute("diagram", {"input": {"dim": 3, "polys": [f"(z1+z2+z3)^{k}"]}})
             assert code == EXIT_OK
             assert result["diagram"]["generators"] == [
@@ -204,6 +216,15 @@ class TestExecute:
         simplex = [[str(k + 2) if j == k else "0" for j in range(n)] for k in range(n)]
         result, code = execute("newton-number", {"diagram": {"dim": n, "generators": simplex}})
         assert (code, result["newton_number"]) == (EXIT_OK, "6227020800")
+
+    def test_coplanar_lattice_diagram(self):
+        # the 5151 lattice points of x + y + z = 100; only the three on the
+        # axes are vertices
+        gens = [[a, b, 100 - a - b] for a in range(101) for b in range(101 - a)]
+        result, code = execute("newton-number", {"diagram": {"dim": 3, "generators": gens}})
+        assert (code, result["newton_number"]) == (EXIT_OK, "1000000")
+        result, code = execute("decompose", {"diagram": {"dim": 3, "generators": gens}})
+        assert (code, result["certificate"]["verdict"]) == (EXIT_OK, "indecomposable")
 
     def test_facet_search_budget_exit_3(self):
         # 30 points near a sphere in 8-D: about 66 million ray pairs and
@@ -219,7 +240,7 @@ class TestExecute:
         result, code = execute("newton-number", {"diagram": {"dim": n, "generators": gens}})
         assert time.perf_counter() - start < 10
         assert code == EXIT_SEMANTIC
-        assert "1000000 ray-pair budget" in result["error"]
+        assert "budget of 1000000 ray tests" in result["error"]
 
     def test_sweep_budget_exit_3(self):
         # 66 compact edges: 4290 edge-scale objectives over a tableau of
@@ -240,14 +261,10 @@ class TestExecute:
             ("diagram", {"input": {"dim": 6, "polys": ["(z1+z2+z3+z4+z5+z6)^40"]}}, "term pairs"),
             # squaring the 561 terms of p^32 takes 314,721 pairs
             ("diagram", {"input": {"dim": 3, "polys": ["(z1+z2+z3)^80"]}}, "term pairs"),
-            # 5151 coplanar points: about 13 million dominance tests
-            (
-                "decompose",
-                {"diagram": {"dim": 3, "generators": [
-                    [a, b, 100 - a - b] for a in range(101) for b in range(101 - a)
-                ]}},
-                "dominance filter",
-            ),
+            # 400 points on a sphere build 800 facets, then 19,600 points
+            # above them all cost one sign test per facet each: 7 s of
+            # search if only the ray pairs counted
+            ("newton-number", {"diagram": {"dim": 3, "generators": sphere_then_dominated()}}, "ray tests"),
             # the coefficient 2^(10^30) would never finish
             ("diagram", {"input": {"dim": 1, "polys": ["(2*z1)^1000000000000000000000000000000"]}}, "base size"),
             ("diagram", {"input": {"dim": 1, "polys": ["z1^" + "1" * 4000]}}, "base size"),
@@ -511,6 +528,48 @@ class TestMainEntry:
     def test_missing_file_exit_2(self, capsys):
         code = main(["newton-number", "/nonexistent.json"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "args,payload",
+        [
+            (["diagram", "--input", "input_original.json"], {"input": "input_original.json"}),
+            (
+                ["lelong", "--input", "input_transformed.json", "--weight", " 1 , 2/3"],
+                {"input": "input_transformed.json", "weight": ["1", "2/3"]},
+            ),
+            (["sum", "summand_left.json", "summand_right.json"],
+             {"a": "summand_left.json", "b": "summand_right.json"}),
+            (["homothetic", "diagram_transformed.json", "diagram_original.json"],
+             {"a": "diagram_transformed.json", "b": "diagram_original.json"}),
+            (["decompose", "diagram_transformed.json"], {"diagram": "diagram_transformed.json"}),
+            (["classify", "--input", "input_transformed.json"], {"input": "input_transformed.json"}),
+            (["newton-number", "diagram_original.json"], {"diagram": "diagram_original.json"}),
+            (
+                ["substitute", "--matrix", "matrix.json", "--input", "input_original.json"],
+                {"input": "input_original.json", "matrix": "matrix.json"},
+            ),
+            # the README form: a value starting with "-" follows "="
+            (["indicator", "diagram_transformed.json", "--t=-1,-1"],
+             {"diagram": "diagram_transformed.json", "t": ["-1", "-1"]}),
+            (["indicator", "diagram_transformed.json", "--t", "0,-1/2"],
+             {"diagram": "diagram_transformed.json", "t": ["0", "-1/2"]}),
+        ],
+    )
+    def test_arguments_become_the_payload(self, capsys, args, payload):
+        argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in args]
+        sent = {key: load(v) if isinstance(v, str) else v for key, v in payload.items()}
+        result, code = execute(args[0], sent)
+        assert run_cli(capsys, *argv) == (code, json.dumps(result, indent=2, sort_keys=True) + "\n")
+
+    @pytest.mark.parametrize("text", ["1e5000,1", "0.5,1", "1,", "1/0,1", "1;1"])
+    def test_vectors_read_like_payload_rationals(self, capsys, text):
+        # as in a batch payload: exit 2 with a JSON error, never a traceback
+        path = FIXTURES / "input_original.json"
+        code, out = run_cli(capsys, "lelong", "--input", path, "--weight", text)
+        assert code == EXIT_INPUT
+        assert '"3/4"' in json.loads(out)["error"] and "sys" not in out
+        payload = {"input": load("input_original.json"), "weight": text.split(",")}
+        assert execute("lelong", payload) == (json.loads(out), EXIT_INPUT)
 
     def test_parser_built_once(self, capsys, tmp_path):
         path = tmp_path / "g.json"

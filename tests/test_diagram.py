@@ -19,6 +19,7 @@ from pshdiag import (
     touches_all_axes,
     translate,
 )
+from pshdiag.diagram import rational_from_json
 from pshdiag.errors import (
     DimensionMismatch,
     EmptyInput,
@@ -289,6 +290,22 @@ class TestSerialization:
     def test_round_trip(self):
         g = D((3, 0), (F(1, 2), F(3, 7)), (0, 2))
         assert diagram_from_json(diagram_to_json(g)) == g
+
+    @pytest.mark.parametrize(
+        "value,want",
+        [(3, 3), (-3, -3), ("3", 3), ("-007", -7), ("-0", 0), ("6/1", 6),
+         ("3/4", F(3, 4)), ("-6/4", F(-3, 2)), ("4/2", F(2))],
+    )
+    def test_rational_types(self, value, want):
+        # integer text stays an int, so JSON lattice diagrams canonicalize on ints
+        got = rational_from_json(value)
+        assert got == want and type(got) is type(want)
+
+    def test_json_generators_are_fractions(self):
+        gens = [[4, "0", "0/5"], ["0", 4, "0"], [0, 0, "8/2"], [2, 2, "3/1"]]
+        g = diagram_from_json({"dim": 3, "generators": gens})
+        assert g.generators == ((0, 0, 4), (0, 4, 0), (4, 0, 0))
+        assert all(type(c) is F for p in g.generators for c in p)
 
     def test_canonical_strings(self):
         g = D((F(1, 2), 0), (0, 3))

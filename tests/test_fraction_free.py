@@ -194,12 +194,12 @@ def test_canonicalize_matches_fraction_kernel(dim, seed):
         (2, [(1, "x")]),
         (2, [(1, None)]),
         (2, [(1, "1/0")]),
+        # no point dominates another, so both search the same 55 points
         (3, [(i, j, 9 - i - j) for i in range(10) for j in range(10 - i)]),  # over budget
     ],
 )
 def test_canonicalize_errors_match_fraction_kernel(dim, raw, monkeypatch):
-    monkeypatch.setattr(dg, "MAX_DOMINANCE_TESTS", 100)
-    monkeypatch.setattr(fraction_kernels, "MAX_DOMINANCE_TESTS", 100)
+    monkeypatch.setattr(volume, "MAX_RAY_TESTS", 100)
     with pytest.raises(Exception) as want:
         fraction_kernels.canonicalize(dim, raw)
     with pytest.raises(want.type) as got:
