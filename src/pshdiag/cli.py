@@ -41,28 +41,16 @@ class SemanticExit(Exception):
         self.payload = payload
 
 
-def _diagram_from_payload(payload) -> dg.Diagram:
-    if not isinstance(payload, dict):
-        raise CliInputError("expected a diagram JSON object")
-    return dg.diagram_from_json(payload)
-
-
-def _input_from_payload(payload) -> poly.SingularityInput:
-    if not isinstance(payload, dict):
-        raise CliInputError("expected a singularity JSON object")
-    return poly.input_from_json(payload)
-
-
 # --- command implementations (pure payload -> result dict) ------------------
 
 
 def cmd_diagram(payload: dict) -> dict:
-    u = _input_from_payload(payload.get("input"))
+    u = poly.input_from_json(payload.get("input"))
     return {"diagram": dg.diagram_to_json(poly.diagram_of_input(u))}
 
 
 def cmd_lelong(payload: dict) -> dict:
-    u = _input_from_payload(payload.get("input"))
+    u = poly.input_from_json(payload.get("input"))
     a = payload.get("weight")
     if not isinstance(a, list):
         raise CliInputError("'weight' must be a list of rationals")
@@ -71,14 +59,14 @@ def cmd_lelong(payload: dict) -> dict:
 
 
 def cmd_sum(payload: dict) -> dict:
-    a = _diagram_from_payload(payload.get("a"))
-    b = _diagram_from_payload(payload.get("b"))
+    a = dg.diagram_from_json(payload.get("a"))
+    b = dg.diagram_from_json(payload.get("b"))
     return {"diagram": dg.diagram_to_json(dg.minkowski_sum(a, b))}
 
 
 def cmd_homothetic(payload: dict) -> dict:
-    a = _diagram_from_payload(payload.get("a"))
-    b = _diagram_from_payload(payload.get("b"))
+    a = dg.diagram_from_json(payload.get("a"))
+    b = dg.diagram_from_json(payload.get("b"))
     witness = dg.is_homothetic_to(a, b)
     if witness is None:
         return {"homothetic": False}
@@ -90,12 +78,12 @@ def cmd_homothetic(payload: dict) -> dict:
 
 
 def cmd_decompose(payload: dict) -> dict:
-    g = _diagram_from_payload(payload.get("diagram"))
+    g = dg.diagram_from_json(payload.get("diagram"))
     return {"certificate": certificate_to_json(decide_decomposability(g))}
 
 
 def cmd_classify(payload: dict) -> dict:
-    u = _input_from_payload(payload.get("input"))
+    u = poly.input_from_json(payload.get("input"))
     report = classify_extreme(u)
     return {
         "input": poly.input_to_json(report.input),
@@ -107,7 +95,7 @@ def cmd_classify(payload: dict) -> dict:
 
 
 def cmd_newton_number(payload: dict) -> dict:
-    g = _diagram_from_payload(payload.get("diagram"))
+    g = dg.diagram_from_json(payload.get("diagram"))
     result = measures.newton_number(g)
     if result.infinite:
         raise SemanticExit({"newton_number": "infinite"})
@@ -115,7 +103,7 @@ def cmd_newton_number(payload: dict) -> dict:
 
 
 def cmd_substitute(payload: dict) -> dict:
-    u = _input_from_payload(payload.get("input"))
+    u = poly.input_from_json(payload.get("input"))
     m = poly.matrix_from_json(payload.get("matrix"), u.dim)
     transformed = poly.singularity_input(
         u.dim, [poly.substitute_linear(p, m) for p in u.polys]
@@ -124,7 +112,7 @@ def cmd_substitute(payload: dict) -> dict:
 
 
 def cmd_indicator(payload: dict) -> dict:
-    g = _diagram_from_payload(payload.get("diagram"))
+    g = dg.diagram_from_json(payload.get("diagram"))
     t = payload.get("t")
     if not isinstance(t, list):
         raise CliInputError("'t' must be a list of rationals")

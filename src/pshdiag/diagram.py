@@ -41,11 +41,12 @@ from .volume import diagram_facets, least_face
 
 Point = tuple[Fraction, ...]
 
-# Most generators a diagram read from JSON may list.  20,000 random
-# lattice generators take about 0.07 s through newton-number in 2-D and
-# 0.5 s in 3-D, where all of them go to the facet search (Python 3.11,
-# 2-vCPU host); inputs in the tests list up to 20,000 and in the benchmark
-# pools 16.
+# Most generators a diagram read from JSON may list, and most generator
+# pairs ``minkowski_sum`` may add, since every pair sum goes to
+# ``canonicalize``.  20,000 random lattice generators take about 0.07 s
+# through newton-number in 2-D and 0.5 s in 3-D, where all of them go to
+# the facet search (Python 3.11, 2-vCPU host); inputs in the tests list up
+# to 20,000 and in the benchmark pools 16.
 MAX_GENERATORS = 20_000
 # Most digits the text of one number may hold.  Python converts no longer
 # decimal string to an int (its int_max_str_digits default), and its error
@@ -184,22 +185,15 @@ def contains(g: Diagram, p) -> bool:
 
 def support_value(g: Diagram, t) -> Fraction:
     """Support function sup{<t, a> : a in the diagram} for t <= 0."""
-    t = _check_point_signed(t, g.dim)
+    t = _check_point(t, g.dim)
     if any(c > 0 for c in t):
         raise PositiveDirection(f"direction {t} has a positive component")
     return max(dot(t, gen) for gen in g.generators)
 
 
-def _check_point_signed(t, dim: int) -> tuple[Fraction, ...]:
-    t = tuple(Fraction(c) for c in t)
-    if len(t) != dim:
-        raise DimensionMismatch(f"direction of length {len(t)}, expected {dim}")
-    return t
-
-
 def lelong_directional(g: Diagram, a) -> Fraction:
     """min over generators of <a, gen>, for a strictly positive weight."""
-    a = _check_point_signed(a, g.dim)
+    a = _check_point(a, g.dim)
     if any(c <= 0 for c in a):
         raise NonpositiveWeight(f"weight {a} must be strictly positive")
     return min(dot(a, gen) for gen in g.generators)
@@ -208,6 +202,11 @@ def lelong_directional(g: Diagram, a) -> Fraction:
 def minkowski_sum(g1: Diagram, g2: Diagram) -> Diagram:
     if g1.dim != g2.dim:
         raise DimensionMismatch(f"{g1.dim} != {g2.dim}")
+    pairs = len(g1.generators) * len(g2.generators)
+    if pairs > MAX_GENERATORS:
+        raise UnsupportedDimension(
+            f"sum of {pairs} generator pairs exceeds the budget of {MAX_GENERATORS}"
+        )
     sums = [tuple(x + y for x, y in zip(p, q)) for p in g1.generators for q in g2.generators]
     return canonicalize(g1.dim, sums)
 
@@ -286,16 +285,18 @@ def compact_graph(g: Diagram) -> DiagramGraph:
     """Vertices and compact 1-faces of the diagram, read off its facets.
 
     Two vertices span a compact edge iff ``volume.least_face`` of the pair
-    holds no other vertex.
+    holds no other vertex.  An edge of the full-dimensional diagram lies on
+    at least n - 1 facets, so only pairs that share that many tight sets
+    are tested, in (i, j) order.
     """
     gens = g.generators
     tights = [t for _, _, t in diagram_facets(g)]
+    shared = Counter(pair for t in tights for pair in itertools.combinations(sorted(t), 2))
     edges = []
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if least_face(tights, frozenset([i, j])) == {i, j}:
-                direction = tuple(b - a for a, b in zip(gens[i], gens[j]))
-                edges.append((i, j, direction))
+    for (i, j), count in sorted(shared.items()):
+        if count >= g.dim - 1 and least_face(tights, frozenset([i, j])) == {i, j}:
+            direction = tuple(b - a for a, b in zip(gens[i], gens[j]))
+            edges.append((i, j, direction))
     return DiagramGraph(gens, tuple(edges))
 
 
@@ -311,6 +312,8 @@ def diagram_to_json(g: Diagram) -> dict:
 
 def check_digits(text: str, position: int = 0) -> None:
     """Raise ``PolynomialSyntaxError`` at position when text holds over MAX_DIGITS digits."""
+    if len(text) <= MAX_DIGITS:
+        return
     digits = sum(c.isdigit() for c in text)
     if digits > MAX_DIGITS:
         raise PolynomialSyntaxError(

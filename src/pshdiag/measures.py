@@ -91,7 +91,7 @@ def covolume_2d_oracle(g: Diagram) -> Fraction:
 
 def relative_type_monomial(u: SingularityInput, a) -> Fraction:
     """Directional Lelong number of log(sum |p_i|) along a monomial weight."""
-    return lelong_directional(diagram_of_input(u), weight(a))
+    return lelong_directional(diagram_of_input(u), a)
 
 
 def indicator_eval(g: Diagram, t) -> Fraction:

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagram import (
-    MAX_DIGITS,
     Diagram,
     Point,
     canonicalize,
@@ -122,11 +121,13 @@ MAX_DIM = 32
 # product at the limit takes about 0.3 s.  The largest product in the tests
 # multiplies 23,409 pairs and in the benchmark pools 272.
 MAX_TERM_PAIRS = 250_000
-# largest exponent k > 1 of a power p^k, times the size of p (see _size).
-# Nested powers multiply exponents, so a bound on k alone would let
-# ((2*z1)^1000)^1000 through; weighted, every power has degree and
-# coefficient bits of about this bound at most.  The largest weighted power
-# in the tests is (z1+z2)^300 and in the benchmark pools 31 * 3 = 93.
+# largest exponent k > 1 of a power p^k, times the size of p (see _size),
+# that ``poly_pow`` computes: a power written in the text and a power of a
+# linear form in ``substitute_linear`` alike.  Nested powers multiply
+# exponents, so a bound on k alone would let ((2*z1)^1000)^1000 through;
+# weighted, every power has degree and coefficient bits of about this
+# bound at most.  The largest weighted power in the tests is (z1+z2)^300
+# and in the benchmark pools 31 * 3 = 93.
 MAX_EXPONENT = 10_000
 
 
@@ -148,15 +149,11 @@ class _Parser:
             m = _TOKEN.match(text, pos)
             if m is None:
                 break
-            # every character of a number or index is a digit, so only a
-            # token longer than MAX_DIGITS can hold too many
             if m.group(1):
-                if len(m.group(1)) > MAX_DIGITS:
-                    check_digits(m.group(1), m.start(1))
+                check_digits(m.group(1), m.start(1))
                 self.tokens.append(("int", m.group(1), m.start(1)))
             elif m.group(2):
-                if len(m.group(2)) > MAX_DIGITS:
-                    check_digits(m.group(2), m.start(2))
+                check_digits(m.group(2), m.start(2))
                 self.tokens.append(("var", m.group(2), m.start(2)))
             elif m.group(3):
                 self.tokens.append(("op", m.group(3), m.start(3)))
@@ -221,13 +218,7 @@ class _Parser:
             kind, val, pos = self.take()
             if kind != "int":
                 raise NegativeExponent("exponent must be a nonnegative integer", pos)
-            k = int(val)
-            if k > 1 and k * _size(p) > MAX_EXPONENT:
-                raise UnsupportedDimension(
-                    f"exponent at position {pos} times base size {_size(p)} exceeds the "
-                    f"budget of {MAX_EXPONENT}"
-                )
-            p = poly_pow(p, k)
+            p = poly_pow(p, int(val))
         return p
 
     def base(self) -> Polynomial:
@@ -334,9 +325,16 @@ def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
 
 
 def poly_pow(p: Polynomial, k: int) -> Polynomial:
-    """p^k by repeated squaring; a single term c*z^e gives c^k * z^(k*e) directly."""
+    """p^k by repeated squaring; a single term c*z^e gives c^k * z^(k*e) directly.
+
+    ``UnsupportedDimension`` past the power budget (see MAX_EXPONENT).
+    """
     if k < 0:
         raise NegativeExponent("exponent must be nonnegative", 0)
+    if k > 1 and k * _size(p) > MAX_EXPONENT:
+        raise UnsupportedDimension(
+            f"exponent times base size {_size(p)} exceeds the budget of {MAX_EXPONENT}"
+        )
     if len(p.terms) == 1:
         ((e, c),) = p.terms
         return Polynomial(p.dim, ((tuple(k * x for x in e), c**k),))

@@ -44,6 +44,29 @@ def sphere_then_dominated():
     return gens + [[r + 1 + i, r + 1 + j, r + 1] for i in range(196) for j in range(100)]
 
 
+def chain(n):
+    """The 2-D diagram with the n + 1 vertices (i, (n - i)^2)."""
+    return {"dim": 2, "generators": [[str(i), str((n - i) ** 2)] for i in range(n + 1)]}
+
+
+# each command with a payload it answers; the keys that hold a diagram or
+# an input are the ones every command reads through diagram_from_json or
+# input_from_json
+SIMPLEX = {"dim": 2, "generators": [["1", "0"], ["0", "1"]]}
+INPUT = {"dim": 2, "polys": ["z1 + z2"]}
+GOOD_PAYLOADS = {
+    "diagram": {"input": INPUT},
+    "lelong": {"input": INPUT, "weight": ["1", "1"]},
+    "sum": {"a": SIMPLEX, "b": SIMPLEX},
+    "homothetic": {"a": SIMPLEX, "b": SIMPLEX},
+    "decompose": {"diagram": SIMPLEX},
+    "classify": {"input": INPUT},
+    "newton-number": {"diagram": SIMPLEX},
+    "substitute": {"input": INPUT, "matrix": [["1", "0"], ["0", "1"]]},
+    "indicator": {"diagram": SIMPLEX, "t": ["-1", "-1"]},
+}
+
+
 def run_cli(capsys, *args):
     code = main([str(a) for a in args])
     out = capsys.readouterr().out
@@ -146,6 +169,16 @@ class TestExecute:
             result, code = execute("diagram", payload)
             assert code == EXIT_INPUT
             assert "JSON object" in result["error"]
+
+    @pytest.mark.parametrize(
+        "command,key", [(c, k) for c, p in GOOD_PAYLOADS.items() for k in p if k in ("input", "diagram", "a", "b")]
+    )
+    def test_non_object_part_exit_2(self, command, key):
+        assert execute(command, GOOD_PAYLOADS[command])[1] == EXIT_OK
+        for part in ([], "g.json", None, 3, [SIMPLEX]):
+            result, code = execute(command, {**GOOD_PAYLOADS[command], key: part})
+            assert code == EXIT_INPUT, part
+            assert "JSON must have 'dim'" in result["error"]
 
     def test_boolean_dim_exit_2(self):
         _, code = execute("newton-number", {"diagram": {"dim": True, "generators": [["1"]]}})
@@ -280,6 +313,28 @@ class TestExecute:
         assert code == EXIT_SEMANTIC
         assert budget in result["error"] and "budget" in result["error"]
 
+    def test_substituted_power_budget_exit_3(self):
+        # c^10000 for a c of 4,001 digits: over a minute of squaring if the
+        # power of the linear form went unchecked
+        payload = {"input": {"dim": 2, "polys": ["z1^10000 + z2"]},
+                   "matrix": [["1" + "0" * 4000, "0"], ["0", "1"]]}
+        start = time.perf_counter()
+        result, code = execute("substitute", payload)
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_SEMANTIC
+        assert "base size" in result["error"] and "budget" in result["error"]
+
+    def test_substituted_power_as_text(self):
+        # the same power exits 3 whether it is written out or substituted
+        text = {"input": {"dim": 1, "polys": ["(2*z1)^6000"]}, "matrix": [["1"]]}
+        substituted = {"input": {"dim": 1, "polys": ["z1^6000"]}, "matrix": [["2"]]}
+        assert execute("substitute", text) == execute("substitute", substituted)
+        assert execute("substitute", text)[1] == EXIT_SEMANTIC
+        # at the budget the substitution answers 2^5000 * z1^5000
+        payload = {"input": {"dim": 1, "polys": ["z1^5000"]}, "matrix": [["2"]]}
+        result, code = execute("substitute", payload)
+        assert (code, result["input"]["polys"]) == (EXIT_OK, [f"{2**5000}*z1^5000"])
+
     def test_exponent_budget_edge(self):
         # the budget weighs the exponent by the base's degree or coefficient bits
         for text, code in [
@@ -314,6 +369,16 @@ class TestExecute:
         payload = {"diagram": {"dim": 1, "generators": [["9" * MAX_DIGITS]]}}
         result, code = execute("newton-number", payload)
         assert (code, result["newton_number"]) == (EXIT_OK, "9" * MAX_DIGITS)
+
+    def test_digit_limit_counts_digits_not_characters(self):
+        # the indicator of the diagram [1, oo) at t <= 0 is t
+        line = {"dim": 1, "generators": [["1"]]}
+        text = "-" + "1" * (MAX_DIGITS - 1) + "/7"
+        result, code = execute("indicator", {"diagram": line, "t": [text]})
+        assert (code, result["indicator"]) == (EXIT_OK, text)
+        result, code = execute("indicator", {"diagram": line, "t": ["-1" + text[1:]]})
+        assert code == EXIT_INPUT
+        assert f"limit of {MAX_DIGITS} digits" in result["error"]
 
     @pytest.mark.parametrize(
         "command,payload",
@@ -379,6 +444,32 @@ class TestExecute:
         result, code = execute("newton-number", {"diagram": {"dim": 2, "generators": gens}})
         assert (code, result["newton_number"]) == (EXIT_OK, "1")
 
+    def test_sum_budget_exit_3(self):
+        # 1,501 x 1,501 pair sums would take over a minute to canonicalize
+        start = time.perf_counter()
+        result, code = execute("sum", {"a": chain(1500), "b": chain(1500)})
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_SEMANTIC
+        assert f"2253001 generator pairs exceeds the budget of {MAX_GENERATORS}" in result["error"]
+
+    def test_sum_budget_edge(self):
+        # 100 x m pair sums at the budget, then 101 x m past it
+        m = MAX_GENERATORS // 100
+        result, code = execute("sum", {"a": chain(99), "b": chain(m - 1)})
+        assert code == EXIT_OK
+        assert result["diagram"]["generators"][0] == ["0", str(99**2 + (m - 1) ** 2)]
+        result, code = execute("sum", {"a": chain(100), "b": chain(m - 1)})
+        assert code == EXIT_SEMANTIC and f"{101 * m} generator pairs" in result["error"]
+
+    def test_decompose_long_chain_exit_3_quickly(self):
+        # compact edges are sought among the pairs that share facets, so
+        # the sweep budget refuses a 701-vertex chain without m^2 face scans
+        start = time.perf_counter()
+        result, code = execute("decompose", {"diagram": chain(700)})
+        assert time.perf_counter() - start < 2
+        assert code == EXIT_SEMANTIC
+        assert "sweep" in result["error"] and "budget" in result["error"]
+
     def test_json_integers_accepted(self):
         result, code = execute(
             "newton-number", {"diagram": {"dim": 2, "generators": [[2, 0], [0, 2]]}}
@@ -439,6 +530,20 @@ class TestBatch:
         assert result["results"]["good"]["ok"]
         assert not result["results"]["bad"]["ok"]
         assert result["results"]["not-an-object"]["exit_code"] == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "manifest,error",
+        [
+            ([], "manifest must have a 'requests' list"),
+            ({"requests": {"id": "a", "command": "sum"}}, "manifest must have a 'requests' list"),
+            ({"requests": [{"id": "a", "command": "sum"}, {"command": "sum"}]}, "request #1 needs 'id' and 'command'"),
+            ({"requests": [{"id": "a"}]}, "request #0 needs 'id' and 'command'"),
+            ({"requests": ["a"]}, "request #0 needs 'id' and 'command'"),
+            ({"requests": [{"id": "a", "command": "sum"}, {"id": "a", "command": "sum"}]}, "duplicate request id 'a'"),
+        ],
+    )
+    def test_malformed_manifest_exit_2(self, manifest, error):
+        assert run_batch(manifest) == ({"error": error}, EXIT_INPUT)
 
     def test_jobs_key_ignored(self, capsys, tmp_path):
         # "jobs" is no option: any value, even a malformed one, is ignored
@@ -510,6 +615,37 @@ class TestMainEntry:
         assert "almost homogeneity" in out
         assert "*" in out  # staircase sketch
         assert "\033[" not in out
+
+    def test_text_format_extreme_verdict(self, capsys, monkeypatch):
+        monkeypatch.setenv("NO_COLOR", "1")
+        code, out = run_cli(capsys, "--format", "text", "classify", "--input", FIXTURES / "input_original.json")
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert lines[0] == "verdict: extreme"
+        assert lines[1] == "vertices: (0, 2), (2, 0)"
+        assert "indecomposability method: simplex-facet" in lines
+        assert "witness" not in out and "almost homogeneity" in lines[-1]
+
+    def test_text_format_colors_verdicts_on_a_terminal(self, capsys, monkeypatch):
+        monkeypatch.delenv("NO_COLOR", raising=False)
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+        for name, verdict, color in [
+            ("input_original.json", "extreme", "\033[32m"),
+            ("input_transformed.json", "not-extreme", "\033[31m"),
+        ]:
+            code, out = run_cli(capsys, "--format", "text", "classify", "--input", FIXTURES / name)
+            assert code == EXIT_OK
+            assert out.splitlines()[0] == f"verdict: {color}{verdict}\033[0m"
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_output_file(self, capsys, tmp_path, fmt):
+        path = tmp_path / "out.txt"
+        diagram = FIXTURES / "diagram_transformed.json"
+        code, out = run_cli(capsys, "--format", fmt, "newton-number", diagram)
+        assert (code, run_cli(capsys, "--format", fmt, "--output", path, "newton-number", diagram)) == (
+            EXIT_OK, (EXIT_OK, "")
+        )
+        assert path.read_text() == out
 
     def test_infinite_newton_number_exit_code(self, capsys, tmp_path):
         path = tmp_path / "g.json"

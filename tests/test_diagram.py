@@ -19,7 +19,7 @@ from pshdiag import (
     touches_all_axes,
     translate,
 )
-from pshdiag.diagram import rational_from_json
+from pshdiag.diagram import HomothetyWitness, rational_from_json
 from pshdiag.errors import (
     DimensionMismatch,
     EmptyInput,
@@ -109,6 +109,10 @@ class TestSupportValue:
         with pytest.raises(PositiveDirection):
             support_value(D((1, 0), (0, 1)), (1, -1))
 
+    def test_dimension_check(self):
+        with pytest.raises(DimensionMismatch, match="point of length 3, expected 2"):
+            support_value(D((1, 0), (0, 1)), (-1, -1, -1))
+
 
 class TestLelongDirectional:
     def test_balanced(self):
@@ -123,6 +127,10 @@ class TestLelongDirectional:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(NonpositiveWeight):
             lelong_directional(D((1, 0), (0, 1)), (1, 0))
+
+    def test_dimension_check(self):
+        with pytest.raises(DimensionMismatch, match="point of length 1, expected 2"):
+            lelong_directional(D((1, 0), (0, 1)), (1,))
 
 
 class TestMinkowskiSum:
@@ -207,6 +215,25 @@ class TestHomothety:
         g = D((3, 0), (1, 1), (0, 2))
         w = is_homothetic_to(g, g)
         assert w is not None and w.c == 1 and all(c == 0 for c in w.x)
+
+    def test_one_vertex_least_ratio(self):
+        # c is the least ratio a_k / b_k, so the translation is nonnegative
+        assert is_homothetic_to(D((3, 5)), D((1, 2))) == HomothetyWitness(F(5, 2), (F(1, 2), F(0)))
+        assert is_homothetic_to(D((3, 5)), D((0, 0))) == HomothetyWitness(F(1), (F(3), F(5)))
+
+    def test_one_vertex_nonpositive_ratio(self):
+        assert is_homothetic_to(D((0, 5)), D((1, 2))) is None
+
+    def test_nonpositive_scale(self):
+        # the edges (1, -1, 0) and (0, 1, -1): the scale along the second
+        # coordinate would be -1, and 0 for the edge (1, 0, -1)
+        b = canonicalize(3, [(0, 0, 1), (0, 1, 0)])
+        assert is_homothetic_to(canonicalize(3, [(0, 1, 0), (1, 0, 0)]), b) is None
+        assert is_homothetic_to(canonicalize(3, [(0, 0, 1), (1, 0, 0)]), b) is None
+
+    def test_negative_translation(self):
+        # c = 1 forces x = (0, 1) - (1, 2)
+        assert is_homothetic_to(D((0, 1), (1, 0)), D((1, 2), (2, 1))) is None
 
 
 class TestHullUnion:

@@ -164,6 +164,30 @@ def test_compact_edges_match_pairwise_lp(dim, count, seed):
         assert got == lp_compact_edges(g), g
 
 
+def all_pairs_edges(g):
+    """Compact edges as (i, j) pairs: every vertex pair whose least face holds nothing else."""
+    tights = [t for _, _, t in diagram_facets(g)]
+    m = len(g.generators)
+    return [
+        (i, j)
+        for i in range(m)
+        for j in range(i + 1, m)
+        if volume.least_face(tights, frozenset([i, j])) == {i, j}
+    ]
+
+
+@pytest.mark.parametrize("dim,seed", CLOUD_CASES)
+def test_compact_edges_are_those_of_all_pairs_in_order(dim, seed):
+    # compact_graph tests only the pairs that share n - 1 facets
+    rng = random.Random(seed)
+    diagrams = [canonicalize(dim, pts) for pts in clouds(dim, seed)]
+    diagrams += [minkowski_sum(a, b) for a, b in zip(diagrams, rng.sample(diagrams, len(diagrams)))]
+    if dim > 1:
+        diagrams += random_diagrams(dim, 12, seed)
+    for g in diagrams:
+        assert [(i, j) for i, j, _ in compact_graph(g).edges] == all_pairs_edges(g), g
+
+
 @pytest.mark.parametrize("dim,count,seed", CASES)
 def test_compact_edges_connect_all_vertices(dim, count, seed):
     # the decision procedure propagates one edge scale along these edges

@@ -27,11 +27,12 @@ from pshdiag.errors import (
     PolynomialSyntaxError,
     SingularMatrix,
     UnknownVariable,
+    UnsupportedDimension,
     ZeroPolynomial,
 )
 from fraction_kernels import inverse
 from pshdiag.linalg import frac_rows
-from pshdiag.polynomials import MAX_NESTING
+from pshdiag.polynomials import MAX_EXPONENT, MAX_NESTING
 
 # z1 = zeta1, z2 = zeta2 - zeta1
 SHEAR = [[1, 0], [-1, 1]]
@@ -113,6 +114,16 @@ class TestRingOps:
         for k in range(13):
             assert poly_pow(p, k) == expected, k
             expected = poly_mul(expected, p)
+
+    def test_pow_budget(self):
+        # the weighted power budget: exponent times the larger of degree and coefficient bits
+        assert poly_pow(P("2*z1"), MAX_EXPONENT // 2) == P(f"{2 ** (MAX_EXPONENT // 2)}*z1^{MAX_EXPONENT // 2}")
+        for base, k in [("2*z1", MAX_EXPONENT // 2 + 1), ("z1 + z2", MAX_EXPONENT + 1)]:
+            with pytest.raises(UnsupportedDimension, match="base size"):
+                poly_pow(P(base), k)
+        # a first power grows nothing
+        big = P(f"z1^{MAX_EXPONENT // 2} * z1^{MAX_EXPONENT // 2 + 1}")
+        assert poly_pow(big, 1) == big
 
 
 class TestSubstitution:
