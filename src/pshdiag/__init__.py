@@ -52,11 +52,15 @@ from .measures import (
 from .polynomials import (
     Polynomial,
     SingularityInput,
+    diagram_from_input_json,
     diagram_of_input,
+    expand,
     index_of,
     input_from_json,
     input_to_json,
+    newton_support,
     parse_polynomial,
+    parse_tree,
     poly_add,
     poly_mul,
     poly_pow,

@@ -45,16 +45,15 @@ class SemanticExit(Exception):
 
 
 def cmd_diagram(payload: dict) -> dict:
-    u = poly.input_from_json(payload.get("input"))
-    return {"diagram": dg.diagram_to_json(poly.diagram_of_input(u))}
+    return {"diagram": dg.diagram_to_json(poly.diagram_from_input_json(payload.get("input")))}
 
 
 def cmd_lelong(payload: dict) -> dict:
-    u = poly.input_from_json(payload.get("input"))
+    g = poly.diagram_from_input_json(payload.get("input"))
     a = payload.get("weight")
     if not isinstance(a, list):
         raise CliInputError("'weight' must be a list of rationals")
-    value = measures.relative_type_monomial(u, [dg.rational_from_json(c) for c in a])
+    value = dg.lelong_directional(g, [dg.rational_from_json(c) for c in a])
     return {"lelong": dg.rational_to_json(value)}
 
 

@@ -12,10 +12,25 @@ Grammar for the text form (whitespace insignificant)::
 A leading sign on the first term is accepted as a convenience.  A number
 or variable index has at most ``diagram.MAX_DIGITS`` digits.
 
+The parser builds an expression tree (``Tree``): products and powers
+over polynomials.  It multiplies out every sum as it reads, because its
+terms can cancel, and every product or power of one term.  The tree is
+read two ways:
+
+- ``parse_polynomial`` multiplies every product and power out too, as it
+  reads, under the budgets MAX_TERM_PAIRS and MAX_EXPONENT.  The
+  ``classify`` and ``substitute`` commands use it, since their answers
+  echo or transform the expanded polynomials.
+- ``newton_support`` reads only the support: a product adds its factors'
+  vertices and a power scales its base's.  The ``diagram`` and ``lelong``
+  commands use it through ``diagram_from_input_json``, so their budgets
+  are the facet search's, a product's vertex pairs and the digits of an
+  exponent, and those of the expansion only inside a sum.
+
 Coefficients are `Fraction`s, but products multiply out on Python ints
-(see ``poly_mul``).  A parsed sum is validated once, constants and
-variables are built as the valid terms they are, and a power of a single
-term is c^k * z^(k*e), with no product at all.
+(see ``poly_mul``).  Either way a parsed sum is validated once, constants
+and variables are built as the valid terms they are, and a product or
+power of one term is one term, c^k * z^(k*e), with no product at all.
 """
 
 from __future__ import annotations
@@ -26,6 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagram import (
+    MAX_DIGITS,
     Diagram,
     Point,
     canonicalize,
@@ -109,7 +125,30 @@ def weight(coords) -> tuple[Fraction, ...]:
 
 # --- parser ----------------------------------------------------------------
 
+
+@dataclass(frozen=True)
+class Product:
+    """The product of two or more expression trees, in the order written."""
+
+    factors: tuple[Tree, ...]
+
+
+@dataclass(frozen=True)
+class Power:
+    """An expression tree raised to a nonnegative integer power."""
+
+    base: Tree
+    k: int
+
+
+# An expression tree.  A sum is multiplied out as it is read, because its
+# terms can cancel, and so is what costs nothing: a constant, a variable,
+# a product or power of one term within the power budget.  These are the
+# Polynomial leaves.
+Tree = Polynomial | Product | Power
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|(z\d+)|([+\-*^()/])|(\S))")
+_TOKEN_KINDS = (None, "int", "var", "op")  # by the number of the group that matched
 
 # deepest parenthesis nesting accepted; each level costs four stack frames
 MAX_NESTING = 100
@@ -118,17 +157,26 @@ MAX_NESTING = 100
 MAX_DIM = 32
 # most term pairs one product may multiply; on integer numerators a pair
 # costs about a microsecond (0.9 to 1.2 on Python 3.11, 2-vCPU host), so a
-# product at the limit takes about 0.3 s.  The largest product in the tests
-# multiplies 23,409 pairs and in the benchmark pools 272.
+# product at the limit takes about 0.3 s.  ``newton_support`` counts a
+# product's vertex pairs against it too.  The largest product the tests
+# multiply out has 66,049 pairs, and the benchmark pools 81 (``classify``
+# and ``substitute`` in ``session``; ``diagram`` multiplies out no product).
 MAX_TERM_PAIRS = 250_000
 # largest exponent k > 1 of a power p^k, times the size of p (see _size),
 # that ``poly_pow`` computes: a power written in the text and a power of a
 # linear form in ``substitute_linear`` alike.  Nested powers multiply
 # exponents, so a bound on k alone would let ((2*z1)^1000)^1000 through;
 # weighted, every power has degree and coefficient bits of about this
-# bound at most.  The largest weighted power in the tests is (z1+z2)^300
-# and in the benchmark pools 31 * 3 = 93.
+# bound at most.  ``newton_support`` computes no power of a sum, and the
+# parser builds a power of one term only within this budget.  Below the
+# edge cases at the budget, the largest weighted power of a sum in the
+# tests is 3 * 24 = 72, and in the benchmark pools 17 * 2 = 34 (a linear
+# form in ``substitute``).
 MAX_EXPONENT = 10_000
+# least exponent of more than MAX_DIGITS digits: ``newton_support`` refuses
+# a power that computes one, as the tokenizer refuses one written out, so
+# nested powers cannot compound into numbers of millions of digits
+_LONG_EXPONENT = 10**MAX_DIGITS
 
 
 def _size(p: Polynomial) -> int:
@@ -139,27 +187,32 @@ def _size(p: Polynomial) -> int:
     return size
 
 
+def _power_fits(p: Polynomial, k: int) -> bool:
+    """Whether p^k is within the power budget (see MAX_EXPONENT)."""
+    return k <= 1 or k * _size(p) <= MAX_EXPONENT
+
+
 class _Parser:
-    def __init__(self, text: str, dim: int):
+    """The grammar above, read into an expression tree (see ``Tree``).
+
+    With ``multiply_out`` every product and power is multiplied out as it
+    is read, so the tree is one Polynomial, and a budget error comes
+    before any syntax error later in the text.
+    """
+
+    def __init__(self, text: str, dim: int, multiply_out: bool):
         self.text = text
         self.dim = dim
+        self.multiply_out = multiply_out
         self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None:
-                break
-            if m.group(1):
-                check_digits(m.group(1), m.start(1))
-                self.tokens.append(("int", m.group(1), m.start(1)))
-            elif m.group(2):
-                check_digits(m.group(2), m.start(2))
-                self.tokens.append(("var", m.group(2), m.start(2)))
-            elif m.group(3):
-                self.tokens.append(("op", m.group(3), m.start(3)))
-            else:
-                raise PolynomialSyntaxError(f"unexpected character {m.group(4)!r}", m.start(4))
-            pos = m.end()
+        for m in _TOKEN.finditer(text):
+            group = m.lastindex  # the one group that matched
+            val, pos = m.group(group), m.start(group)
+            if group == 4:
+                raise PolynomialSyntaxError(f"unexpected character {val!r}", pos)
+            if group < 3:
+                check_digits(val, pos)
+            self.tokens.append((_TOKEN_KINDS[group], val, pos))
         self.i = 0
         self.depth = 0
 
@@ -176,41 +229,51 @@ class _Parser:
         if kind != "op" or val != op:
             raise PolynomialSyntaxError(f"expected {op!r}", pos)
 
-    def parse(self) -> Polynomial:
-        p = self.expr()
+    def parse(self) -> Tree:
+        tree = self.expr()
         kind, val, pos = self.peek()
         if kind is not None:
             raise PolynomialSyntaxError(f"unexpected token {val!r}", pos)
-        return p
+        return tree
 
-    def expr(self) -> Polynomial:
-        # every term is summed into one dict, validated once at the end
-        terms: Terms = {}
+    def expr(self) -> Tree:
+        terms: list[tuple[bool, Tree]] = []
         kind, val, _ = self.peek()
-        sign = "+"
+        negative = False
         if kind == "op" and val in "+-":
             self.take()
-            sign = val
+            negative = val == "-"
         while True:
-            for e, c in self.term().terms:
-                terms[e] = terms.get(e, 0) + (c if sign == "+" else -c)
+            terms.append((negative, self.term()))
             kind, val, _ = self.peek()
             if kind != "op" or val not in "+-":
-                return polynomial(self.dim, terms)
+                break
             self.take()
-            sign = val
+            negative = val == "-"
+        if len(terms) == 1 and not negative:
+            return terms[0][1]
+        if len(terms) == 1 and not isinstance(terms[0][1], Polynomial):
+            return Product((_const(self.dim, Fraction(-1)), terms[0][1]))  # a sign cancels nothing
+        return _add(self.dim, [(negative, expand(t)) for negative, t in terms])
 
-    def term(self) -> Polynomial:
-        p = self.factor()
+    def term(self) -> Tree:
+        factors = [self.factor()]
         while True:
             kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                p = poly_mul(p, self.factor())
+            if kind != "op" or val != "*":
+                return factors[0] if len(factors) == 1 else Product(tuple(factors))
+            self.take()
+            q = self.factor()
+            p = factors[-1]
+            if _monomial(p) and _monomial(q):
+                e_c = [(tuple(map(operator.add, e1, e2)), c1 * c2) for e1, c1 in p.terms for e2, c2 in q.terms]
+                factors[-1] = Polynomial(self.dim, tuple(e_c))
+            elif self.multiply_out:
+                factors[-1] = poly_mul(p, q)
             else:
-                return p
+                factors.append(q)
 
-    def factor(self) -> Polynomial:
+    def factor(self) -> Tree:
         p = self.base()
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
@@ -218,10 +281,13 @@ class _Parser:
             kind, val, pos = self.take()
             if kind != "int":
                 raise NegativeExponent("exponent must be a nonnegative integer", pos)
-            p = poly_pow(p, int(val))
+            k = int(val)
+            if self.multiply_out or _monomial(p) and _power_fits(p, k):
+                return poly_pow(p, k)
+            return Power(p, k)
         return p
 
-    def base(self) -> Polynomial:
+    def base(self) -> Tree:
         kind, val, pos = self.take()
         if kind == "int":
             num = int(val)
@@ -253,10 +319,37 @@ class _Parser:
         raise PolynomialSyntaxError(f"unexpected token {val!r}", pos)
 
 
-def parse_polynomial(text: str, dim: int) -> Polynomial:
+def _monomial(tree: Tree) -> bool:
+    """Whether the tree is a polynomial of at most one term."""
+    return isinstance(tree, Polynomial) and len(tree.terms) <= 1
+
+
+def _parse(text: str, dim: int, multiply_out: bool) -> Tree:
     if not 1 <= dim <= MAX_DIM:
         raise DimensionMismatch(f"dimension must be between 1 and {MAX_DIM}, got {dim}")
-    return _Parser(text, dim).parse()
+    return _Parser(text, dim, multiply_out).parse()
+
+
+def parse_tree(text: str, dim: int) -> Tree:
+    """The expression tree of the text: products and powers are kept, sums multiplied out."""
+    return _parse(text, dim, False)
+
+
+def parse_polynomial(text: str, dim: int) -> Polynomial:
+    """The polynomial of the text, ``expand(parse_tree(text, dim))`` wherever that answers."""
+    return _parse(text, dim, True)
+
+
+def expand(tree: Tree) -> Polynomial:
+    """The polynomial of the tree, multiplied out under the budgets of the ring operations."""
+    if isinstance(tree, Polynomial):
+        return tree
+    if isinstance(tree, Power):
+        return poly_pow(expand(tree.base), tree.k)
+    p = expand(tree.factors[0])
+    for f in tree.factors[1:]:
+        p = poly_mul(p, expand(f))
+    return p
 
 
 def serialize_polynomial(p: Polynomial) -> str:
@@ -289,6 +382,22 @@ def _const(dim: int, c: Fraction) -> Polynomial:
     return Polynomial(dim, (((0,) * dim, c),) if c else ())
 
 
+def _add(dim: int, terms) -> Polynomial:
+    """The sum of the (negated, polynomial) terms, summed into one dict."""
+    sums: Terms = {}
+    for negative, p in terms:
+        for e, c in p.terms:
+            sums[e] = sums.get(e, 0) + (-c if negative else c)
+    return Polynomial(dim, tuple(sorted((e, c) for e, c in sums.items() if c)))
+
+
+def _check_pairs(pairs: int) -> None:
+    if pairs > MAX_TERM_PAIRS:
+        raise UnsupportedDimension(
+            f"product of {pairs} term pairs exceeds the budget of {MAX_TERM_PAIRS}"
+        )
+
+
 def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
     if p.dim != q.dim:
         raise DimensionMismatch(f"{p.dim} != {q.dim}")
@@ -307,11 +416,7 @@ def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
     """
     if p.dim != q.dim:
         raise DimensionMismatch(f"{p.dim} != {q.dim}")
-    pairs = len(p.terms) * len(q.terms)
-    if pairs > MAX_TERM_PAIRS:
-        raise UnsupportedDimension(
-            f"product of {pairs} term pairs exceeds the budget of {MAX_TERM_PAIRS}"
-        )
+    _check_pairs(len(p.terms) * len(q.terms))
     dp, nums_p = integral([c for _, c in p.terms])
     dq, nums_q = integral([c for _, c in q.terms])
     right = [(e, c) for (e, _), c in zip(q.terms, nums_q)]
@@ -331,13 +436,12 @@ def poly_pow(p: Polynomial, k: int) -> Polynomial:
     """
     if k < 0:
         raise NegativeExponent("exponent must be nonnegative", 0)
-    if k > 1 and k * _size(p) > MAX_EXPONENT:
+    if not _power_fits(p, k):
         raise UnsupportedDimension(
             f"exponent times base size {_size(p)} exceeds the budget of {MAX_EXPONENT}"
         )
-    if len(p.terms) == 1:
-        ((e, c),) = p.terms
-        return Polynomial(p.dim, ((tuple(k * x for x in e), c**k),))
+    if len(p.terms) == 1 or not p.terms and k:  # and 0^k = 0 for k > 0
+        return Polynomial(p.dim, tuple((tuple(k * x for x in e), c**k) for e, c in p.terms))
     result = _const(p.dim, Fraction(1))
     while k:  # square and multiply: p^k from the binary digits of k
         if k & 1:
@@ -384,6 +488,46 @@ def diagram_of_input(u: SingularityInput) -> Diagram:
     return canonicalize(u.dim, {e for p in u.polys for e, _ in p.terms})
 
 
+def newton_support(tree: Tree, dim: int) -> list[Exponent]:
+    """Exponents with the diagram of ``expand(tree)``, none for the zero polynomial.
+
+    The parser has multiplied out every sum, whose terms can cancel.  A
+    vertex coefficient of a product is the product of the factors' vertex
+    coefficients, so it never cancels (Ostrowski 1921; see Gelfand,
+    Kapranov, Zelevinsky, Discriminants, ch. 6): the diagram of p*q is the
+    Minkowski sum of those of p and q, and that of p^k is k times that of
+    p.  So a power scales its base's points, p^0 is the origin, and a
+    product adds the points of its factors pairwise, after
+    ``canonicalize`` has cut both to their vertices.  Vertex pairs count
+    against MAX_TERM_PAIRS: a factor has no more vertices than terms, so
+    a product that ``expand`` multiplies out passes.  A power whose
+    exponents would exceed MAX_DIGITS digits raises ``UnsupportedDimension``.
+    """
+    if isinstance(tree, Polynomial):
+        return [e for e, _ in tree.terms]
+    if isinstance(tree, Power):
+        if tree.k == 0:
+            return [(0,) * dim]
+        points = [tuple(tree.k * x for x in e) for e in newton_support(tree.base, dim)]
+        if any(x >= _LONG_EXPONENT for p in points for x in p):
+            raise UnsupportedDimension(f"a power has an exponent of over {MAX_DIGITS} digits")
+        return points
+    points = newton_support(tree.factors[0], dim)
+    for f in tree.factors[1:]:
+        if not points:
+            break
+        other = newton_support(f, dim)
+        if len(points) > 1 and len(other) > 1:
+            points, other = _vertices(dim, points), _vertices(dim, other)
+            _check_pairs(len(points) * len(other))
+        points = [tuple(map(operator.add, p, q)) for p in points for q in other]
+    return points
+
+
+def _vertices(dim: int, points: list[Exponent]) -> list[Exponent]:
+    return [tuple(map(int, v)) for v in canonicalize(dim, points).generators]
+
+
 def index_of(p: Polynomial, a) -> Fraction:
     """Monomial valuation min{<a, J> : c_J != 0} for a strictly positive weight."""
     a = weight(a)
@@ -401,13 +545,36 @@ def input_to_json(u: SingularityInput) -> dict:
     return {"dim": u.dim, "polys": [serialize_polynomial(p) for p in u.polys]}
 
 
-def input_from_json(obj: dict) -> SingularityInput:
+def _read_input(obj: dict, parse) -> tuple[int, list]:
     if not isinstance(obj, dict) or "dim" not in obj or "polys" not in obj:
         raise EmptyInput("singularity JSON must have 'dim' and 'polys'")
     dim = obj["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise DimensionMismatch("'dim' must be an integer")
-    return singularity_input(dim, [parse_polynomial(t, dim) for t in obj["polys"]])
+    return dim, [parse(t, dim) for t in obj["polys"]]
+
+
+def input_from_json(obj: dict) -> SingularityInput:
+    """A singularity input, every polynomial multiplied out (``parse_polynomial``)."""
+    return singularity_input(*_read_input(obj, parse_polynomial))
+
+
+def diagram_from_input_json(obj: dict) -> Diagram:
+    """The diagram of a singularity input, read off ``newton_support`` without expanding.
+
+    The same diagram and errors as ``diagram_of_input(input_from_json(obj))``
+    wherever that answers; its budgets on products and powers do not apply.
+    """
+    dim, trees = _read_input(obj, parse_tree)
+    if not trees:
+        raise EmptyInput("at least one polynomial is required")
+    points: set[Exponent] = set()
+    for tree in trees:
+        support = newton_support(tree, dim)
+        if not support:
+            raise ZeroPolynomial("input polynomials must be nonzero")
+        points.update(support)
+    return canonicalize(dim, points)
 
 
 def matrix_from_json(obj, dim: int):

@@ -123,9 +123,17 @@ def _cone_facets(gens: list[tuple[Fraction, ...]]) -> list[tuple[list[Fraction],
                     ray = [vals[i] * y - vals[j] * x for x, y in zip(rays[i][0], rays[j][0])]
                     cut.append((reduced(ray), common | (1 << k)))
         rays = cut
-    return [
-        ([Fraction(x) for x in r], [i for i in range(len(gens)) if z >> i & 1]) for r, z in rays
-    ]
+    return [([Fraction(x) for x in r], _set_bits(z)) for r, z in rays]
+
+
+def _set_bits(z: int) -> list[int]:
+    """The indices of the set bits of z in ascending order, one step per set bit."""
+    bits = []
+    while z:
+        low = z & -z
+        bits.append(low.bit_length() - 1)
+        z ^= low
+    return bits
 
 
 def diagram_facets(g: Diagram) -> list[Facet]:

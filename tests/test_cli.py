@@ -49,6 +49,21 @@ def chain(n):
     return {"dim": 2, "generators": [[str(i), str((n - i) ** 2)] for i in range(n + 1)]}
 
 
+def convex_chain(m):
+    """m + 1 lattice points, each a vertex of the 2-D diagram they span, with coordinates under 7,000."""
+    steps = sorted(
+        ((a, b) for a in range(1, 42) for b in range(1, 42) if math.gcd(a, b) == 1),
+        key=lambda s: (s[0] + s[1], s),
+    )[:m]
+    steps.sort(key=lambda s: s[1] / s[0], reverse=True)  # steepest first: a convex chain
+    x, y = 0, sum(b for _, b in steps)
+    points = [(x, y)]
+    for a, b in steps:
+        x, y = x + a, y - b
+        points.append((x, y))
+    return points
+
+
 # each command with a payload it answers; the keys that hold a diagram or
 # an input are the ones every command reads through diagram_from_json or
 # input_from_json
@@ -291,19 +306,19 @@ class TestExecute:
         "command,payload,budget",
         [
             # C(45, 5) terms; squaring the 1287 terms of p^8 takes 1.7 million pairs
-            ("diagram", {"input": {"dim": 6, "polys": ["(z1+z2+z3+z4+z5+z6)^40"]}}, "term pairs"),
+            ("classify", {"input": {"dim": 6, "polys": ["(z1+z2+z3+z4+z5+z6)^40"]}}, "term pairs"),
             # squaring the 561 terms of p^32 takes 314,721 pairs
-            ("diagram", {"input": {"dim": 3, "polys": ["(z1+z2+z3)^80"]}}, "term pairs"),
+            ("classify", {"input": {"dim": 3, "polys": ["(z1+z2+z3)^80"]}}, "term pairs"),
             # 400 points on a sphere build 800 facets, then 19,600 points
             # above them all cost one sign test per facet each: 7 s of
             # search if only the ray pairs counted
             ("newton-number", {"diagram": {"dim": 3, "generators": sphere_then_dominated()}}, "ray tests"),
             # the coefficient 2^(10^30) would never finish
-            ("diagram", {"input": {"dim": 1, "polys": ["(2*z1)^1000000000000000000000000000000"]}}, "base size"),
-            ("diagram", {"input": {"dim": 1, "polys": ["z1^" + "1" * 4000]}}, "base size"),
+            ("classify", {"input": {"dim": 1, "polys": ["(2*z1)^1000000000000000000000000000000"]}}, "base size"),
+            ("classify", {"input": {"dim": 1, "polys": ["z1^" + "1" * 4000]}}, "base size"),
             # nested powers multiply exponents: z1^(10^9) with coefficient 2^(10^9)
-            ("diagram", {"input": {"dim": 1, "polys": ["(((2*z1)^1000)^1000)^1000"]}}, "base size"),
-            ("diagram", {"input": {"dim": 1, "polys": ["(((2^1000)^1000)^1000)*z1"]}}, "base size"),
+            ("classify", {"input": {"dim": 1, "polys": ["(((2*z1)^1000)^1000)^1000"]}}, "base size"),
+            ("classify", {"input": {"dim": 1, "polys": ["(((2^1000)^1000)^1000)*z1"]}}, "base size"),
         ],
     )
     def test_expansion_and_dominance_budgets_exit_3(self, command, payload, budget):
@@ -312,6 +327,58 @@ class TestExecute:
         assert time.perf_counter() - start < 5
         assert code == EXIT_SEMANTIC
         assert budget in result["error"] and "budget" in result["error"]
+
+    @pytest.mark.parametrize(
+        "dim,text,generators",
+        [
+            (2, "(z1+z2)^1000", [["0", "1000"], ["1000", "0"]]),
+            (6, "(z1+z2+z3+z4+z5+z6)^40", [["40" if j == 5 - k else "0" for j in range(6)] for k in range(6)]),
+            (3, "(z1+z2+z3)^80", [["0", "0", "80"], ["0", "80", "0"], ["80", "0", "0"]]),
+            (1, "(2*z1)^1000000000000000000000000000000", [[str(10**30)]]),
+            (1, "z1^" + "1" * 4000, [["1" * 4000]]),
+            (1, "(((2*z1)^1000)^1000)^1000", [[str(10**9)]]),
+            (1, "(((2^1000)^1000)^1000)*z1", [["1"]]),
+            (1, f"z1^{MAX_EXPONENT + 1}", [[str(MAX_EXPONENT + 1)]]),
+            (1, f"(z1^2 + 1)^{MAX_EXPONENT // 2 + 1}", [["0"]]),
+            (2, "(z1 + z2^2)^6000 * (z1^3 + z2)^4000 * z1*z2", [["1", "16001"], ["6001", "4001"], ["18001", "1"]]),
+        ],
+    )
+    def test_diagram_past_the_expansion_budgets(self, dim, text, generators):
+        # diagram multiplies out no product or power, so the budgets that
+        # refuse these in classify do not apply (see the test above)
+        payload = {"input": {"dim": dim, "polys": [text]}, "weight": ["1"] * dim}
+        answers = {}
+        for command in ("diagram", "lelong"):
+            start = time.perf_counter()
+            answers[command], code = execute(command, payload)
+            assert time.perf_counter() - start < 0.1, command
+            assert code == EXIT_OK, command
+        assert answers["diagram"]["diagram"] == {"dim": dim, "generators": generators}
+        assert answers["lelong"]["lelong"] == str(min(sum(map(int, g)) for g in generators))
+        assert execute("classify", payload)[1] == EXIT_SEMANTIC
+
+    def test_computed_exponent_limit_exit_3(self):
+        # an exponent written out has at most MAX_DIGITS digits, and so has
+        # one a power computes: nested, the powers below would reach
+        # 430,000 digits and 20 s of facet search
+        k = "9" * MAX_DIGITS
+        result, code = execute("diagram", {"input": {"dim": 3, "polys": [f"(z1+z2+z3)^{k}"]}})
+        assert (code, result["diagram"]["generators"][0]) == (EXIT_OK, ["0", "0", k])
+        text = "(" * 100 + "z1+z2+z3" + f")^{k}" * 100
+        start = time.perf_counter()
+        result, code = execute("diagram", {"input": {"dim": 3, "polys": [text]}})
+        assert time.perf_counter() - start < 1
+        assert (code, result["error"]) == (EXIT_SEMANTIC, f"a power has an exponent of over {MAX_DIGITS} digits")
+
+    def test_product_of_vertex_sets_budget_exit_3(self):
+        # two factors of 501 vertices each: 251,001 vertex pairs, as many
+        # term pairs as multiplying them out takes
+        factor = " + ".join(f"z1^{x}*z2^{y}" for x, y in convex_chain(500))
+        for command in ("diagram", "classify"):
+            result, code = execute(command, {"input": {"dim": 2, "polys": [f"({factor})*({factor})"]}})
+            assert (code, result["error"]) == (
+                EXIT_SEMANTIC, "product of 251001 term pairs exceeds the budget of 250000"
+            ), command
 
     def test_substituted_power_budget_exit_3(self):
         # c^10000 for a c of 4,001 digits: over a minute of squaring if the
@@ -346,7 +413,7 @@ class TestExecute:
             # a first power grows nothing
             (f"(z1^{MAX_EXPONENT // 2} * z1^{MAX_EXPONENT // 2 + 1})^1", EXIT_OK),
         ]:
-            assert execute("diagram", {"input": {"dim": 1, "polys": [text]}})[1] == code, text
+            assert execute("classify", {"input": {"dim": 1, "polys": [text]}})[1] == code, text
 
     @pytest.mark.parametrize(
         "command,payload,position",

@@ -6,12 +6,15 @@ import pytest
 from pshdiag import (
     canonicalize,
     diagram_of_input,
+    diagram_to_json,
+    expand,
     index_of,
     input_from_json,
     input_to_json,
     lelong_directional,
     minkowski_sum,
     parse_polynomial,
+    parse_tree,
     poly_add,
     poly_mul,
     poly_pow,
@@ -21,10 +24,13 @@ from pshdiag import (
     substitute_linear,
     support_of,
 )
+from pshdiag import polynomials
+from pshdiag.cli import EXIT_INPUT, EXIT_OK, execute
 from pshdiag.errors import (
     DimensionMismatch,
     NegativeExponent,
     PolynomialSyntaxError,
+    PshDiagError,
     SingularMatrix,
     UnknownVariable,
     UnsupportedDimension,
@@ -257,3 +263,124 @@ class TestSerialization:
     def test_input_json_round_trip(self):
         u = singularity_input(2, [P("z1^3"), P("z1^2 + z1*z2")])
         assert input_from_json(input_to_json(u)) == u
+
+
+def random_text(rng, dim, depth):
+    """A random expression: sums that cancel, zero factors, zeroth and nested powers."""
+    def var():
+        return f"z{rng.randint(1, dim)}"
+
+    def sub():
+        return random_text(rng, dim, depth - 1)
+
+    if depth == 0:
+        return rng.choice(["1/2", var(), f"3*{var()}^{rng.randint(2, 4)}*{var()}", f"({var()} - 2*{var()}^2)"])
+    shape = rng.randrange(8)
+    if shape == 0:
+        return f"({sub()} {rng.choice('+-')} {sub()})"
+    if shape == 1:  # terms that cancel, with or without a remainder
+        x = sub()
+        return f"(({x}) - ({x}){rng.choice(['', ' + ' + sub()])})"
+    if shape == 2:
+        return "*".join(sub() for _ in range(rng.randint(2, 3)))
+    if shape == 3:
+        return f"({sub()})^{rng.choice([0, 1, 2, 3])}"
+    if shape == 4:  # a nested power
+        return f"(({sub()})^{rng.randint(0, 2)})^{rng.randint(2, 3)}"
+    if shape == 5:  # a zero factor
+        return f"{rng.choice(['0', f'({var()} - {var()})'])}*{sub()}"
+    if shape == 6:
+        return f"-({sub()})"
+    return f"{sub()} + {sub()}"
+
+
+def test_support_reading_matches_expansion():
+    # diagram and lelong read supports only; wherever the expansion answers
+    # they must give the canonical union of the expanded supports, and
+    # wherever it refuses the input (exit 2) the same error
+    rng = random.Random(46)
+    answered = refused = 0
+    for _ in range(500):
+        dim = rng.randint(1, 4)
+        texts = [random_text(rng, dim, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        weight = [str(rng.randint(1, 5)) for _ in range(dim)]
+        u = {"dim": dim, "polys": texts}
+        try:
+            polys = [parse_polynomial(t, dim) for t in texts]
+            for t, p in zip(texts, polys):
+                assert expand(parse_tree(t, dim)) == p, t
+            singularity_input(dim, polys)
+        except UnsupportedDimension:
+            continue  # a budget of the expansion, which the support reading may pass
+        except PshDiagError as exc:
+            expected = [({"error": str(exc)}, EXIT_INPUT)] * 2
+            refused += 1
+        else:
+            g = canonicalize(dim, set().union(*map(support_of, polys)))
+            expected = [
+                ({"diagram": diagram_to_json(g)}, EXIT_OK),
+                ({"lelong": str(lelong_directional(g, weight))}, EXIT_OK),
+            ]
+            answered += 1
+        got = [execute("diagram", {"input": u}), execute("lelong", {"input": u, "weight": weight})]
+        assert got == expected, texts
+    assert answered > 150 and refused > 100
+
+
+def with_each_text_command(text, dim):
+    """execute's answer for the one-polynomial input text, from each command that parses it."""
+    u = {"dim": dim, "polys": [text]}
+    identity = [[str(int(i == j)) for j in range(dim)] for i in range(dim)]
+    return {
+        "diagram": execute("diagram", {"input": u}),
+        "lelong": execute("lelong", {"input": u, "weight": ["1"] * dim}),
+        "classify": execute("classify", {"input": u}),
+        "substitute": execute("substitute", {"input": u, "matrix": identity}),
+    }
+
+
+@pytest.mark.parametrize(
+    "text,dim,error",
+    [
+        ("z1 + + z2", 2, "unexpected token '+' (at position 5)"),
+        ("z1 +* z2", 2, "unexpected token '*' (at position 4)"),
+        ("(z1 + z2", 2, "expected ')' (at position 8)"),
+        ("z1 + z2)", 2, "unexpected token ')' (at position 7)"),
+        ("z3", 2, "variable z3 out of range for dimension 2 (at position 0)"),
+        ("z1^z2", 2, "exponent must be a nonnegative integer (at position 3)"),
+        ("(" * 101 + "z1" + ")" * 101, 1, "parentheses nested deeper than 100 (at position 100)"),
+        ("z1 + 2*" + "7" * 5000, 1, "number with 5000 digits exceeds the limit of 4300 digits (at position 7)"),
+    ],
+)
+def test_malformed_text_errors(text, dim, error):
+    for command, answer in with_each_text_command(text, dim).items():
+        assert answer == ({"error": error}, EXIT_INPUT), command
+
+
+def test_budget_error_before_a_later_syntax_error():
+    # classify and substitute multiply out as they read, so the power's
+    # budget speaks first; diagram and lelong read the whole text first
+    answers = with_each_text_command("(z1 + z2)^20000 +", 2)
+    for command in ("classify", "substitute"):
+        assert answers[command] == ({"error": "exponent times base size 1 exceeds the budget of 10000"}, 3)
+    for command in ("diagram", "lelong"):
+        assert answers[command] == ({"error": "unexpected token None (at position 17)"}, EXIT_INPUT)
+
+
+def test_diagram_multiplies_out_only_sums(monkeypatch):
+    calls = []
+    for name in ("poly_mul", "poly_pow"):
+        real = getattr(polynomials, name)
+        monkeypatch.setattr(polynomials, name, lambda *a, real=real: calls.append(a) or real(*a))
+    for text, sums in [
+        ("(2/3*z1 + 5/4*z2)^29", ["2/3*z1 + 5/4*z2"]),
+        ("(z1+z2)^3*(z1+2*z2^2)^5", ["z1+z2", "z1+2*z2^2"]),
+    ]:
+        del calls[:]
+        for s in sums:
+            parse_tree(s, 2)
+        own = len(calls)  # the power z2^2 inside a sum
+        del calls[:]
+        assert execute("diagram", {"input": {"dim": 2, "polys": [text]}})[1] == EXIT_OK
+        assert len(calls) == own, text
+        assert all(len(p.terms) == 1 for p, *_ in calls), text
