@@ -14,13 +14,14 @@ or variable index has at most ``diagram.MAX_DIGITS`` digits.
 
 The parser builds an expression tree (``Tree``): products and powers
 over polynomials.  It multiplies out every sum as it reads, because its
-terms can cancel, and every product or power of one term.  The tree is
-read two ways:
+terms can cancel, and every product or power of one term.  The tree has
+two readers:
 
-- ``parse_polynomial`` multiplies every product and power out too, as it
-  reads, under the budgets MAX_TERM_PAIRS and MAX_EXPONENT.  The
-  ``classify`` and ``substitute`` commands use it, since their answers
-  echo or transform the expanded polynomials.
+- ``expand`` multiplies every product and power out, under the budgets
+  MAX_TERM_PAIRS and MAX_EXPONENT; ``parse_polynomial`` is
+  ``expand(parse_tree(...))``.  The ``classify`` and ``substitute``
+  commands use it, since their answers echo or transform the expanded
+  polynomials.
 - ``newton_support`` reads only the support: a product adds its factors'
   vertices and a power scales its base's.  The ``diagram`` and ``lelong``
   commands use it through ``diagram_from_input_json``, so their budgets
@@ -90,10 +91,6 @@ def polynomial(dim: int, terms: Terms) -> Polynomial:
         if any(k < 0 for k in e):
             raise NegativeExponent(f"negative exponent in {e}", 0)
     return Polynomial(dim, tuple(sorted(clean.items())))
-
-
-def zero(dim: int) -> Polynomial:
-    return Polynomial(dim, ())
 
 
 @dataclass(frozen=True)
@@ -193,17 +190,11 @@ def _power_fits(p: Polynomial, k: int) -> bool:
 
 
 class _Parser:
-    """The grammar above, read into an expression tree (see ``Tree``).
+    """The grammar above, read into an expression tree (see ``Tree``)."""
 
-    With ``multiply_out`` every product and power is multiplied out as it
-    is read, so the tree is one Polynomial, and a budget error comes
-    before any syntax error later in the text.
-    """
-
-    def __init__(self, text: str, dim: int, multiply_out: bool):
+    def __init__(self, text: str, dim: int):
         self.text = text
         self.dim = dim
-        self.multiply_out = multiply_out
         self.tokens: list[tuple[str, str, int]] = []
         for m in _TOKEN.finditer(text):
             group = m.lastindex  # the one group that matched
@@ -268,8 +259,6 @@ class _Parser:
             if _monomial(p) and _monomial(q):
                 e_c = [(tuple(map(operator.add, e1, e2)), c1 * c2) for e1, c1 in p.terms for e2, c2 in q.terms]
                 factors[-1] = Polynomial(self.dim, tuple(e_c))
-            elif self.multiply_out:
-                factors[-1] = poly_mul(p, q)
             else:
                 factors.append(q)
 
@@ -282,7 +271,7 @@ class _Parser:
             if kind != "int":
                 raise NegativeExponent("exponent must be a nonnegative integer", pos)
             k = int(val)
-            if self.multiply_out or _monomial(p) and _power_fits(p, k):
+            if _monomial(p) and _power_fits(p, k):
                 return poly_pow(p, k)
             return Power(p, k)
         return p
@@ -324,20 +313,16 @@ def _monomial(tree: Tree) -> bool:
     return isinstance(tree, Polynomial) and len(tree.terms) <= 1
 
 
-def _parse(text: str, dim: int, multiply_out: bool) -> Tree:
-    if not 1 <= dim <= MAX_DIM:
-        raise DimensionMismatch(f"dimension must be between 1 and {MAX_DIM}, got {dim}")
-    return _Parser(text, dim, multiply_out).parse()
-
-
 def parse_tree(text: str, dim: int) -> Tree:
     """The expression tree of the text: products and powers are kept, sums multiplied out."""
-    return _parse(text, dim, False)
+    if not 1 <= dim <= MAX_DIM:
+        raise DimensionMismatch(f"dimension must be between 1 and {MAX_DIM}, got {dim}")
+    return _Parser(text, dim).parse()
 
 
 def parse_polynomial(text: str, dim: int) -> Polynomial:
-    """The polynomial of the text, ``expand(parse_tree(text, dim))`` wherever that answers."""
-    return _parse(text, dim, True)
+    """The polynomial of the text, every product and power multiplied out."""
+    return expand(parse_tree(text, dim))
 
 
 def expand(tree: Tree) -> Polynomial:
@@ -401,10 +386,7 @@ def _check_pairs(pairs: int) -> None:
 def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
     if p.dim != q.dim:
         raise DimensionMismatch(f"{p.dim} != {q.dim}")
-    terms = p.as_dict()
-    for e, c in q.terms:
-        terms[e] = terms.get(e, Fraction(0)) + c
-    return polynomial(p.dim, terms)
+    return _add(p.dim, [(False, p), (False, q)])
 
 
 def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -464,14 +446,14 @@ def substitute_linear(p: Polynomial, m) -> Polynomial:
         polynomial(n, {tuple(int(i == j) for i in range(n)): rows[v][j] for j in range(n)})
         for v in range(n)
     ]
-    result = zero(n)
+    terms = []
     for e, c in p.terms:
         term = _const(n, c)
         for v, k in enumerate(e):
             if k:
                 term = poly_mul(term, poly_pow(linear[v], k))
-        result = poly_add(result, term)
-    return result
+        terms.append((False, term))
+    return _add(n, terms)
 
 
 # --- Newton data -----------------------------------------------------------
@@ -545,18 +527,19 @@ def input_to_json(u: SingularityInput) -> dict:
     return {"dim": u.dim, "polys": [serialize_polynomial(p) for p in u.polys]}
 
 
-def _read_input(obj: dict, parse) -> tuple[int, list]:
+def _read_input(obj: dict) -> tuple[int, list[Tree]]:
     if not isinstance(obj, dict) or "dim" not in obj or "polys" not in obj:
         raise EmptyInput("singularity JSON must have 'dim' and 'polys'")
     dim = obj["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise DimensionMismatch("'dim' must be an integer")
-    return dim, [parse(t, dim) for t in obj["polys"]]
+    return dim, [parse_tree(t, dim) for t in obj["polys"]]
 
 
 def input_from_json(obj: dict) -> SingularityInput:
-    """A singularity input, every polynomial multiplied out (``parse_polynomial``)."""
-    return singularity_input(*_read_input(obj, parse_polynomial))
+    """A singularity input, every polynomial multiplied out (``expand``)."""
+    dim, trees = _read_input(obj)
+    return singularity_input(dim, map(expand, trees))
 
 
 def diagram_from_input_json(obj: dict) -> Diagram:
@@ -565,7 +548,7 @@ def diagram_from_input_json(obj: dict) -> Diagram:
     The same diagram and errors as ``diagram_of_input(input_from_json(obj))``
     wherever that answers; its budgets on products and powers do not apply.
     """
-    dim, trees = _read_input(obj, parse_tree)
+    dim, trees = _read_input(obj)
     if not trees:
         raise EmptyInput("at least one polynomial is required")
     points: set[Exponent] = set()

@@ -785,19 +785,28 @@ class TestMainEntry:
         assert run_cli(capsys, "newton-number", path) == (0, as_json)
 
 
-def test_optimized_interpreter_gives_same_bytes():
-    # behaviour must not rest on assert statements, which -O strips
+def test_optimized_interpreter_gives_same_bytes(tmp_path):
+    # behaviour must not rest on assert statements, which -O strips; the
+    # second manifest expands a product of a power and a sum
+    product = {"dim": 2, "polys": ["(z1 + z2)^3 * (z1 + 2*z2)"]}
+    expanding = tmp_path / "manifest.json"
+    expanding.write_text(json.dumps({"requests": [
+        {"id": "classify-product", "command": "classify", "payload": {"input": product}},
+        {"id": "substitute-product", "command": "substitute",
+         "payload": {"input": product, "matrix": [["1", "0"], ["-1", "1"]]}},
+    ]}))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    runs = [
-        subprocess.run(
-            [sys.executable, *flags, "-m", "pshdiag.cli", "batch", str(FIXTURES / "manifest.json")],
-            capture_output=True, env=env, cwd=ROOT, timeout=300,
+    for manifest in (FIXTURES / "manifest.json", expanding):
+        runs = [
+            subprocess.run(
+                [sys.executable, *flags, "-m", "pshdiag.cli", "batch", str(manifest)],
+                capture_output=True, env=env, cwd=ROOT, timeout=300,
+            )
+            for flags in ([], ["-O"])
+        ]
+        assert runs[0].returncode == EXIT_OK
+        assert runs[0].stdout
+        assert (runs[1].returncode, runs[1].stdout, runs[1].stderr) == (
+            runs[0].returncode, runs[0].stdout, runs[0].stderr
         )
-        for flags in ([], ["-O"])
-    ]
-    assert runs[0].returncode == EXIT_OK
-    assert runs[0].stdout
-    assert (runs[1].returncode, runs[1].stdout, runs[1].stderr) == (
-        runs[0].returncode, runs[0].stdout, runs[0].stderr
-    )

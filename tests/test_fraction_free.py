@@ -244,7 +244,7 @@ def test_parsed_atoms_equal_validated_forms(dim):
         atoms[f"z{k + 1}"] = {tuple(int(i == k) for i in range(dim)): F(1)}
     for text, terms in atoms.items():
         want = polynomial(dim, terms)
-        for got in (_Parser(text, dim, True).base(), parse_polynomial(text, dim)):
+        for got in (_Parser(text, dim).base(), parse_polynomial(text, dim)):
             assert got == want, text
             assert_fraction_terms(got)
     assert _const(dim, F(0)) == polynomial(dim, {origin: F(0)})

@@ -1,4 +1,6 @@
+import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +9,6 @@ from pshdiag import (
     canonicalize,
     diagram_of_input,
     diagram_to_json,
-    expand,
     index_of,
     input_from_json,
     input_to_json,
@@ -25,7 +26,7 @@ from pshdiag import (
     support_of,
 )
 from pshdiag import polynomials
-from pshdiag.cli import EXIT_INPUT, EXIT_OK, execute
+from pshdiag.cli import EXIT_INPUT, EXIT_OK, EXIT_SEMANTIC, execute
 from pshdiag.errors import (
     DimensionMismatch,
     NegativeExponent,
@@ -38,7 +39,7 @@ from pshdiag.errors import (
 )
 from fraction_kernels import inverse
 from pshdiag.linalg import frac_rows
-from pshdiag.polynomials import MAX_EXPONENT, MAX_NESTING
+from pshdiag.polynomials import MAX_EXPONENT, MAX_NESTING, MAX_TERM_PAIRS
 
 # z1 = zeta1, z2 = zeta2 - zeta1
 SHEAR = [[1, 0], [-1, 1]]
@@ -157,6 +158,15 @@ class TestSubstitution:
     def test_singular_matrix(self):
         with pytest.raises(SingularMatrix):
             substitute_linear(P("z1"), [[1, 1], [2, 2]])
+
+    def test_linear_in_the_term_count(self, monkeypatch):
+        # the substituted terms are summed once, not re-validated per term
+        p = P(" + ".join(f"z1^{i}*z2^{2000 - i}" for i in range(2001)))
+        calls = []
+        real = polynomials.polynomial
+        monkeypatch.setattr(polynomials, "polynomial", lambda *a: calls.append(a) or real(*a))
+        assert substitute_linear(p, [[1, 0], [0, 1]]) == p
+        assert len(calls) <= p.dim
 
 
 class TestSupportAndDiagram:
@@ -294,12 +304,26 @@ def random_text(rng, dim, depth):
     return f"{sub()} + {sub()}"
 
 
+def value_of_text(text, v):
+    """The text evaluated at the point v in Fraction arithmetic, without the parser."""
+    def python(m):
+        return f"v[{int(m[1]) - 1}]" if m[1] else f"F({m[2]})" if m[2] else "**"
+
+    return eval(re.sub(r"z(\d+)|(\d+)|\^", python, text), {"F": F, "v": v})
+
+
+def value_of(p, v):
+    return sum(c * math.prod(x**k for x, k in zip(v, e)) for e, c in p.terms)
+
+
 def test_support_reading_matches_expansion():
     # diagram and lelong read supports only; wherever the expansion answers
-    # they must give the canonical union of the expanded supports, and
-    # wherever it refuses the input (exit 2) the same error
+    # it must agree with the text evaluated at seeded rational points, and
+    # diagram and lelong must give the canonical union of the expanded
+    # supports, and wherever it refuses the input (exit 2) the same error
     rng = random.Random(46)
-    answered = refused = 0
+    points = random.Random(47)
+    answered = refused = evaluated = 0
     for _ in range(500):
         dim = rng.randint(1, 4)
         texts = [random_text(rng, dim, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
@@ -308,7 +332,10 @@ def test_support_reading_matches_expansion():
         try:
             polys = [parse_polynomial(t, dim) for t in texts]
             for t, p in zip(texts, polys):
-                assert expand(parse_tree(t, dim)) == p, t
+                for _ in range(3):
+                    v = [F(points.randint(-9, 9), points.randint(1, 9)) for _ in range(dim)]
+                    assert value_of(p, v) == value_of_text(t, v), (t, v)
+                    evaluated += 1
             singularity_input(dim, polys)
         except UnsupportedDimension:
             continue  # a budget of the expansion, which the support reading may pass
@@ -324,7 +351,7 @@ def test_support_reading_matches_expansion():
             answered += 1
         got = [execute("diagram", {"input": u}), execute("lelong", {"input": u, "weight": weight})]
         assert got == expected, texts
-    assert answered > 150 and refused > 100
+    assert answered > 150 and refused > 100 and evaluated > 1000
 
 
 def with_each_text_command(text, dim):
@@ -357,14 +384,18 @@ def test_malformed_text_errors(text, dim, error):
         assert answer == ({"error": error}, EXIT_INPUT), command
 
 
-def test_budget_error_before_a_later_syntax_error():
-    # classify and substitute multiply out as they read, so the power's
-    # budget speaks first; diagram and lelong read the whole text first
-    answers = with_each_text_command("(z1 + z2)^20000 +", 2)
-    for command in ("classify", "substitute"):
-        assert answers[command] == ({"error": "exponent times base size 1 exceeds the budget of 10000"}, 3)
-    for command in ("diagram", "lelong"):
-        assert answers[command] == ({"error": "unexpected token None (at position 17)"}, EXIT_INPUT)
+def test_syntax_error_before_an_expansion_budget():
+    # every command reads the text into one tree before it multiplies out
+    # a product or power outside a sum, so a later syntax error speaks first
+    sum_501 = " + ".join(f"z1^{i}" for i in range(501))
+    for text, dim, budget in [
+        ("(z1 + z2)^20000", 2, "exponent times base size 1 exceeds the budget of 10000"),
+        (f"({sum_501})*({sum_501})", 1, f"product of {501 * 501} term pairs exceeds the budget of {MAX_TERM_PAIRS}"),
+    ]:
+        parse_error = ({"error": f"unexpected token None (at position {len(text) + 2})"}, EXIT_INPUT)
+        for command, answer in with_each_text_command(text + " +", dim).items():
+            assert answer == parse_error, (command, text)
+        assert execute("classify", {"input": {"dim": dim, "polys": [text]}}) == ({"error": budget}, EXIT_SEMANTIC)
 
 
 def test_diagram_multiplies_out_only_sums(monkeypatch):
