@@ -119,22 +119,9 @@ def cmd_indicator(payload: dict) -> dict:
     return {"indicator": dg.rational_to_json(value)}
 
 
-COMMANDS = {
-    "diagram": cmd_diagram,
-    "lelong": cmd_lelong,
-    "sum": cmd_sum,
-    "homothetic": cmd_homothetic,
-    "decompose": cmd_decompose,
-    "classify": cmd_classify,
-    "newton-number": cmd_newton_number,
-    "substitute": cmd_substitute,
-    "indicator": cmd_indicator,
-}
-
-
 def execute(command: str, payload: dict) -> tuple[dict, int]:
-    """Dispatch one request; returns (result, exit code). Never raises."""
-    handler = COMMANDS.get(command)
+    """Dispatch one request through ``COMMANDS``; returns (result, exit code). Never raises."""
+    handler = COMMANDS.get(command, (None,))[0]
     if handler is None:
         return {"error": f"unknown command {command!r}"}, EXIT_INPUT
     if not isinstance(payload, dict):
@@ -248,7 +235,7 @@ def emit(result: dict, fmt: str, command: str, output_path: str | None) -> None:
         print(text)
 
 
-# --- argument parsing -------------------------------------------------------
+# --- command table and argument parsing ------------------------------------
 
 
 def _json_int(text: str) -> int:
@@ -269,20 +256,23 @@ def _vector(text: str) -> list[str]:
     return [part.strip() for part in text.split(",")]
 
 
-# Each command's help text and arguments: a name with "--" is an option,
-# any other a positional.  ``main`` puts each argument into the payload
-# under its name without dashes, as its reader returns it.
-ARGUMENTS = {
-    "diagram": ("indicator diagram of an input", [("--input", _load_json)]),
-    "lelong": ("directional Lelong number", [("--input", _load_json), ("--weight", _vector)]),
-    "sum": ("Minkowski sum of two diagrams", [("a", _load_json), ("b", _load_json)]),
-    "homothetic": ("homothety witness A = c*B + x", [("a", _load_json), ("b", _load_json)]),
-    "decompose": ("decomposability certificate", [("diagram", _load_json)]),
-    "classify": ("extremity of a homogeneous singularity", [("--input", _load_json)]),
-    "newton-number": ("Newton number of a diagram", [("diagram", _load_json)]),
-    "substitute": ("linear change of variables", [("--input", _load_json), ("--matrix", _load_json)]),
-    "indicator": ("indicator value at t <= 0", [("diagram", _load_json), ("--t", _vector)]),
-    "batch": ("run a manifest of requests", [("manifest", _load_json)]),
+# Each command's handler, help text and arguments: an argument name with
+# "--" is an option, any other a positional, and ``main`` puts each into the
+# payload under its name without dashes, as its reader returns it.  ``main``
+# runs a batch itself, so "batch" has no handler and ``execute`` refuses it.
+COMMANDS = {
+    "diagram": (cmd_diagram, "indicator diagram of an input", [("--input", _load_json)]),
+    "lelong": (cmd_lelong, "directional Lelong number", [("--input", _load_json), ("--weight", _vector)]),
+    "sum": (cmd_sum, "Minkowski sum of two diagrams", [("a", _load_json), ("b", _load_json)]),
+    "homothetic": (cmd_homothetic, "homothety witness A = c*B + x", [("a", _load_json), ("b", _load_json)]),
+    "decompose": (cmd_decompose, "decomposability certificate", [("diagram", _load_json)]),
+    "classify": (cmd_classify, "extremity of a homogeneous singularity", [("--input", _load_json)]),
+    "newton-number": (cmd_newton_number, "Newton number of a diagram", [("diagram", _load_json)]),
+    "substitute": (
+        cmd_substitute, "linear change of variables", [("--input", _load_json), ("--matrix", _load_json)]
+    ),
+    "indicator": (cmd_indicator, "indicator value at t <= 0", [("diagram", _load_json), ("--t", _vector)]),
+    "batch": (None, "run a manifest of requests", [("manifest", _load_json)]),
 }
 
 
@@ -296,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--output", help="write the result to a file")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (text, arguments) in ARGUMENTS.items():
+    for command, (_, text, arguments) in COMMANDS.items():
         p = sub.add_parser(command, help=text)
         for name, _ in arguments:
             p.add_argument(name, **({"required": True} if name.startswith("--") else {}))
@@ -308,7 +298,7 @@ def main(argv=None) -> int:
     try:
         payload = {
             name.lstrip("-"): read(getattr(args, name.lstrip("-")))
-            for name, read in ARGUMENTS[args.command][1]
+            for name, read in COMMANDS[args.command][2]
         }
         if args.command == "batch":
             result, code = run_batch(payload["manifest"])

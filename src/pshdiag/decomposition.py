@@ -33,8 +33,17 @@ h is concave, so h(a) = min_i a.u_i is the support function of
 K1 = conv(u) + R^n_+.  The same holds for v - u and 1 - t, and the two
 support functions sum to G's, so K1 + K2 = G.  K1 = c*G + x would force
 u_i = c v_i + x and every t_e = c, so unequal scales rule out homothets
-on both sides.  A candidate that fails verification is therefore a bug,
-and raises ``VerificationFailure``.
+on both sides.
+
+The other two kinds of candidate verify as plainly.  A translation split
+{x} + (G - x) of a diagram with two or more vertices sums to G, since
+adding {x} is a translation; {x} has one vertex, so it is no homothet of
+G, and G - x = c*G + y forces c = 1 and y = -x, a negative translation.
+A point split {p_k e_k} + {p - p_k e_k} of a single vertex p off the axes
+sums to {p}, and the least ratio c of either side to p is 0 (each side
+vanishes at a coordinate where p does not), so neither is a homothet.
+So every candidate verifies: the least one is verified once, and one
+that fails is a bug and raises ``VerificationFailure`` (exit 4).
 """
 
 from __future__ import annotations
@@ -226,18 +235,16 @@ def _ordered(k1: Diagram, k2: Diagram):
     return (k1, k2) if k1.generators <= k2.generators else (k2, k1)
 
 
-def _first_verified(g: Diagram, candidates):
-    """The least candidate pair by ``_witness_key`` that passes verification.
+def _witness(g: Diagram, candidates, method: str) -> Decomposable:
+    """The least candidate pair by ``_witness_key``, once it passes verification.
 
-    The key orders distinct pairs totally, so walking the distinct pairs in
-    key order and stopping at the first verified one verifies each at most
-    once.  Returns None when no candidate verifies.
+    Every candidate verifies (see the module docstring), so one that fails
+    is a bug and raises ``VerificationFailure`` naming the method.
     """
-    distinct = {_witness_key(c): c for c in candidates}
-    for key in sorted(distinct):
-        if verify_decomposition(g, *distinct[key]):
-            return distinct[key]
-    return None
+    k1, k2 = min(candidates, key=_witness_key)
+    if not verify_decomposition(g, k1, k2):
+        raise VerificationFailure(f"{method} witness failed verification")
+    return Decomposable(k1, k2, method)
 
 
 def _single_vertex_certificate(g: Diagram) -> Certificate:
@@ -259,10 +266,7 @@ def _single_vertex_certificate(g: Diagram) -> Certificate:
         candidates.append(
             _ordered(canonicalize(n, [left]), canonicalize(n, [right]))
         )
-    best = _first_verified(g, candidates)
-    if best is None:
-        raise VerificationFailure("single-vertex split failed verification")
-    return Decomposable(best[0], best[1], "point-split")
+    return _witness(g, candidates, "point-split")
 
 
 def _is_axis_simplex(g: Diagram) -> bool:
@@ -364,22 +368,18 @@ def decide_decomposability(g: Diagram) -> Certificate:
 
 
 def _decide_general(g: Diagram) -> Certificate:
-    system = summand_system(g)
-    edge_candidates = _edge_scale_candidates(g, system)
-    best = _first_verified(g, _translation_candidates(g) + edge_candidates)
+    candidates = _translation_candidates(g) + _edge_scale_candidates(g, summand_system(g))
     method = METHOD_TWO_DIM_CHAIN if g.dim == 2 else METHOD_FACET_PAIR_LP
-    if best is not None:
-        return Decomposable(best[0], best[1], method)
-    if not edge_candidates:
-        # constant edge scales propagate along the connected graph, so any
-        # summand equals c*G + x; with no strictly positive coordinate
-        # column the translation x is nonnegative, i.e. a homothet
-        return Indecomposable(
-            method,
-            "edge scales constant over the summand polytope; "
-            "all summands are homothets",
-        )
-    raise VerificationFailure("edge scales vary but no summand pair verified")
+    if candidates:
+        return _witness(g, candidates, method)
+    # constant edge scales propagate along the connected graph, so any
+    # summand equals c*G + x; with no strictly positive coordinate column
+    # the translation x is nonnegative, i.e. a homothet
+    return Indecomposable(
+        method,
+        "edge scales constant over the summand polytope; "
+        "all summands are homothets",
+    )
 
 
 def classify_extreme(u: SingularityInput) -> ExtremityReport:

@@ -191,11 +191,17 @@ def support_value(g: Diagram, t) -> Fraction:
     return max(dot(t, gen) for gen in g.generators)
 
 
-def lelong_directional(g: Diagram, a) -> Fraction:
-    """min over generators of <a, gen>, for a strictly positive weight."""
-    a = _check_point(a, g.dim)
+def weight(coords) -> tuple[Fraction, ...]:
+    """The coordinates as `Fraction`s; ``NonpositiveWeight`` unless all are positive."""
+    a = tuple(Fraction(c) for c in coords)
     if any(c <= 0 for c in a):
         raise NonpositiveWeight(f"weight {a} must be strictly positive")
+    return a
+
+
+def lelong_directional(g: Diagram, a) -> Fraction:
+    """min over generators of <a, gen>, for a strictly positive weight."""
+    a = weight(_check_point(a, g.dim))
     return min(dot(a, gen) for gen in g.generators)
 
 
@@ -242,7 +248,7 @@ def is_homothetic_to(a: Diagram, b: Diagram) -> HomothetyWitness | None:
         pa, pb = va[0], vb[0]
         if all(c == 0 for c in pb):
             return HomothetyWitness(Fraction(1), pa)
-        ratios = [pa[k] / pb[k] for k in range(n) if pb[k] != 0]
+        ratios = [Fraction(pa[k], pb[k]) for k in range(n) if pb[k] != 0]
         c = min(ratios)
         if c <= 0:
             return None
@@ -253,7 +259,7 @@ def is_homothetic_to(a: Diagram, b: Diagram) -> HomothetyWitness | None:
     da = tuple(va[1][k] - va[0][k] for k in range(n))
     db = tuple(vb[1][k] - vb[0][k] for k in range(n))
     k0 = next(k for k in range(n) if db[k] != 0)
-    c = da[k0] / db[k0]
+    c = Fraction(da[k0], db[k0])
     if c <= 0:
         return None
     x = tuple(va[0][k] - c * vb[0][k] for k in range(n))

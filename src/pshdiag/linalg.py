@@ -21,8 +21,8 @@ def frac_rows(rows) -> Matrix:
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    a = [row[:] for row in m]
+    """Reduced row echelon form over `Fraction`, and the list of pivot columns."""
+    a = frac_rows(m)
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivots: list[int] = []

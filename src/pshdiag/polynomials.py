@@ -12,21 +12,21 @@ Grammar for the text form (whitespace insignificant)::
 A leading sign on the first term is accepted as a convenience.  A number
 or variable index has at most ``diagram.MAX_DIGITS`` digits.
 
-The parser builds an expression tree (``Tree``): products and powers
-over polynomials.  It multiplies out every sum as it reads, because its
-terms can cancel, and every product or power of one term.  The tree has
-two readers:
+The parser builds an expression tree (``Tree``): products of powers
+over polynomials, a power being a product of one factor.  It multiplies
+out every sum as it reads, because its terms can cancel, and every
+product or power of one term.  The tree has two readers:
 
-- ``expand`` multiplies every product and power out, under the budgets
+- ``expand`` multiplies every product out, under the budgets
   MAX_TERM_PAIRS and MAX_EXPONENT; ``parse_polynomial`` is
   ``expand(parse_tree(...))``.  The ``classify`` and ``substitute``
   commands use it, since their answers echo or transform the expanded
   polynomials.
-- ``newton_support`` reads only the support: a product adds its factors'
-  vertices and a power scales its base's.  The ``diagram`` and ``lelong``
-  commands use it through ``diagram_from_input_json``, so their budgets
-  are the facet search's, a product's vertex pairs and the digits of an
-  exponent, and those of the expansion only inside a sum.
+- ``newton_support`` reads only the support: a product adds the
+  vertices of its factors, each scaled by its exponent.  The ``diagram``
+  and ``lelong`` commands use it through ``diagram_from_input_json``, so
+  their budgets are the facet search's, a product's vertex pairs and the
+  digits of an exponent, and those of the expansion only inside a sum.
 
 Coefficients are `Fraction`s, but products multiply out on Python ints
 (see ``poly_mul``).  Either way a parsed sum is validated once, constants
@@ -36,6 +36,7 @@ power of one term is one term, c^k * z^(k*e), with no product at all.
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from dataclasses import dataclass
@@ -50,12 +51,12 @@ from .diagram import (
     check_printable,
     point,
     rational_from_json,
+    weight,
 )
 from .errors import (
     DimensionMismatch,
     EmptyInput,
     NegativeExponent,
-    NonpositiveWeight,
     PolynomialSyntaxError,
     SingularMatrix,
     UnknownVariable,
@@ -113,36 +114,25 @@ def singularity_input(dim: int, polys) -> SingularityInput:
     return SingularityInput(dim, polys)
 
 
-def weight(coords) -> tuple[Fraction, ...]:
-    a = tuple(Fraction(c) for c in coords)
-    if any(c <= 0 for c in a):
-        raise NonpositiveWeight(f"weight {a} must be strictly positive")
-    return a
-
-
 # --- parser ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Product:
-    """The product of two or more expression trees, in the order written."""
+    """The product of powers t^k of expression trees, as (t, k) in the order written.
 
-    factors: tuple[Tree, ...]
+    A power p^k is the product of one factor, ((p, k),); a factor of a
+    product of two or more has k = 1.
+    """
 
-
-@dataclass(frozen=True)
-class Power:
-    """An expression tree raised to a nonnegative integer power."""
-
-    base: Tree
-    k: int
+    factors: tuple[tuple[Tree, int], ...]
 
 
-# An expression tree.  A sum is multiplied out as it is read, because its
-# terms can cancel, and so is what costs nothing: a constant, a variable,
-# a product or power of one term within the power budget.  These are the
-# Polynomial leaves.
-Tree = Polynomial | Product | Power
+# An expression tree: a product of powers over Polynomial leaves.  A sum is
+# multiplied out as it is read, because its terms can cancel, and so is
+# what costs nothing: a constant, a variable, a product or power of one
+# term within the power budget.
+Tree = Polynomial | Product
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|(z\d+)|([+\-*^()/])|(\S))")
 _TOKEN_KINDS = (None, "int", "var", "op")  # by the number of the group that matched
@@ -244,7 +234,7 @@ class _Parser:
         if len(terms) == 1 and not negative:
             return terms[0][1]
         if len(terms) == 1 and not isinstance(terms[0][1], Polynomial):
-            return Product((_const(self.dim, Fraction(-1)), terms[0][1]))  # a sign cancels nothing
+            return Product(((_const(self.dim, Fraction(-1)), 1), (terms[0][1], 1)))  # a sign cancels nothing
         return _add(self.dim, [(negative, expand(t)) for negative, t in terms])
 
     def term(self) -> Tree:
@@ -252,7 +242,7 @@ class _Parser:
         while True:
             kind, val, _ = self.peek()
             if kind != "op" or val != "*":
-                return factors[0] if len(factors) == 1 else Product(tuple(factors))
+                return factors[0] if len(factors) == 1 else Product(tuple((f, 1) for f in factors))
             self.take()
             q = self.factor()
             p = factors[-1]
@@ -273,7 +263,7 @@ class _Parser:
             k = int(val)
             if _monomial(p) and _power_fits(p, k):
                 return poly_pow(p, k)
-            return Power(p, k)
+            return Product(((p, k),))
         return p
 
     def base(self) -> Tree:
@@ -314,7 +304,7 @@ def _monomial(tree: Tree) -> bool:
 
 
 def parse_tree(text: str, dim: int) -> Tree:
-    """The expression tree of the text: products and powers are kept, sums multiplied out."""
+    """The expression tree of the text: products of powers are kept, sums multiplied out."""
     if not 1 <= dim <= MAX_DIM:
         raise DimensionMismatch(f"dimension must be between 1 and {MAX_DIM}, got {dim}")
     return _Parser(text, dim).parse()
@@ -329,12 +319,7 @@ def expand(tree: Tree) -> Polynomial:
     """The polynomial of the tree, multiplied out under the budgets of the ring operations."""
     if isinstance(tree, Polynomial):
         return tree
-    if isinstance(tree, Power):
-        return poly_pow(expand(tree.base), tree.k)
-    p = expand(tree.factors[0])
-    for f in tree.factors[1:]:
-        p = poly_mul(p, expand(f))
-    return p
+    return functools.reduce(poly_mul, (poly_pow(expand(t), k) for t, k in tree.factors))
 
 
 def serialize_polynomial(p: Polynomial) -> str:
@@ -414,10 +399,13 @@ def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
 def poly_pow(p: Polynomial, k: int) -> Polynomial:
     """p^k by repeated squaring; a single term c*z^e gives c^k * z^(k*e) directly.
 
-    ``UnsupportedDimension`` past the power budget (see MAX_EXPONENT).
+    p^1 is p itself.  ``UnsupportedDimension`` past the power budget (see
+    MAX_EXPONENT).
     """
     if k < 0:
         raise NegativeExponent("exponent must be nonnegative", 0)
+    if k == 1:
+        return p
     if not _power_fits(p, k):
         raise UnsupportedDimension(
             f"exponent times base size {_size(p)} exceeds the budget of {MAX_EXPONENT}"
@@ -435,7 +423,10 @@ def poly_pow(p: Polynomial, k: int) -> Polynomial:
 
 
 def substitute_linear(p: Polynomial, m) -> Polynomial:
-    """Expand p(M*zeta): row i of M gives z_i as a linear form in zeta."""
+    """Expand p(M*zeta): row i of M gives z_i as a linear form in zeta.
+
+    Each power of a linear form is computed once, however many terms use it.
+    """
     rows = frac_rows(m)
     n = p.dim
     if len(rows) != n or any(len(r) != n for r in rows):
@@ -446,12 +437,13 @@ def substitute_linear(p: Polynomial, m) -> Polynomial:
         polynomial(n, {tuple(int(i == j) for i in range(n)): rows[v][j] for j in range(n)})
         for v in range(n)
     ]
+    power = functools.cache(lambda v, k: poly_pow(linear[v], k))
     terms = []
     for e, c in p.terms:
         term = _const(n, c)
         for v, k in enumerate(e):
             if k:
-                term = poly_mul(term, poly_pow(linear[v], k))
+                term = poly_mul(term, power(v, k))
         terms.append((False, term))
     return _add(n, terms)
 
@@ -478,8 +470,9 @@ def newton_support(tree: Tree, dim: int) -> list[Exponent]:
     coefficients, so it never cancels (Ostrowski 1921; see Gelfand,
     Kapranov, Zelevinsky, Discriminants, ch. 6): the diagram of p*q is the
     Minkowski sum of those of p and q, and that of p^k is k times that of
-    p.  So a power scales its base's points, p^0 is the origin, and a
-    product adds the points of its factors pairwise, after
+    p.  So a product starts from the origin and, factor by factor, stops
+    at a zero factor, skips t^0 without reading t, and otherwise scales
+    the points of t by k and adds them to its own pairwise, after
     ``canonicalize`` has cut both to their vertices.  Vertex pairs count
     against MAX_TERM_PAIRS: a factor has no more vertices than terms, so
     a product that ``expand`` multiplies out passes.  A power whose
@@ -487,18 +480,15 @@ def newton_support(tree: Tree, dim: int) -> list[Exponent]:
     """
     if isinstance(tree, Polynomial):
         return [e for e, _ in tree.terms]
-    if isinstance(tree, Power):
-        if tree.k == 0:
-            return [(0,) * dim]
-        points = [tuple(tree.k * x for x in e) for e in newton_support(tree.base, dim)]
-        if any(x >= _LONG_EXPONENT for p in points for x in p):
-            raise UnsupportedDimension(f"a power has an exponent of over {MAX_DIGITS} digits")
-        return points
-    points = newton_support(tree.factors[0], dim)
-    for f in tree.factors[1:]:
+    points = [(0,) * dim]
+    for t, k in tree.factors:
         if not points:
             break
-        other = newton_support(f, dim)
+        if k == 0:
+            continue
+        other = [tuple(k * x for x in e) for e in newton_support(t, dim)]
+        if any(x >= _LONG_EXPONENT for p in other for x in p):
+            raise UnsupportedDimension(f"a power has an exponent of over {MAX_DIGITS} digits")
         if len(points) > 1 and len(other) > 1:
             points, other = _vertices(dim, points), _vertices(dim, other)
             _check_pairs(len(points) * len(other))

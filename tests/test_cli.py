@@ -774,6 +774,14 @@ class TestMainEntry:
         payload = {"input": load("input_original.json"), "weight": text.split(",")}
         assert execute("lelong", payload) == (json.loads(out), EXIT_INPUT)
 
+    def test_batch_runs_only_from_main(self, capsys):
+        # "batch" is in the command table for its arguments, with no handler
+        manifest = load("manifest.json")
+        assert execute("batch", manifest) == ({"error": "unknown command 'batch'"}, EXIT_INPUT)
+        result, code = run_batch(manifest)
+        as_json = json.dumps(result, indent=2, sort_keys=True) + "\n"
+        assert run_cli(capsys, "batch", FIXTURES / "manifest.json") == (code, as_json)
+
     def test_parser_built_once(self, capsys, tmp_path):
         path = tmp_path / "g.json"
         path.write_text(json.dumps({"dim": 1, "generators": [["2"]]}))

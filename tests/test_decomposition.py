@@ -21,6 +21,7 @@ from pshdiag import (
     weighted_simplex,
 )
 from pshdiag import decomposition, exactlp
+from pshdiag.cli import EXIT_INTERNAL, execute
 from pshdiag.decomposition import _decide_general
 from pshdiag.errors import InfeasibleAssignment
 
@@ -155,8 +156,8 @@ class TestDecide:
         assert verify_decomposition(g, cert.left, cert.right)
 
     def test_three_dimensional_witness_pinned(self, monkeypatch):
-        # the least verified pair by witness key, among translations and
-        # edge-scale LP optima, with no pair verified twice
+        # the least pair by witness key, among translations and edge-scale
+        # LP optima, verified once
         verified = []
 
         def recording(g, k1, k2):
@@ -166,7 +167,7 @@ class TestDecide:
         monkeypatch.setattr(decomposition, "verify_decomposition", recording)
         g = canonicalize(3, [(1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1)])
         cert = decide_decomposability(g)
-        assert len(verified) == len(set(verified))
+        assert len(verified) == 1
         assert isinstance(cert, Decomposable)
         assert cert.method == "facet-pair-lp"
         assert cert.left == canonicalize(3, [(0, 0, 1), (0, 1, 0)])
@@ -216,6 +217,55 @@ class TestDecide:
             checked += len(candidates)
             sums += bool(candidates) and i % 2 == 0
         assert checked >= 20 and sums >= 8
+
+    def test_every_translation_and_point_split_verifies(self, monkeypatch):
+        # the module docstring's argument: a translation split of a diagram
+        # with two or more vertices, and a point split of a single vertex,
+        # always verify; every candidate the decision builds is checked
+        rng = random.Random(37)
+        built = []
+        witness = decomposition._witness
+
+        def recording(g, candidates, method):
+            built.append((g, candidates))
+            return witness(g, candidates, method)
+
+        monkeypatch.setattr(decomposition, "_witness", recording)
+        for i in range(60):
+            dim = 2 + i % 3
+            shift = [rng.randint(0, 2) for _ in range(dim)]
+            decide_decomposability(
+                canonicalize(dim, [[rng.randint(0, 3) + s for s in shift] for _ in range(1 + i % 4)])
+            )
+        translations = splits = 0
+        for g, candidates in built:
+            assert all(verify_decomposition(g, *pair) for pair in candidates), g
+            if len(g.generators) == 1:
+                splits += len(candidates)
+            else:  # the translation splits are among the candidates
+                translations += len(decomposition._translation_candidates(g))
+        assert translations >= 100 and splits >= 50
+
+    @pytest.mark.parametrize(
+        "command,payload,method",
+        [
+            # translation candidates and no edge pair: a failed check used to
+            # leave the verdict "indecomposable"
+            ("decompose", {"diagram": {"dim": 2, "generators": [[1, 2], [2, 1]]}}, "two-dim-chain"),
+            ("decompose", {"diagram": {"dim": 2, "generators": [[2, 3]]}}, "point-split"),
+            ("decompose", {"diagram": {"dim": 2, "generators": [[0, 3], [1, 1], [3, 0]]}}, "two-dim-chain"),
+            (
+                "decompose",
+                {"diagram": {"dim": 3, "generators": [[1, 1, 0], [1, 0, 1], [0, 2, 0], [0, 1, 1]]}},
+                "facet-pair-lp",
+            ),
+            ("classify", {"input": {"dim": 2, "polys": ["z1*z2^2 + z1^2*z2"]}}, "two-dim-chain"),
+        ],
+    )
+    def test_failed_verification_exits_4(self, monkeypatch, command, payload, method):
+        monkeypatch.setattr(decomposition, "verify_decomposition", lambda *pair: False)
+        error = f"internal invariant violation: {method} witness failed verification"
+        assert execute(command, payload) == ({"error": error}, EXIT_INTERNAL)
 
     def test_scale_invariance_of_verdict(self):
         rng = random.Random(24)

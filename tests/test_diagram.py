@@ -5,19 +5,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pshdiag import (
+    Diagram,
     canonicalize,
     compact_graph,
     contains,
     diagram_from_json,
     diagram_to_json,
     hull_union,
+    index_of,
     is_homothetic_to,
     lelong_directional,
     minkowski_sum,
+    parse_polynomial,
     scale,
     support_value,
     touches_all_axes,
     translate,
+    weighted_simplex,
 )
 from pshdiag.diagram import HomothetyWitness, rational_from_json
 from pshdiag.errors import (
@@ -128,6 +132,20 @@ class TestLelongDirectional:
         with pytest.raises(NonpositiveWeight):
             lelong_directional(D((1, 0), (0, 1)), (1, 0))
 
+    def test_one_weight_check(self):
+        # the Lelong number, the monomial valuation and the weighted
+        # simplex check a weight alike
+        errors = set()
+        for weighted in [
+            lambda a: lelong_directional(D((1, 0), (0, 1)), a),
+            lambda a: index_of(parse_polynomial("z1", 2), a),
+            weighted_simplex,
+        ]:
+            with pytest.raises(NonpositiveWeight) as info:
+                weighted((1, 0))
+            errors.add(str(info.value))
+        assert errors == {"weight (Fraction(1, 1), Fraction(0, 1)) must be strictly positive"}
+
     def test_dimension_check(self):
         with pytest.raises(DimensionMismatch, match="point of length 1, expected 2"):
             lelong_directional(D((1, 0), (0, 1)), (1,))
@@ -234,6 +252,16 @@ class TestHomothety:
     def test_negative_translation(self):
         # c = 1 forces x = (0, 1) - (1, 2)
         assert is_homothetic_to(D((0, 1), (1, 0)), D((1, 2), (2, 1))) is None
+
+    def test_int_coordinates_divide_exactly(self):
+        # a Diagram built directly keeps int coordinates; 1/49 is no float
+        for a, b, c in [
+            (Diagram(2, ((0, 1), (1, 0))), Diagram(2, ((0, 49), (49, 0))), F(1, 49)),
+            (Diagram(2, ((1, 7),)), Diagram(2, ((3, 49),)), F(1, 7)),
+        ]:
+            w = is_homothetic_to(a, b)
+            assert w is not None and w.c == c and type(w.c) is F
+            assert all(type(x) is F for x in w.x)
 
 
 class TestHullUnion:

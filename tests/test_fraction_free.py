@@ -236,6 +236,19 @@ def test_det_matches_fraction_kernel():
     assert linalg.det([[F(0), F(1)], [F(1), F(0)]]) == -1
 
 
+def test_int_rows_eliminate_exactly():
+    # rref divides as Fraction whatever its rows hold, so int rows give no float
+    near = [[10**17, 10**17 + 1], [10**17 + 1, 10**17 + 2]]  # det -1
+    assert linalg.rank(near) == 2
+    x = linalg.solve_unique([[3, 1], [1, 2]], [1, 1])
+    assert x == [F(1, 5), F(2, 5)] and all(type(c) is F for c in x)
+    red, pivots = linalg.rref(near)
+    assert red == [[1, 0], [0, 1]] and pivots == [0, 1]
+    assert all(type(c) is F for row in red for c in row)
+    basis = linalg.nullspace([[3, 1, 2], [6, 2, 5]])
+    assert basis == [[F(-1, 3), F(1), F(0)]] and all(type(c) is F for c in basis[0])
+
+
 @pytest.mark.parametrize("dim", [1, 3])
 def test_parsed_atoms_equal_validated_forms(dim):
     origin = (0,) * dim

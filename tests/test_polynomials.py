@@ -128,9 +128,17 @@ class TestRingOps:
         for base, k in [("2*z1", MAX_EXPONENT // 2 + 1), ("z1 + z2", MAX_EXPONENT + 1)]:
             with pytest.raises(UnsupportedDimension, match="base size"):
                 poly_pow(P(base), k)
-        # a first power grows nothing
+        # a first power grows nothing: it is the polynomial itself
         big = P(f"z1^{MAX_EXPONENT // 2} * z1^{MAX_EXPONENT // 2 + 1}")
-        assert poly_pow(big, 1) == big
+        for p in [big, P("z1 + z2"), P("0")]:
+            assert poly_pow(p, 1) is p
+
+    def test_expand_multiplies_each_factor_once(self, monkeypatch):
+        # a first power multiplies nothing, so two factors make one product
+        calls = []
+        monkeypatch.setattr(polynomials, "poly_mul", lambda *a: calls.append(a) or poly_mul(*a))
+        assert P("(z1 + z2)^1 * (z1 + z3)", 3) == P("z1^2 + z1*z3 + z1*z2 + z2*z3", 3)
+        assert len(calls) == 1
 
 
 class TestSubstitution:
@@ -167,6 +175,14 @@ class TestSubstitution:
         monkeypatch.setattr(polynomials, "polynomial", lambda *a: calls.append(a) or real(*a))
         assert substitute_linear(p, [[1, 0], [0, 1]]) == p
         assert len(calls) <= p.dim
+
+    def test_each_power_of_a_linear_form_once(self, monkeypatch):
+        # z1 -> z1 + z2 and z2 -> -z1 + 2*z2; the powers 1..12 of each form
+        p, want = P("(z1 + 2*z2 + 1)^12"), P("(z1 + z2 + 2*(-z1 + 2*z2) + 1)^12")
+        calls = []
+        monkeypatch.setattr(polynomials, "poly_pow", lambda *a: calls.append(a) or poly_pow(*a))
+        assert substitute_linear(p, [[1, 1], [-1, 2]]) == want
+        assert len(calls) == 2 * 12
 
 
 class TestSupportAndDiagram:
