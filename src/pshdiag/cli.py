@@ -103,7 +103,7 @@ def cmd_newton_number(payload: dict) -> dict:
 
 def cmd_substitute(payload: dict) -> dict:
     u = poly.input_from_json(payload.get("input"))
-    m = poly.matrix_from_json(payload.get("matrix"), u.dim)
+    m = poly.matrix_from_json(payload.get("matrix"))
     transformed = poly.singularity_input(
         u.dim, [poly.substitute_linear(p, m) for p in u.polys]
     )

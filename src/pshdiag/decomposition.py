@@ -56,7 +56,6 @@ from . import exactlp
 from .diagram import (
     Diagram,
     DiagramGraph,
-    Point,
     canonicalize,
     compact_graph,
     diagram_to_json,
@@ -247,9 +246,18 @@ def _witness(g: Diagram, candidates, method: str) -> Decomposable:
     return Decomposable(k1, k2, method)
 
 
+def _split(g: Diagram, x) -> tuple[Diagram, Diagram]:
+    """The pair {x} + (G - x), in witness order, for x <= every vertex of G.
+
+    Neither side needs ``canonicalize``: a point has one vertex, and
+    translating by -x moves each vertex of G to a vertex of G - x.
+    """
+    rest = tuple(tuple(c - xc for c, xc in zip(p, x)) for p in g.generators)
+    return _ordered(Diagram(g.dim, (tuple(x),)), Diagram(g.dim, rest))
+
+
 def _single_vertex_certificate(g: Diagram) -> Certificate:
     p = g.generators[0]
-    n = g.dim
     nz = [k for k, c in enumerate(p) if c > 0]
     if len(nz) < 2:
         # a monomial diagram on one axis (or the orthant itself) only
@@ -258,15 +266,9 @@ def _single_vertex_certificate(g: Diagram) -> Certificate:
             METHOD_SIMPLEX_FACET,
             "single vertex supported on at most one axis",
         )
-    candidates = []
-    for k in nz:
-        left = [Fraction(0)] * n
-        left[k] = p[k]
-        right = tuple(c if i != k else Fraction(0) for i, c in enumerate(p))
-        candidates.append(
-            _ordered(canonicalize(n, [left]), canonicalize(n, [right]))
-        )
-    return _witness(g, candidates, "point-split")
+    # the point split {p_k e_k} + {p - p_k e_k} is the split of {p} by p_k e_k
+    shifts = [tuple(c if i == k else Fraction(0) for i, c in enumerate(p)) for k in nz]
+    return _witness(g, [_split(g, x) for x in shifts], "point-split")
 
 
 def _is_axis_simplex(g: Diagram) -> bool:
@@ -280,26 +282,17 @@ def _is_axis_simplex(g: Diagram) -> bool:
 
 def _translation_candidates(g: Diagram):
     n = g.dim
-    gens = g.generators
-    mins = [min(p[k] for p in gens) for k in range(n)]
-    out = []
-
-    def add(x):
-        k2 = canonicalize(n, [tuple(c - xc for c, xc in zip(p, x)) for p in gens])
-        out.append(_ordered(canonicalize(n, [tuple(x)]), k2))
-
+    mins = [min(p[k] for p in g.generators) for k in range(n)]
+    shifts = []
     for k, mk in enumerate(mins):
         if mk > 0:
-            x = [Fraction(0)] * n
-            x[k] = mk
-            add(x)
+            unit = tuple(Fraction(int(i == k)) for i in range(n))
+            shifts.append(tuple(mk * c for c in unit))
             if mk > 1:
-                x = [Fraction(0)] * n
-                x[k] = Fraction(1)
-                add(x)
+                shifts.append(unit)
     if sum(1 for mk in mins if mk > 0) >= 2:
-        add([Fraction(mk) for mk in mins])
-    return out
+        shifts.append(tuple(mins))
+    return [_split(g, x) for x in shifts]
 
 
 def _edge_scale_candidates(g: Diagram, system: SummandSystem):
@@ -346,7 +339,10 @@ def _edge_scale_candidates(g: Diagram, system: SummandSystem):
     for x in optima:
         us = [tuple(x[i * n : (i + 1) * n]) for i in range(m)]
         ts = x[m * n :]
-        candidates.append(_ordered(summand_of(system, us, ts), co_summand_of(system, us, ts)))
+        try:
+            candidates.append(_ordered(summand_of(system, us, ts), co_summand_of(system, us, ts)))
+        except InfeasibleAssignment as exc:
+            raise VerificationFailure(f"edge-scale LP optimum outside S: {exc}") from exc
     return candidates
 
 

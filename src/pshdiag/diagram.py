@@ -48,6 +48,10 @@ Point = tuple[Fraction, ...]
 # the facet search (Python 3.11, 2-vCPU host); inputs in the tests list up
 # to 20,000 and in the benchmark pools 16.
 MAX_GENERATORS = 20_000
+# Largest dimension a polynomial text or a JSON diagram may have: the face
+# code is meant for n <= 4, and without the bound newton-number of one
+# 600-D point took 1.75 s, growing as n^3 (Python 3.11, 2-vCPU host).
+MAX_DIM = 32
 # Most digits the text of one number may hold.  Python converts no longer
 # decimal string to an int (its int_max_str_digits default), and its error
 # names an interpreter setting a caller of the CLI cannot reach, so longer
@@ -388,6 +392,8 @@ def diagram_from_json(obj: dict) -> Diagram:
     dim = obj["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise DimensionMismatch("'dim' must be an integer")
+    if not 1 <= dim <= MAX_DIM:
+        raise DimensionMismatch(f"dimension must be between 1 and {MAX_DIM}, got {dim}")
     gens = obj["generators"]
     if not isinstance(gens, list) or not all(isinstance(p, list) for p in gens):
         raise TypeError("'generators' must be a list of coordinate lists")

@@ -44,6 +44,7 @@ from fractions import Fraction
 
 from .diagram import (
     MAX_DIGITS,
+    MAX_DIM,
     Diagram,
     Point,
     canonicalize,
@@ -139,9 +140,6 @@ _TOKEN_KINDS = (None, "int", "var", "op")  # by the number of the group that mat
 
 # deepest parenthesis nesting accepted; each level costs four stack frames
 MAX_NESTING = 100
-# largest dimension accepted; every exponent tuple has this length, and the
-# face code is meant for n <= 4
-MAX_DIM = 32
 # most term pairs one product may multiply; on integer numerators a pair
 # costs about a microsecond (0.9 to 1.2 on Python 3.11, 2-vCPU host), so a
 # product at the limit takes about 0.3 s.  ``newton_support`` counts a
@@ -550,10 +548,8 @@ def diagram_from_input_json(obj: dict) -> Diagram:
     return canonicalize(dim, points)
 
 
-def matrix_from_json(obj, dim: int):
+def matrix_from_json(obj):
+    """The rows of a JSON matrix; ``substitute_linear`` checks their shape."""
     if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
         raise TypeError("matrix must be a list of rows")
-    rows = [[rational_from_json(x) for x in row] for row in obj]
-    if len(rows) != dim or any(len(r) != dim for r in rows):
-        raise DimensionMismatch(f"matrix must be {dim}x{dim}")
-    return rows
+    return [[rational_from_json(x) for x in row] for row in obj]

@@ -7,12 +7,13 @@ import subprocess
 import sys
 import time
 import types
+from fractions import Fraction
 
 import pytest
 
 from pshdiag import decomposition, exactlp
-from pshdiag.diagram import MAX_DIGITS, MAX_GENERATORS
-from pshdiag.polynomials import MAX_DIM, MAX_EXPONENT
+from pshdiag.diagram import MAX_DIGITS, MAX_DIM, MAX_GENERATORS
+from pshdiag.polynomials import MAX_EXPONENT
 from pshdiag.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -112,6 +113,21 @@ class TestExecute:
         )
         assert code == EXIT_OK
         assert result["input"] == load("input_transformed.json")
+
+    @pytest.mark.parametrize(
+        "matrix,error",
+        [
+            ("x", "matrix must be a list of rows"),
+            ([["1", 0.5], ["0"]], "rationals must be strings or integers, got 0.5"),
+            ([["1", "0"], ["0"]], "matrix must be 2x2"),
+            ([["1", "0"]], "matrix must be 2x2"),
+            ([["1", "1"], ["1", "1"]], "substitution matrix is singular"),
+        ],
+    )
+    def test_matrix_errors_in_order(self, matrix, error):
+        # types, then rationals, then the shape, then the singular check
+        payload = {"input": load("input_original.json"), "matrix": matrix}
+        assert execute("substitute", payload) == ({"error": error}, EXIT_INPUT)
 
     def test_sum_of_simplices(self):
         result, code = execute(
@@ -242,6 +258,29 @@ class TestExecute:
         result, code = execute("diagram", {"input": {"dim": MAX_DIM, "polys": ["z1 + z32"]}})
         assert code == EXIT_OK
         assert len(result["diagram"]["generators"]) == 2
+
+    @staticmethod
+    def _point_payload(command, dim):
+        diagram = {"dim": dim, "generators": [[1] * min(dim, MAX_DIM + 1)]}
+        return {"a": diagram, "b": diagram} if command == "sum" else {"diagram": diagram}
+
+    @pytest.mark.parametrize("command", ["decompose", "newton-number", "sum"])
+    @pytest.mark.parametrize("dim", [MAX_DIM + 1, 10**20])
+    def test_huge_diagram_dim_exit_2(self, command, dim):
+        # a JSON diagram obeys the parser's bound, with the parser's message
+        result, code = execute(command, self._point_payload(command, dim))
+        assert (result, code) == (
+            {"error": f"dimension must be between 1 and {MAX_DIM}, got {dim}"},
+            EXIT_INPUT,
+        )
+
+    @pytest.mark.parametrize(
+        "command,answer",
+        [("decompose", "certificate"), ("newton-number", "newton_number"), ("sum", "diagram")],
+    )
+    def test_max_diagram_dim_accepted(self, command, answer):
+        result, code = execute(command, self._point_payload(command, MAX_DIM))
+        assert code in (EXIT_OK, EXIT_SEMANTIC) and answer in result
 
     def test_diagram_of_high_power(self):
         # every support point lies on one segment, so only its ends survive
@@ -564,6 +603,15 @@ class TestExecute:
         result, code = self._run_with_faulty_lp(monkeypatch, None)
         assert code == EXIT_INTERNAL
         assert "infeasible" in result["error"]
+
+    def test_internal_lp_optimum_outside_s_exit_4(self, monkeypatch):
+        # an optimum that breaks S is a fault of the LP, not of the input
+        x = [Fraction(5), Fraction(6)] + [Fraction(0)] * 6
+        result, code = self._run_with_faulty_lp(
+            monkeypatch, [exactlp.LPResult(exactlp.OPTIMAL, x, Fraction(-1))]
+        )
+        assert code == EXIT_INTERNAL
+        assert "edge-scale LP optimum outside S: displacement" in result["error"]
 
 
 class TestBatch:

@@ -20,13 +20,14 @@ from pshdiag import (
     verify_decomposition,
     weighted_simplex,
 )
-from pshdiag import decomposition, exactlp
-from pshdiag.cli import EXIT_INTERNAL, execute
-from pshdiag.decomposition import _decide_general
+from pshdiag import decomposition, exactlp, volume
+from pshdiag.cli import EXIT_INTERNAL, EXIT_SEMANTIC, execute
+from pshdiag.decomposition import _decide_general, _ordered, _split, _translation_candidates
 from pshdiag.errors import InfeasibleAssignment
 
 from oracle2d import decomposable_oracle
 from test_canonicalize_oracle import on_hyperplane
+from test_face_oracles import random_diagrams
 
 
 def D(*pts):
@@ -275,6 +276,76 @@ class TestDecide:
             base = type(decide_decomposability(g))
             for c in (2, F(1, 2), F(3, 7)):
                 assert type(decide_decomposability(scale(g, c))) is base
+
+
+class TestSplits:
+    """Translation and point splits are built as translates, without a facet search."""
+
+    @staticmethod
+    def _cases():
+        """Seeded 2-D to 4-D diagrams and single vertices, each with shifts x below every vertex."""
+        rng = random.Random(41)
+        for dim in (2, 3, 4):
+            points = [canonicalize(dim, [on_hyperplane(rng, dim, 5)]) for _ in range(4)]
+            for g in random_diagrams(dim, 8, seed=dim) + points:
+                mins = [min(p[k] for p in g.generators) for k in range(dim)]
+                shifts = [tuple(mins)] + [
+                    tuple(m * F(rng.randint(0, 4), 4) for m in mins) for _ in range(3)
+                ]
+                if len(g.generators) == 1:  # the point splits
+                    shifts += [
+                        tuple(c if i == k else 0 for i, c in enumerate(mins)) for k in range(dim)
+                    ]
+                yield g, shifts
+
+    def test_sides_equal_canonicalized_points(self):
+        checked = translations = 0
+        for g, shifts in self._cases():
+            n = g.dim
+            for x in shifts:
+                rest = [tuple(c - xc for c, xc in zip(p, x)) for p in g.generators]
+                assert _split(g, x) == _ordered(canonicalize(n, [x]), canonicalize(n, rest))
+                checked += 1
+            for pair in _translation_candidates(g):
+                assert pair == tuple(canonicalize(n, k.generators) for k in pair)
+                assert minkowski_sum(*pair) == g
+                translations += 1
+        assert checked >= 150 and translations >= 40
+
+    def test_builders_search_no_facets(self, monkeypatch):
+        cases = list(self._cases())
+        expected = [(_translation_candidates(g), [_split(g, x) for x in xs]) for g, xs in cases]
+
+        def refuse(*args):
+            raise AssertionError("a split reached a facet search")
+
+        monkeypatch.setattr(decomposition, "canonicalize", refuse)
+        monkeypatch.setattr(volume, "_cone_facets", refuse)
+        for (g, shifts), (translations, splits) in zip(cases, expected):
+            assert _translation_candidates(g) == translations
+            assert [_split(g, x) for x in shifts] == splits
+        # in the plane the point split is verified without a search as well
+        cert = decide_decomposability(D((2, 3)))
+        assert cert.method == "point-split"
+
+    def test_translated_diagram_refused_after_two_facet_searches(self, monkeypatch):
+        # 18 lattice points of a 7-D plane, shifted by 2 on every axis: 15
+        # translation splits, built without a search, so the only two read
+        # the input and its edges before the sweep budget refuses
+        rng = random.Random(0)
+        gens = [[c + 2 for c in on_hyperplane(rng, 7, 4)] for _ in range(18)]
+        searches = []
+        cone_facets = volume._cone_facets
+
+        def counting(points):
+            searches.append(len(points))
+            return cone_facets(points)
+
+        monkeypatch.setattr(volume, "_cone_facets", counting)
+        result, code = execute("decompose", {"diagram": {"dim": 7, "generators": gens}})
+        assert code == EXIT_SEMANTIC
+        assert "edge-scale sweep" in result["error"]
+        assert len(searches) == 2
 
 
 class TestOracleAgreement:
