@@ -302,22 +302,27 @@ def _edge_scale_candidates(g: Diagram, system: SummandSystem):
     LP call over S; one summand pair is built per distinct optimum.  An
     empty result means every pair of edge scales is provably equal over
     the whole feasible region.  Raises ``UnsupportedDimension`` when the
-    sweep's phase-1 tableaux would exceed ``MAX_SWEEP_CELLS`` cells.
+    sweep's phase-1 tableaux would exceed ``MAX_SWEEP_CELLS`` cells,
+    before the constraint rows are built.
     """
     n = g.dim
     m = system.num_vertices
-    nvars = m * n + system.num_edges
-    eq, ub = system._lp_constraints()
-    rows = len(eq) + len(ub)
+    edges = system.num_edges
+    nvars = m * n + edges
+    # the rows of _lp_constraints: n equations per edge, then one bound
+    # per variable (u <= v and t <= 1)
+    n_ub = nvars
+    rows = edges * n + n_ub
     # the phase-1 tableau: constraint rows and the cost row, by structural,
     # slack and artificial columns and the right-hand side
-    cells = (rows + 1) * (nvars + len(ub) + rows + 1)
-    sweep = system.num_edges * (system.num_edges - 1) * cells
+    cells = (rows + 1) * (nvars + n_ub + rows + 1)
+    sweep = edges * (edges - 1) * cells
     if sweep > MAX_SWEEP_CELLS:
         raise UnsupportedDimension(
             f"edge-scale sweep over {sweep} tableau cells exceeds the budget "
             f"of {MAX_SWEEP_CELLS}"
         )
+    eq, ub = system._lp_constraints()
     objectives = []
     for e, f in itertools.combinations(range(m * n, nvars), 2):
         for sgn in (1, -1):

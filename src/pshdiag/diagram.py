@@ -7,7 +7,10 @@ and exact; a diagram is immutable after construction.
 No operation runs an LP: ``contains`` checks the inequalities of
 ``volume.diagram_facets``, and ``compact_graph`` and, outside the plane,
 ``canonicalize`` read its tight sets (in 2-D ``canonicalize`` is a
-monotone chain); everything else is arithmetic on the generators.
+monotone chain, and the facets are read off that chain); everything else
+is arithmetic on the generators.  A face is looked up among the tight
+sets on one of its vertices: any list of tight sets that holds every
+facet containing the members gives ``volume.least_face`` the same face.
 ``member_of_hull`` is the tests' LP reference.
 
 Generators are `Fraction`s, but ``canonicalize`` compares int and
@@ -131,7 +134,8 @@ def member_of_hull(p: Point, points: list[Point]) -> bool:
 def canonicalize(dim: int, raw_points) -> Diagram:
     """Minimal generator set (the vertices) of conv(raw_points) + R^n_+.
 
-    Idempotent and independent of input order.  An int or `Fraction`
+    Idempotent and independent of input order.  One point is its own
+    vertex and is returned at once.  An int or `Fraction`
     coordinate is used as it is given and any other goes through
     `Fraction`; ints and Fractions compare and hash alike, so the sort, the
     deduplication, the 2-D chain and the facet search run on ints for a
@@ -143,9 +147,10 @@ def canonicalize(dim: int, raw_points) -> Diagram:
     (Andrew's monotone chain), found in one pass.
 
     In other dimensions every point goes to ``volume.diagram_facets`` in
-    sorted order, and a point is a vertex iff ``volume.least_face`` of it
-    holds no other point.  Only a point on at least n facets can be a
-    vertex of the full-dimensional diagram, so the others skip that test.
+    sorted order, and a point is a vertex iff ``volume.least_face`` of it,
+    sought among the facets on it, holds no other point.  Only a point on
+    at least n facets can be a vertex of the full-dimensional diagram, so
+    the others skip that test.
     A point q >= p componentwise sorts after p and lies in the cone the
     search has built by then, so it costs one sign test per current ray and
     adds no ray; the search raises ``UnsupportedDimension`` past its
@@ -160,6 +165,8 @@ def canonicalize(dim: int, raw_points) -> Diagram:
         if any(c < 0 for c in p):
             raise NegativeCoordinate(f"negative coordinate in {point(p)}")
     pts = sorted(set(pts))
+    if len(pts) == 1:
+        return Diagram(dim, (point(pts[0]),))  # one point is its own vertex
     if dim == 2:
         keep: list[Point] = []
         for p in pts:
@@ -172,14 +179,22 @@ def canonicalize(dim: int, raw_points) -> Diagram:
                 keep.pop()  # keep[-1] lies on or above the segment keep[-2] p
             keep.append(p)
         return Diagram(dim, tuple(map(point, keep)))
-    tights = [t for _, _, t in diagram_facets(Diagram(dim, tuple(pts)))]
-    on_facets = Counter(itertools.chain.from_iterable(tights))
+    on = _incidence([t for _, _, t in diagram_facets(Diagram(dim, tuple(pts)))], len(pts))
     keep = [
         point(p)
         for i, p in enumerate(pts)
-        if on_facets[i] >= dim and least_face(tights, frozenset([i])) == {i}
+        if len(on[i]) >= dim and least_face(on[i], frozenset([i])) == {i}
     ]
     return Diagram(dim, tuple(keep))
+
+
+def _incidence(tights: list[frozenset[int]], m: int) -> list[list[frozenset[int]]]:
+    """For each of m generators, the tight sets that hold it, in list order."""
+    on: list[list[frozenset[int]]] = [[] for _ in range(m)]
+    for t in tights:
+        for i in t:
+            on[i].append(t)
+    return on
 
 
 def contains(g: Diagram, p) -> bool:
@@ -295,16 +310,18 @@ def compact_graph(g: Diagram) -> DiagramGraph:
     """Vertices and compact 1-faces of the diagram, read off its facets.
 
     Two vertices span a compact edge iff ``volume.least_face`` of the pair
-    holds no other vertex.  An edge of the full-dimensional diagram lies on
-    at least n - 1 facets, so only pairs that share that many tight sets
-    are tested, in (i, j) order.
+    holds no other vertex; it is sought among the facets on i, which
+    include every facet on both.  An edge of the full-dimensional diagram
+    lies on at least n - 1 facets, so only pairs that share that many
+    tight sets are tested, in (i, j) order.
     """
     gens = g.generators
     tights = [t for _, _, t in diagram_facets(g)]
+    on = _incidence(tights, len(gens))
     shared = Counter(pair for t in tights for pair in itertools.combinations(sorted(t), 2))
     edges = []
     for (i, j), count in sorted(shared.items()):
-        if count >= g.dim - 1 and least_face(tights, frozenset([i, j])) == {i, j}:
+        if count >= g.dim - 1 and least_face(on[i], frozenset([i, j])) == {i, j}:
             direction = tuple(b - a for a, b in zip(gens[i], gens[j]))
             edges.append((i, j, direction))
     return DiagramGraph(gens, tuple(edges))

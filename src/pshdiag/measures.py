@@ -62,6 +62,8 @@ def newton_number(g: Diagram) -> NewtonNumberResult:
     pyramids with apex 0 over the compact facets (those with a strictly
     positive normal).  Over each simplex sigma of n generators that
     ``volume.triangulate_face`` cuts a facet into, n! * Vol = |det sigma|.
+    A facet with exactly n generators is a simplex, its own triangulation,
+    as is every compact facet in the plane; |det| ignores the row order.
     """
     if not touches_all_axes(g):
         return INFINITE
@@ -70,7 +72,11 @@ def newton_number(g: Diagram) -> NewtonNumberResult:
     total = Fraction(0)
     for a, _, tight in facets:
         if all(x > 0 for x in a):
-            for simplex in triangulate_face(tight, tights, g.generators):
+            if len(tight) == g.dim:
+                simplices = [tuple(tight)]
+            else:
+                simplices = triangulate_face(tight, tights, g.generators)
+            for simplex in simplices:
                 total += abs(det([list(g.generators[i]) for i in simplex]))
     return NewtonNumberResult(total)
 

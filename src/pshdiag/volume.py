@@ -3,7 +3,9 @@
 ``diagram_facets`` is the one source of face data for diagrams: each facet
 comes with the generators tight on it, and vertices, compact edges and the
 triangulations behind Newton numbers and volumes are read off these
-incidences.  Exact throughout, and intended for n <= 4: the facet search
+incidences.  In the plane the facets are read off the canonical chain;
+the facet search serves every other dimension and ``polytope_volume``.
+Exact throughout, and intended for n <= 4: the facet search
 runs on Python ints, each generator and ray a positive integer multiple of
 its rational vector, which has the same signs, so every decision is that
 of the search over `Fraction`s; normals come out primitive (integer
@@ -34,8 +36,9 @@ Facet = tuple[tuple[Fraction, ...], Fraction, frozenset[int]]  # (a, b, tight)
 # and then 19,600 points above them all searched for 7.3 s when only the
 # pairs counted.  On integer rays a test costs 0.3 to 0.45 microseconds
 # (Python 3.11, 2-vCPU host), so a search stops at the limit within about
-# 0.45 s; the largest search in the tests makes 55,849 tests, and in the
-# benchmark pools 285.
+# 0.45 s.  The largest search in the tests makes 492,800 tests, as the
+# plane's reference on a 701-vertex chain; outside the plane 55,849, and
+# in the benchmark pools 107.
 MAX_RAY_TESTS = 1_000_000
 
 
@@ -139,12 +142,32 @@ def _set_bits(z: int) -> list[int]:
 def diagram_facets(g: Diagram) -> list[Facet]:
     """Facets (a, b, tight) of conv(generators) + R^n_+: a.x >= b with a >= 0.
 
-    ``tight`` holds the indices of the generators on the facet.  The cone
-    searched is spanned by (e_k, 0) for each recession direction, then
-    (v, 1) for each generator.  A facet is compact exactly when a > 0.
-    (a, -b) is primitive: integers with gcd 1, as `Fraction`s.
+    ``tight`` holds the indices of the generators on the facet.  A facet is
+    compact exactly when a > 0.  (a, -b) is primitive: integers with gcd 1,
+    as `Fraction`s.
+
+    In the plane the facets are read off the chain, which relies on the
+    ``Diagram`` invariant that the generators are its vertices in lex
+    order (x rising, y falling): x >= x_0 tight on the first, the line
+    through each consecutive pair tight on the two, and y >= y_last tight
+    on the last.  Otherwise the cone searched is spanned by (e_k, 0) for
+    each recession direction, then (v, 1) for each generator.
     """
     n = g.dim
+    if n == 2:
+        s, ints = integral([c for p in g.generators for c in p])
+        xs, ys = ints[::2], ints[1::2]
+        # each line as integers (a, b, c), meaning a x + b y + c >= 0
+        lines = [([s, 0, -xs[0]], (0,))]
+        for i in range(len(xs) - 1):
+            a, b = ys[i] - ys[i + 1], xs[i + 1] - xs[i]
+            lines.append(([s * a, s * b, -a * xs[i] - b * ys[i]], (i, i + 1)))
+        lines.append(([0, s, -ys[-1]], (len(ys) - 1,)))
+        facets = []
+        for line, tight in lines:
+            a, b, c = reduced(line)
+            facets.append(((Fraction(a), Fraction(b)), Fraction(-c), frozenset(tight)))
+        return facets
     gens = [tuple(Fraction(int(j == k)) for j in range(n + 1)) for k in range(n)]
     gens += [tuple(v) + (Fraction(1),) for v in g.generators]
     facets = []
@@ -158,9 +181,12 @@ def diagram_facets(g: Diagram) -> list[Facet]:
 def least_face(tights: list[frozenset[int]], members: frozenset[int]) -> frozenset[int] | None:
     """Generators of the least face holding the members, or None when no facet does.
 
-    When the face's only generators are the members, it has no recession
-    ray, or the members' own hull would be a smaller face: so one member is
-    a vertex, and two span a compact edge.
+    ``tights`` may be any list of tight sets that holds every facet
+    containing the members, such as the facets on one member: the others
+    do not hold the members, so the face is the same.  When the face's
+    only generators are the members, it has no recession ray, or the
+    members' own hull would be a smaller face: so one member is a vertex,
+    and two span a compact edge.
     """
     faces = [t for t in tights if members <= t]
     return frozenset.intersection(*faces) if faces else None

@@ -12,7 +12,8 @@ from fractions import Fraction
 import pytest
 
 from pshdiag import decomposition, exactlp
-from pshdiag.diagram import MAX_DIGITS, MAX_DIM, MAX_GENERATORS
+from pshdiag.diagram import MAX_DIGITS, MAX_DIM, MAX_GENERATORS, diagram_from_json
+from pshdiag.measures import covolume_2d_oracle
 from pshdiag.polynomials import MAX_EXPONENT
 from pshdiag.cli import (
     EXIT_INPUT,
@@ -575,6 +576,24 @@ class TestExecute:
         assert time.perf_counter() - start < 2
         assert code == EXIT_SEMANTIC
         assert "sweep" in result["error"] and "budget" in result["error"]
+
+    def test_newton_number_of_5000_vertex_chain(self):
+        # the plane's facets come off the chain, so no search budget applies
+        result, code = execute("newton-number", {"diagram": chain(4999)})
+        assert code == EXIT_OK
+        g = diagram_from_json(chain(4999))
+        assert len(g.generators) == 5000
+        assert Fraction(result["newton_number"]) == 2 * covolume_2d_oracle(g)
+
+    def test_decompose_19000_vertex_chain_refused_before_lp_rows(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("LP rows built past the sweep budget")
+
+        monkeypatch.setattr(decomposition.SummandSystem, "_lp_constraints", refuse)
+        result, code = execute("decompose", {"diagram": chain(18999)})
+        assert code == EXIT_SEMANTIC
+        assert result["error"].startswith("edge-scale sweep over ")
+        assert result["error"].endswith(f"exceeds the budget of {decomposition.MAX_SWEEP_CELLS}")
 
     def test_json_integers_accepted(self):
         result, code = execute(

@@ -24,13 +24,15 @@ from pshdiag import (
     newton_number,
     touches_all_axes,
 )
-from pshdiag import diagram, linalg, volume
+from pshdiag import diagram, linalg, measures, volume
+from pshdiag.cli import EXIT_OK, execute, run_batch
 from pshdiag.diagram import member_of_hull
 from pshdiag.exactlp import solve_lp
 from pshdiag.linalg import det, dot, nullspace
 from pshdiag.volume import _cone_facets, diagram_facets, enumerate_vertices, polytope_volume
 from test_canonicalize_oracle import CASES as CLOUD_CASES
 from test_canonicalize_oracle import clouds, undominated
+from test_cli import chain
 
 
 def subset_cone_facets(gens):
@@ -288,7 +290,8 @@ def test_one_dimensional_newton_number():
 
 
 def test_one_facet_search_per_call(monkeypatch):
-    diagrams = random_diagrams(3, 8, 22) + random_diagrams(4, 4, 23)
+    # in the plane the facets are read off the chain: no search at all
+    diagrams = random_diagrams(2, 8, 21) + random_diagrams(3, 8, 22) + random_diagrams(4, 4, 23)
     cube = list(itertools.product((F(0), F(1)), repeat=4))
     calls = []
     search = volume._cone_facets
@@ -301,7 +304,7 @@ def test_one_facet_search_per_call(monkeypatch):
     for g in diagrams:
         calls.clear()
         newton_number(g)
-        assert len(calls) == touches_all_axes(g), g
+        assert len(calls) == (g.dim != 2 and touches_all_axes(g)), g
     calls.clear()
     assert polytope_volume(cube, 4) == 1
     assert len(calls) == 1
@@ -319,3 +322,109 @@ def test_vertices_and_edges_need_no_rank(monkeypatch):
     for dim, seed in CLOUD_CASES:
         for pts in clouds(dim, seed):
             compact_graph(canonicalize(dim, pts))
+
+
+def searched_facets(g):
+    """The facets of g as the search finds them, in the form of ``diagram_facets``."""
+    n = g.dim
+    return {
+        (tuple(normal[:n]), -normal[n], frozenset(i - n for i in tight if i >= n))
+        for normal, tight in _cone_facets(homogenized(g.generators, n))
+        if any(normal[:n])
+    }
+
+
+def plane_diagrams(seed):
+    """Seeded lattice and rational chains, some missing one axis or both,
+    single vertices with the origin among them, and the 701-vertex chain."""
+    rng = random.Random(seed)
+    out = random_diagrams(2, 40, seed)  # rational, half of them on both axes
+    for idx in range(40):
+        pts = [(rng.randint(0, 12), rng.randint(0, 12)) for _ in range(rng.randint(1, 12))]
+        shift = [(0, 0), (3, 0), (0, 2), (1, 5)][idx % 4]
+        out.append(canonicalize(2, [(x + shift[0], y + shift[1]) for x, y in pts]))
+    for p in [(0, 0), (4, 0), (0, 7), (2, 3), (F(1, 3), F(5, 2))]:
+        out.append(canonicalize(2, [p]))
+    out.append(canonicalize(2, chain(700)["generators"]))
+    return out
+
+
+def test_plane_facets_match_search():
+    diagrams = plane_diagrams(25)
+    assert {touches_all_axes(g) for g in diagrams} == {True, False}
+    assert any(g.generators[0][0] > 0 and g.generators[-1][1] > 0 for g in diagrams)
+    assert len(diagrams[-1].generators) == 701
+    for g in diagrams:
+        facets = diagram_facets(g)
+        assert len(facets) == len(g.generators) + 1, g
+        assert set(facets) == searched_facets(g), g
+        for a, b, _ in facets:
+            entries = (*a, -b)
+            assert all(type(x) is F and x.denominator == 1 for x in entries), g
+            assert math.gcd(*(x.numerator for x in entries)) == 1, g
+
+
+def refuse(*args):
+    raise AssertionError("the plane needs no facet search and no triangulation")
+
+
+def test_plane_commands_make_no_search_and_no_triangulation(monkeypatch):
+    monkeypatch.setattr(volume, "_cone_facets", refuse)
+    monkeypatch.setattr(measures, "triangulate_face", refuse)
+    touching = {"dim": 2, "generators": [["0", "6"], ["1", "3"], ["3", "1"], ["7", "0"]]}
+    shifted = {"dim": 2, "generators": [["2", "9/2"], ["3", "1"], ["6", "1/2"]]}
+    point = {"dim": 2, "generators": [["2", "3"]]}
+    text = {"dim": 2, "polys": ["z1^6 + 3*z1*z2^2 + z2^5", "z1^2*z2^2"]}
+    requests = [
+        ("newton-number", {"diagram": touching}),
+        ("newton-number", {"diagram": shifted}),
+        ("decompose", {"diagram": touching}),
+        ("decompose", {"diagram": shifted}),
+        ("decompose", {"diagram": point}),
+        ("classify", {"input": text}),
+        ("sum", {"a": touching, "b": shifted}),
+        ("homothetic", {"a": shifted, "b": touching}),
+        ("indicator", {"diagram": touching, "t": ["-1", "-2"]}),
+        ("diagram", {"input": text}),
+        ("lelong", {"input": text, "weight": ["1", "2"]}),
+    ]
+    # an infinite Newton number exits 3 with an answer, not an error
+    for command, payload in requests:
+        result, code = execute(command, payload)
+        assert "error" not in result, (command, result)
+    manifest = {"requests": [{"id": i, "command": c, "payload": p} for i, (c, p) in enumerate(requests)]}
+    result, _ = run_batch(manifest)
+    assert [e["result"] for e in result["results"].values() if "error" in e["result"]] == []
+    assert len(result["results"]) == len(requests)
+
+
+def test_single_point_makes_no_search(monkeypatch):
+    monkeypatch.setattr(volume, "_cone_facets", refuse)
+    assert canonicalize(3, [(1, 2, 3), (1, 2, 3)]).generators == ((1, 2, 3),)
+    for p in (["1", "2", "3"], ["1", "0", "2", "1/2"]):
+        result, code = execute("decompose", {"diagram": {"dim": len(p), "generators": [p]}})
+        assert code == EXIT_OK and result["certificate"]["method"] == "point-split", result
+
+
+def triangulated_newton_number(g):
+    """The Newton number with every compact facet triangulated, simplices too."""
+    facets = diagram_facets(g)
+    tights = [t for _, _, t in facets]
+    return sum(
+        abs(det([list(g.generators[i]) for i in simplex]))
+        for a, _, tight in facets
+        if all(x > 0 for x in a)
+        for simplex in volume.triangulate_face(tight, tights, g.generators)
+    )
+
+
+@pytest.mark.parametrize("dim,count,seed", CASES[1:])
+def test_simplex_facets_need_no_triangulation(dim, count, seed):
+    rng = random.Random(seed)
+    diagrams = random_diagrams(dim, count, seed)
+    diagrams += [minkowski_sum(a, b) for a, b in zip(diagrams, rng.sample(diagrams, len(diagrams)))]
+    diagrams = [g for g in diagrams if touches_all_axes(g)]
+    sizes = {len(t) for g in diagrams for a, _, t in diagram_facets(g) if all(x > 0 for x in a)}
+    assert dim in sizes and max(sizes) > dim  # simplices and other facets
+    for g in diagrams:
+        assert newton_number(g).value == triangulated_newton_number(g), g
