@@ -76,11 +76,11 @@ METHOD_TWO_DIM_CHAIN = "two-dim-chain"
 METHOD_FACET_PAIR_LP = "facet-pair-lp"
 
 # Most phase-1 tableau cells, summed over the objectives, that one
-# edge-scale sweep may take on.  A sweep takes 0.03-0.5 microseconds per
-# cell (2-D chains of 12 and 20 edges, 5-D and 6-D diagrams of 10 and 15
+# edge-scale sweep may take on.  A sweep takes 0.02-0.25 microseconds per
+# cell (2-D chains of 12 and 20 edges, 5-D and 6-D simplices of 10 and 15
 # edges, Python 3.11 on a 2-vCPU host), so one at the limit runs up to
-# about five seconds; the largest in the tests takes on 98,400 and the
-# largest in the benchmark pools 21,228.
+# about 2.5 seconds; the largest in the tests (a 4-D diagram of 16 edges)
+# takes on 5,153,520 and the largest in the benchmark pools 21,228.
 MAX_SWEEP_CELLS = 10_000_000
 
 
@@ -142,20 +142,20 @@ class SummandSystem:
         ub = []
         for e, (i, j, d) in enumerate(self.graph.edges):
             for k in range(n):
-                row = [Fraction(0)] * nvars
-                row[i * n + k] = Fraction(1)
-                row[j * n + k] = Fraction(-1)
+                row = [0] * nvars
+                row[i * n + k] = 1
+                row[j * n + k] = -1
                 row[m * n + e] = d[k]  # d = v_j - v_i
-                eq.append((row, Fraction(0)))
+                eq.append((row, 0))
         for i, v in enumerate(self.graph.vertices):
             for k in range(n):
-                row = [Fraction(0)] * nvars
-                row[i * n + k] = Fraction(1)
+                row = [0] * nvars
+                row[i * n + k] = 1
                 ub.append((row, v[k]))
         for e in range(self.num_edges):
-            row = [Fraction(0)] * nvars
-            row[self.num_vertices * n + e] = Fraction(1)
-            ub.append((row, Fraction(1)))
+            row = [0] * nvars
+            row[m * n + e] = 1
+            ub.append((row, 1))
         return eq, ub
 
     def check(self, us, ts) -> None:
@@ -183,11 +183,19 @@ def summand_system(g: Diagram) -> SummandSystem:
 
 
 def summand_of(system: SummandSystem, us, ts) -> Diagram:
-    """Diagram generated by a feasible displacement assignment."""
+    """Diagram generated by a feasible displacement assignment.
+
+    Its vertices are the distinct u_i, so no hull is computed.  For u in S
+    each u_i minimises a.x over K1 = conv(u) + R^n_+ for every a in the
+    open normal cone of v_i (the module docstring: h(a) = a.u_i there), an
+    open set of directions.  Faces of K1 of positive dimension have normal
+    cones of lower dimension, so some a in that set exposes u_i alone, and
+    u_i is a vertex of K1; K1 has no vertices other than the u_i.
+    """
     us = [tuple(Fraction(c) for c in u) for u in us]
     ts = [Fraction(t) for t in ts]
     system.check(us, ts)
-    return canonicalize(system.base.dim, us)
+    return Diagram(system.base.dim, tuple(set(us)))
 
 
 def co_summand_of(system: SummandSystem, us, ts) -> Diagram:
@@ -308,6 +316,8 @@ def _edge_scale_candidates(g: Diagram, system: SummandSystem):
     n = g.dim
     m = system.num_vertices
     edges = system.num_edges
+    if edges < 2:
+        return []  # no pair of edge scales to push apart
     nvars = m * n + edges
     # the rows of _lp_constraints: n equations per edge, then one bound
     # per variable (u <= v and t <= 1)
@@ -326,9 +336,9 @@ def _edge_scale_candidates(g: Diagram, system: SummandSystem):
     objectives = []
     for e, f in itertools.combinations(range(m * n, nvars), 2):
         for sgn in (1, -1):
-            obj = [Fraction(0)] * nvars
-            obj[e] = Fraction(-sgn)
-            obj[f] = Fraction(sgn)
+            obj = [0] * nvars
+            obj[e] = -sgn
+            obj[f] = sgn
             objectives.append(obj)
     results = exactlp.solve_lp(nvars, objectives, eq=eq, ub=ub, nonneg=True)
     if results is None:

@@ -39,7 +39,7 @@ from .errors import (
     PositiveDirection,
     UnsupportedDimension,
 )
-from .linalg import dot
+from .linalg import dot, exact
 from .volume import diagram_facets, least_face
 
 Point = tuple[Fraction, ...]
@@ -114,11 +114,6 @@ def _check_point(p, dim: int) -> Point:
     return _check_length(point(p), dim)
 
 
-def _exact(coords) -> tuple:
-    """The coordinates, each int or `Fraction` as given and any other through `Fraction`."""
-    return tuple(c if type(c) is int or type(c) is Fraction else Fraction(c) for c in coords)
-
-
 def member_of_hull(p: Point, points: list[Point]) -> bool:
     """Exact LP test of p in conv(points) + R^n_+: the tests' reference for facets."""
     if not points:
@@ -158,7 +153,7 @@ def canonicalize(dim: int, raw_points) -> Diagram:
     """
     if dim < 1:
         raise DimensionMismatch(f"dimension must be >= 1, got {dim}")
-    pts = [_check_length(_exact(p), dim) for p in raw_points]
+    pts = [_check_length(exact(p), dim) for p in raw_points]
     if not pts:
         raise EmptyInput("at least one generator is required")
     for p in pts:

@@ -120,6 +120,11 @@ def dot(a, b) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
+def exact(values) -> tuple:
+    """The values, each int or `Fraction` as given and any other through `Fraction`."""
+    return tuple(v if type(v) is int or type(v) is Fraction else Fraction(v) for v in values)
+
+
 def integral(values) -> tuple[int, list[int]]:
     """The lcm of the denominators, and the values times it."""
     scale = math.lcm(*(v.denominator for v in values))

@@ -862,13 +862,16 @@ class TestMainEntry:
 
 def test_optimized_interpreter_gives_same_bytes(tmp_path):
     # behaviour must not rest on assert statements, which -O strips; the
-    # second manifest expands a product of a power and a sum
+    # second manifest expands a product of a power and a sum, and runs the
+    # edge-scale sweep on a 3-D sum of two segments
     product = {"dim": 2, "polys": ["(z1 + z2)^3 * (z1 + 2*z2)"]}
+    segments = {"dim": 3, "generators": [[1, 1, 0], [1, 0, 1], [0, 2, 0], [0, 1, 1]]}
     expanding = tmp_path / "manifest.json"
     expanding.write_text(json.dumps({"requests": [
         {"id": "classify-product", "command": "classify", "payload": {"input": product}},
         {"id": "substitute-product", "command": "substitute",
          "payload": {"input": product, "matrix": [["1", "0"], ["-1", "1"]]}},
+        {"id": "decompose-segments", "command": "decompose", "payload": {"diagram": segments}},
     ]}))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -882,6 +885,8 @@ def test_optimized_interpreter_gives_same_bytes(tmp_path):
         ]
         assert runs[0].returncode == EXIT_OK
         assert runs[0].stdout
+        if manifest == expanding:
+            assert b'"facet-pair-lp"' in runs[0].stdout
         assert (runs[1].returncode, runs[1].stdout, runs[1].stderr) == (
             runs[0].returncode, runs[0].stdout, runs[0].stderr
         )

@@ -1,3 +1,4 @@
+import itertools
 import random
 import types
 from fractions import Fraction as F
@@ -27,6 +28,7 @@ from pshdiag.errors import InfeasibleAssignment
 
 from oracle2d import decomposable_oracle
 from test_canonicalize_oracle import on_hyperplane
+from test_exactlp import sweep_call, sweep_diagrams
 from test_face_oracles import random_diagrams
 
 
@@ -77,6 +79,50 @@ class TestSummandSystem:
             k1 = summand_of(system, us, ts)
             k2 = co_summand_of(system, us, ts)
             assert minkowski_sum(k1, k2) == g
+
+    def test_summands_read_off_the_displaced_vertices(self, monkeypatch):
+        # summand_of takes the distinct u_i of a point of S as the vertices
+        # of its summand; check that against canonicalize at every sweep
+        # optimum and at the midpoint of every pair of optima
+        diagrams = [
+            *sweep_diagrams(random.Random(19)),
+            *random_diagrams(2, 12, 21),
+            *random_diagrams(3, 12, 22),
+            *random_diagrams(4, 6, 23),
+        ]
+        cases = []
+        for g in diagrams:
+            system = summand_system(g)
+            if len(g.generators) < 2 or system.num_edges < 2:
+                continue
+            args, kwargs = sweep_call(g)
+            optima = sorted({tuple(res.x) for res in exactlp.solve_lp(*args, **kwargs)})
+            mids = [tuple((a + b) / 2 for a, b in zip(x, y)) for x, y in itertools.combinations(optima, 2)]
+            n, m = g.dim, system.num_vertices
+            for x in optima + mids:
+                us = [x[i * n : (i + 1) * n] for i in range(m)]
+                co = [tuple(c - uc for c, uc in zip(v, u)) for v, u in zip(system.graph.vertices, us)]
+                cases.append((system, us, x[m * n :], canonicalize(n, us), canonicalize(n, co)))
+
+        def refuse(*args):
+            raise AssertionError("summand_of took a hull")
+
+        monkeypatch.setattr(decomposition, "canonicalize", refuse)
+        seen = set()
+        for system, us, ts, k1, k2 in cases:
+            got = (summand_of(system, us, ts), co_summand_of(system, us, ts))
+            assert got == (k1, k2)
+            assert all(type(c) is F for k in got for p in k.generators for c in p)
+            # an assignment off S still raises
+            t = ts[0] + F(1, 3) if ts[0] <= F(2, 3) else ts[0] - F(1, 3)
+            with pytest.raises(InfeasibleAssignment):
+                summand_of(system, us, [t, *ts[1:]])
+            with pytest.raises(InfeasibleAssignment):
+                summand_of(system, [tuple(c + 1 for c in system.graph.vertices[0]), *us[1:]], ts)
+            base = system.base
+            seen.add((base.dim, any(c.denominator > 1 for p in base.generators for c in p)))
+        assert {(dim, rational) for dim in (2, 3, 4) for rational in (False, True)} <= seen
+        assert len(cases) >= 150
 
 
 class TestVerifyDecomposition:
@@ -189,6 +235,25 @@ class TestDecide:
         assert len(calls) == 1
         assert cert.left == canonicalize(3, [(0, 0, 1), (0, 1, 0)])
         assert cert.right == canonicalize(3, [(0, 1, 0), (1, 0, 0)])
+
+    def test_one_compact_edge_skips_the_sweep(self, monkeypatch):
+        # with no pair of edge scales there is nothing to push apart, so
+        # neither the rows nor phase 1 are built
+        payload = {"diagram": {"dim": 2, "generators": [[1, 2], [2, 1]]}}
+        want = execute("decompose", payload)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("one compact edge reached the LP")
+
+        monkeypatch.setattr(decomposition.SummandSystem, "_lp_constraints", refuse)
+        monkeypatch.setattr(exactlp, "solve_lp", refuse)
+        g = D((1, 2), (2, 1))
+        assert decomposition._edge_scale_candidates(g, summand_system(g)) == []
+        assert execute("decompose", payload) == want
+        cert = want[0]["certificate"]
+        assert (cert["method"], cert["left"]["generators"], cert["right"]["generators"]) == (
+            "two-dim-chain", [["0", "1"]], [["1", "1"], ["2", "0"]]
+        )
 
     def test_every_edge_scale_candidate_verifies(self):
         # the module docstring proves that a point of S with unequal edge

@@ -90,7 +90,39 @@ def assert_same_path(*args, **kwargs):
     return got, got_pivots
 
 
-def test_rational_systems_pivot_as_the_fraction_tableau():
+def branch_systems():
+    """Systems whose pivots reach every branch of the sparse row update."""
+    box = [([1, 0], 2), ([0, 1], 2), ([-1, 0], 2), ([0, -1], 2)]
+    twice = [([1, 1], 1), ([1, 1], 1), ([-1, -1], -1)]
+    return [
+        # -2 x = 0 leaves its artificial basic at level 0, driven out on -2
+        (1, [([-2], 0)], [], True),
+        # x = 0 pivots on 1 in a row whose one other nonzero is its artificial
+        (1, [([1], 0)], [], True),
+        # duplicated and negated rows
+        (2, twice, [([1, 0], 1), ([1, 0], 1)], True),
+        (2, twice, [([1, 0], 1), ([1, 0], 1)], False),
+        (2, [([F(1, 2), F(1, 3)], 1), ([3, 2], 6)], box, False),
+        # zero rows, feasible and not
+        (2, [([0, 0], 0)], [([0, 0], 1), *box], False),
+        (2, [([0, 0], 1)], box, False),
+        (2, [], [([0, 0], -1), *box], True),
+    ]
+
+
+def test_rational_systems_pivot_as_the_fraction_tableau(monkeypatch):
+    # record which branches of the row update the pivots take
+    branches = set()
+    real = exactlp._pivot
+
+    def recording(tab, basis, row, col):
+        pv = tab[row][col]
+        branches.add("unit" if pv == 1 else "negative" if pv < 0 else "scaled")
+        if sum(1 for j, y in enumerate(tab[row]) if y and j != basis[row]) == 1:
+            branches.add("one nonzero")
+        real(tab, basis, row, col)
+
+    monkeypatch.setattr(exactlp, "_pivot", recording)
     rng = random.Random(8)
     feasible = [0, 0]
     for _ in range(400):
@@ -106,6 +138,17 @@ def test_rational_systems_pivot_as_the_fraction_tableau():
         results, _ = assert_same_path(n, objectives, eq=eq, ub=ub, nonneg=nonneg)
         feasible[results is not None] += 1
     assert min(feasible) >= 100
+    assert branches == {"unit", "negative", "scaled", "one nonzero"}
+
+    branches.clear()
+    outcomes = []
+    for n, eq, ub, nonneg in branch_systems():
+        objectives = [[1, -1][:n], [0] * n, [-1, 2][:n]]
+        results, _ = assert_same_path(n, objectives, eq=eq, ub=ub, nonneg=nonneg)
+        outcomes.append(None if results is None else tuple(r.status for r in results))
+    assert branches == {"unit", "negative", "scaled", "one nonzero"}
+    assert outcomes.count(None) == 2
+    assert UNBOUNDED in {status for statuses in outcomes if statuses for status in statuses}
 
 
 def sweep_call(g):
