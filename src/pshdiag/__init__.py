@@ -33,10 +33,9 @@ from .decomposition import (
     SummandSystem,
     certificate_to_json,
     classify_extreme,
-    co_summand_of,
     decide_decomposability,
-    summand_of,
     summand_system,
+    summands_of,
     verify_decomposition,
 )
 from .measures import (

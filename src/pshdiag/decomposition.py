@@ -30,10 +30,10 @@ there are exactly the compact edges, and across the wall of edge (i, j)
 h is continuous, since a.(u_i - u_j) = t_e a.(v_i - v_j) = 0 on it, and
 concave, since t_e >= 0.  Concave across every wall on a convex domain,
 h is concave, so h(a) = min_i a.u_i is the support function of
-K1 = conv(u) + R^n_+.  The same holds for v - u and 1 - t, and the two
-support functions sum to G's, so K1 + K2 = G.  K1 = c*G + x would force
-u_i = c v_i + x and every t_e = c, so unequal scales rule out homothets
-on both sides.
+K1 = conv(u) + R^n_+.  The same holds for K2 from (v - u, 1 - t), a
+point of S with (u, t), and the two support functions sum to G's, so
+K1 + K2 = G.  K1 = c*G + x would force u_i = c v_i + x and every
+t_e = c, so unequal scales rule out homothets on both sides.
 
 The other two kinds of candidate verify as plainly.  A translation split
 {x} + (G - x) of a diagram with two or more vertices sums to G, since
@@ -56,11 +56,12 @@ from . import exactlp
 from .diagram import (
     Diagram,
     DiagramGraph,
-    canonicalize,
     compact_graph,
     diagram_to_json,
     is_homothetic_to,
     minkowski_sum,
+    point,
+    point_text,
     touches_all_axes,
 )
 from .errors import (
@@ -69,6 +70,7 @@ from .errors import (
     UnsupportedDimension,
     VerificationFailure,
 )
+from .linalg import exact
 from .polynomials import SingularityInput, diagram_of_input
 
 METHOD_SIMPLEX_FACET = "simplex-facet"
@@ -167,7 +169,7 @@ class SummandSystem:
             if len(u) != n:
                 raise InfeasibleAssignment("displacement dimension mismatch")
             if any(c < 0 for c in u) or any(c > vk for c, vk in zip(u, v)):
-                raise InfeasibleAssignment(f"displacement {u} outside [0, {v}]")
+                raise InfeasibleAssignment(f"displacement {point_text(u)} outside [0, {point_text(v)}]")
         for t, (i, j, d) in zip(ts, self.graph.edges):
             if t < 0 or t > 1:
                 raise InfeasibleAssignment(f"edge scale {t} outside [0, 1]")
@@ -182,29 +184,24 @@ def summand_system(g: Diagram) -> SummandSystem:
     return SummandSystem(g, compact_graph(g))
 
 
-def summand_of(system: SummandSystem, us, ts) -> Diagram:
-    """Diagram generated by a feasible displacement assignment.
+def summands_of(system: SummandSystem, us, ts) -> tuple[Diagram, Diagram]:
+    """The summand pair (K1, K2) of a point (u, t) of S, checked once.
 
-    Its vertices are the distinct u_i, so no hull is computed.  For u in S
-    each u_i minimises a.x over K1 = conv(u) + R^n_+ for every a in the
-    open normal cone of v_i (the module docstring: h(a) = a.u_i there), an
-    open set of directions.  Faces of K1 of positive dimension have normal
-    cones of lower dimension, so some a in that set exposes u_i alone, and
-    u_i is a vertex of K1; K1 has no vertices other than the u_i.
+    K1's vertices are the distinct u_i and K2's the distinct v_i - u_i, so
+    no hull is computed.  For u in S each u_i minimises a.x over
+    K1 = conv(u) + R^n_+ for every a in the open normal cone of v_i (the
+    module docstring: h(a) = a.u_i there), an open set of directions.
+    Faces of K1 of positive dimension have normal cones of lower dimension,
+    so some a in that set exposes u_i alone, and u_i is a vertex of K1;
+    K1 has no vertices other than the u_i.  Each condition of S holds for
+    (v - u, 1 - t) exactly when it holds for (u, t), so one check covers
+    K2 as well.
     """
-    us = [tuple(Fraction(c) for c in u) for u in us]
-    ts = [Fraction(t) for t in ts]
-    system.check(us, ts)
-    return Diagram(system.base.dim, tuple(set(us)))
-
-
-def co_summand_of(system: SummandSystem, us, ts) -> Diagram:
-    us2 = [
-        tuple(vk - uk for vk, uk in zip(v, u))
-        for v, u in zip(system.graph.vertices, us)
-    ]
-    ts2 = [1 - Fraction(t) for t in ts]
-    return summand_of(system, us2, ts2)
+    us = [exact(u) for u in us]
+    system.check(us, exact(ts))
+    co = {tuple(vk - uk for vk, uk in zip(v, u)) for v, u in zip(system.graph.vertices, us)}
+    n = system.base.dim
+    return Diagram(n, tuple(map(point, set(us)))), Diagram(n, tuple(map(point, co)))
 
 
 def verify_decomposition(g: Diagram, k1: Diagram, k2: Diagram) -> bool:
@@ -303,7 +300,7 @@ def _translation_candidates(g: Diagram):
     return [_split(g, x) for x in shifts]
 
 
-def _edge_scale_candidates(g: Diagram, system: SummandSystem):
+def _edge_scale_candidates(system: SummandSystem):
     """Summand pairs at LP optima with unequal edge scales.
 
     Each pair of edge scales is pushed apart in both directions, all in one
@@ -313,7 +310,7 @@ def _edge_scale_candidates(g: Diagram, system: SummandSystem):
     sweep's phase-1 tableaux would exceed ``MAX_SWEEP_CELLS`` cells,
     before the constraint rows are built.
     """
-    n = g.dim
+    n = system.base.dim
     m = system.num_vertices
     edges = system.num_edges
     if edges < 2:
@@ -352,10 +349,9 @@ def _edge_scale_candidates(g: Diagram, system: SummandSystem):
             optima.add(tuple(res.x))
     candidates = []
     for x in optima:
-        us = [tuple(x[i * n : (i + 1) * n]) for i in range(m)]
-        ts = x[m * n :]
+        us = [x[i * n : (i + 1) * n] for i in range(m)]
         try:
-            candidates.append(_ordered(summand_of(system, us, ts), co_summand_of(system, us, ts)))
+            candidates.append(_ordered(*summands_of(system, us, x[m * n :])))
         except InfeasibleAssignment as exc:
             raise VerificationFailure(f"edge-scale LP optimum outside S: {exc}") from exc
     return candidates
@@ -379,7 +375,7 @@ def decide_decomposability(g: Diagram) -> Certificate:
 
 
 def _decide_general(g: Diagram) -> Certificate:
-    candidates = _translation_candidates(g) + _edge_scale_candidates(g, summand_system(g))
+    candidates = _translation_candidates(g) + _edge_scale_candidates(summand_system(g))
     method = METHOD_TWO_DIM_CHAIN if g.dim == 2 else METHOD_FACET_PAIR_LP
     if candidates:
         return _witness(g, candidates, method)

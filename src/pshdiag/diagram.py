@@ -71,6 +71,11 @@ def point(coords) -> Point:
     return tuple(Fraction(c) for c in coords)
 
 
+def point_text(coords) -> str:
+    """A point as messages print it, such as (-1, 2) or (1/2, 0)."""
+    return "(" + ", ".join(map(str, coords)) + ")"
+
+
 @dataclass(frozen=True)
 class Diagram:
     dim: int
@@ -80,8 +85,7 @@ class Diagram:
         object.__setattr__(self, "generators", tuple(sorted(self.generators)))
 
     def __str__(self):
-        pts = ", ".join("(" + ",".join(str(c) for c in g) + ")" for g in self.generators)
-        return f"Diagram[{pts}]"
+        return "Diagram[" + ", ".join(map(point_text, self.generators)) + "]"
 
 
 @dataclass(frozen=True)
@@ -158,7 +162,7 @@ def canonicalize(dim: int, raw_points) -> Diagram:
         raise EmptyInput("at least one generator is required")
     for p in pts:
         if any(c < 0 for c in p):
-            raise NegativeCoordinate(f"negative coordinate in {point(p)}")
+            raise NegativeCoordinate(f"negative coordinate in {point_text(p)}")
     pts = sorted(set(pts))
     if len(pts) == 1:
         return Diagram(dim, (point(pts[0]),))  # one point is its own vertex
@@ -201,7 +205,7 @@ def support_value(g: Diagram, t) -> Fraction:
     """Support function sup{<t, a> : a in the diagram} for t <= 0."""
     t = _check_point(t, g.dim)
     if any(c > 0 for c in t):
-        raise PositiveDirection(f"direction {t} has a positive component")
+        raise PositiveDirection(f"direction {point_text(t)} has a positive component")
     return max(dot(t, gen) for gen in g.generators)
 
 
@@ -209,7 +213,7 @@ def weight(coords) -> tuple[Fraction, ...]:
     """The coordinates as `Fraction`s; ``NonpositiveWeight`` unless all are positive."""
     a = tuple(Fraction(c) for c in coords)
     if any(c <= 0 for c in a):
-        raise NonpositiveWeight(f"weight {a} must be strictly positive")
+        raise NonpositiveWeight(f"weight {point_text(a)} must be strictly positive")
     return a
 
 
@@ -242,7 +246,7 @@ def scale(g: Diagram, c) -> Diagram:
 def translate(g: Diagram, x) -> Diagram:
     x = _check_point(x, g.dim)
     if any(c < 0 for c in x):
-        raise NegativeCoordinate(f"translation {x} must be nonnegative")
+        raise NegativeCoordinate(f"translation {point_text(x)} must be nonnegative")
     return Diagram(g.dim, tuple(tuple(a + b for a, b in zip(p, x)) for p in g.generators))
 
 

@@ -8,8 +8,8 @@ the facet search serves every other dimension and ``polytope_volume``.
 Exact throughout, and intended for n <= 4: the facet search
 runs on Python ints, each generator and ray a positive integer multiple of
 its rational vector, which has the same signs, so every decision is that
-of the search over `Fraction`s; normals come out primitive (integer
-entries with gcd 1, as `Fraction`s).
+of the search over `Fraction`s; normals come out primitive, as the ints
+the search computes (entries with gcd 1).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ if TYPE_CHECKING:
     from .diagram import Diagram, Point
 
 Inequality = tuple[tuple[Fraction, ...], Fraction]  # (a, b) meaning a.x >= b
-Facet = tuple[tuple[Fraction, ...], Fraction, frozenset[int]]  # (a, b, tight)
+Facet = tuple[tuple[int, ...], int, frozenset[int]]  # (a, b, tight), (a, -b) primitive
 
 # Most ray tests one facet search may make: a sign test of one ray against
 # one generator, and a test of one (+, -) ray pair.  The sign tests bound
@@ -83,7 +83,7 @@ def _dual_basis(gens: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     return start, [reduced(ray) for ray in rays]
 
 
-def _cone_facets(gens: list[tuple[Fraction, ...]]) -> list[tuple[list[Fraction], list[int]]]:
+def _cone_facets(gens: list[tuple]) -> list[tuple[list[int], list[int]]]:
     """Facets of the full-dimensional pointed cone spanned by gens, each once.
 
     Double description (Motzkin et al. 1953; Fukuda, Prodon 1996): the facet
@@ -99,8 +99,8 @@ def _cone_facets(gens: list[tuple[Fraction, ...]]) -> list[tuple[list[Fraction],
     signs against every ray, so the (+, -) split, adjacency, the test count
     and the order of the rays are those of the same search over the
     rationals.  Facets come with the sorted indices of their tight
-    generators; each normal is the primitive integer vector, with
-    ``Fraction`` entries.  Raises ``UnsupportedDimension`` past
+    generators; each normal is the primitive integer vector, as a list of
+    ints.  Raises ``UnsupportedDimension`` past
     ``MAX_RAY_TESTS`` sign tests and pair tests together.
     """
     d = len(gens[0])
@@ -126,7 +126,7 @@ def _cone_facets(gens: list[tuple[Fraction, ...]]) -> list[tuple[list[Fraction],
                     ray = [vals[i] * y - vals[j] * x for x, y in zip(rays[i][0], rays[j][0])]
                     cut.append((reduced(ray), common | (1 << k)))
         rays = cut
-    return [([Fraction(x) for x in r], _set_bits(z)) for r, z in rays]
+    return [(r, _set_bits(z)) for r, z in rays]
 
 
 def _set_bits(z: int) -> list[int]:
@@ -143,8 +143,7 @@ def diagram_facets(g: Diagram) -> list[Facet]:
     """Facets (a, b, tight) of conv(generators) + R^n_+: a.x >= b with a >= 0.
 
     ``tight`` holds the indices of the generators on the facet.  A facet is
-    compact exactly when a > 0.  (a, -b) is primitive: integers with gcd 1,
-    as `Fraction`s.
+    compact exactly when a > 0.  (a, -b) is primitive: ints with gcd 1.
 
     In the plane the facets are read off the chain, which relies on the
     ``Diagram`` invariant that the generators are its vertices in lex
@@ -166,10 +165,10 @@ def diagram_facets(g: Diagram) -> list[Facet]:
         facets = []
         for line, tight in lines:
             a, b, c = reduced(line)
-            facets.append(((Fraction(a), Fraction(b)), Fraction(-c), frozenset(tight)))
+            facets.append(((a, b), -c, frozenset(tight)))
         return facets
-    gens = [tuple(Fraction(int(j == k)) for j in range(n + 1)) for k in range(n)]
-    gens += [tuple(v) + (Fraction(1),) for v in g.generators]
+    gens = [tuple(int(j == k) for j in range(n + 1)) for k in range(n)]
+    gens += [tuple(v) + (1,) for v in g.generators]
     facets = []
     for normal, tight in _cone_facets(gens):
         c = tuple(normal[:n])  # normal is (c, -d): c.x - d >= 0 on the valid side
@@ -243,7 +242,7 @@ def polytope_volume(vertices: list[Point], n: int) -> Fraction:
         return Fraction(0)
     if rank([[q[k] - points[0][k] for k in range(n)] for q in points[1:]]) < n:
         return Fraction(0)
-    tights = [frozenset(t) for _, t in _cone_facets([tuple(p) + (Fraction(1),) for p in points])]
+    tights = [frozenset(t) for _, t in _cone_facets([tuple(p) + (1,) for p in points])]
     total = Fraction(0)
     for simplex in triangulate_face(frozenset(range(len(points))), tights, points):
         p0 = points[simplex[0]]

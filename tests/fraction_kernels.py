@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from pshdiag.diagram import Diagram, Point, point
+from pshdiag.diagram import Diagram, Point, point, point_text
 from pshdiag.errors import (
     DimensionMismatch,
     EmptyInput,
@@ -126,7 +126,7 @@ def canonicalize(dim: int, raw_points) -> Diagram:
         raise EmptyInput("at least one generator is required")
     for p in pts:
         if any(c < 0 for c in p):
-            raise NegativeCoordinate(f"negative coordinate in {p}")
+            raise NegativeCoordinate(f"negative coordinate in {point_text(p)}")
     pts = sorted(set(pts))
     if dim == 2:
         keep: list[Point] = []

@@ -196,6 +196,30 @@ class TestExecute:
         _, code = execute("diagram", {"input": {"dim": 2}})
         assert code == EXIT_INPUT
 
+    # a point in an error text reads as the rationals a user writes
+    @pytest.mark.parametrize(
+        "command,payload,error",
+        [
+            (
+                "decompose",
+                {"diagram": {"dim": 2, "generators": [["-1", "2"], ["1", "0"]]}},
+                "negative coordinate in (-1, 2)",
+            ),
+            (
+                "indicator",
+                {"diagram": {"dim": 2, "generators": [["1", "0"], ["0", "1"]]}, "t": ["1/2", "-1"]},
+                "direction (1/2, -1) has a positive component",
+            ),
+            (
+                "lelong",
+                {"input": {"dim": 2, "polys": ["z1 + z2"]}, "weight": ["1/2", "0"]},
+                "weight (1/2, 0) must be strictly positive",
+            ),
+        ],
+    )
+    def test_points_in_error_texts(self, command, payload, error):
+        assert execute(command, payload) == ({"error": error}, EXIT_INPUT)
+
     def test_non_object_payload_exit_2(self):
         for payload in ([], "g.json", None):
             result, code = execute("diagram", payload)
@@ -629,8 +653,11 @@ class TestExecute:
         result, code = self._run_with_faulty_lp(
             monkeypatch, [exactlp.LPResult(exactlp.OPTIMAL, x, Fraction(-1))]
         )
-        assert code == EXIT_INTERNAL
-        assert "edge-scale LP optimum outside S: displacement" in result["error"]
+        assert (code, result["error"]) == (
+            EXIT_INTERNAL,
+            "internal invariant violation: edge-scale LP optimum outside S: "
+            "displacement (5, 6) outside [0, (0, 2)]",
+        )
 
 
 class TestBatch:

@@ -10,18 +10,17 @@ from pshdiag import (
     Indecomposable,
     canonicalize,
     classify_extreme,
-    co_summand_of,
     decide_decomposability,
     minkowski_sum,
     parse_polynomial,
     scale,
     singularity_input,
-    summand_of,
     summand_system,
+    summands_of,
     verify_decomposition,
     weighted_simplex,
 )
-from pshdiag import decomposition, exactlp, volume
+from pshdiag import decomposition, diagram, exactlp, volume
 from pshdiag.cli import EXIT_INTERNAL, EXIT_SEMANTIC, execute
 from pshdiag.decomposition import _decide_general, _ordered, _split, _translation_candidates
 from pshdiag.errors import InfeasibleAssignment
@@ -45,9 +44,9 @@ class TestSummandSystem:
         # full assignment reproduces the base, zero assignment the origin
         us_full = list(system.graph.vertices)
         ts_full = [1] * 2
-        assert summand_of(system, us_full, ts_full) == g
+        assert summands_of(system, us_full, ts_full) == (g, D((0, 0)))
         us_zero = [(0, 0)] * 3
-        assert summand_of(system, us_zero, [0, 0]) == D((0, 0))
+        assert summands_of(system, us_zero, [0, 0]) == (D((0, 0)), g)
 
     def test_partial_assignment(self):
         g = D((3, 0), (1, 1), (0, 2))
@@ -58,15 +57,13 @@ class TestSummandSystem:
         us = [(0, 1), (0, 1), (2, 0)]
         ts = {(0, 1): 0, (1, 2): 1}
         tlist = [ts[(i, j)] for i, j, _ in system.graph.edges]
-        k1 = summand_of(system, us, tlist)
-        assert k1 == D((2, 0), (0, 1))
-        assert co_summand_of(system, us, tlist) == D((1, 0), (0, 1))
+        assert summands_of(system, us, tlist) == (D((2, 0), (0, 1)), D((1, 0), (0, 1)))
 
     def test_infeasible_assignment_rejected(self):
         g = D((3, 0), (1, 1), (0, 2))
         system = summand_system(g)
         with pytest.raises(InfeasibleAssignment):
-            summand_of(system, [(0, 2), (1, 1), (3, 0)], [F(1, 2), 1])
+            summands_of(system, [(0, 2), (1, 1), (3, 0)], [F(1, 2), 1])
 
     def test_duality_of_assignments(self):
         g = D((4, 0), (2, 1), (1, 3), (0, 5))
@@ -76,14 +73,12 @@ class TestSummandSystem:
             c = F(rng.randint(0, 4), 4)
             us = [tuple(c * x for x in v) for v in system.graph.vertices]
             ts = [c] * len(system.graph.edges)
-            k1 = summand_of(system, us, ts)
-            k2 = co_summand_of(system, us, ts)
-            assert minkowski_sum(k1, k2) == g
+            assert minkowski_sum(*summands_of(system, us, ts)) == g
 
     def test_summands_read_off_the_displaced_vertices(self, monkeypatch):
-        # summand_of takes the distinct u_i of a point of S as the vertices
-        # of its summand; check that against canonicalize at every sweep
-        # optimum and at the midpoint of every pair of optima
+        # summands_of takes the distinct u_i and v_i - u_i of a point of S
+        # as the vertices of its summands; check that against canonicalize
+        # at every sweep optimum and at the midpoint of every pair of optima
         diagrams = [
             *sweep_diagrams(random.Random(19)),
             *random_diagrams(2, 12, 21),
@@ -105,24 +100,46 @@ class TestSummandSystem:
                 cases.append((system, us, x[m * n :], canonicalize(n, us), canonicalize(n, co)))
 
         def refuse(*args):
-            raise AssertionError("summand_of took a hull")
+            raise AssertionError("summands_of took a hull")
 
-        monkeypatch.setattr(decomposition, "canonicalize", refuse)
+        monkeypatch.setattr(volume, "_cone_facets", refuse)
+        monkeypatch.setattr(diagram, "canonicalize", refuse)
         seen = set()
         for system, us, ts, k1, k2 in cases:
-            got = (summand_of(system, us, ts), co_summand_of(system, us, ts))
+            got = summands_of(system, us, ts)
             assert got == (k1, k2)
             assert all(type(c) is F for k in got for p in k.generators for c in p)
             # an assignment off S still raises
             t = ts[0] + F(1, 3) if ts[0] <= F(2, 3) else ts[0] - F(1, 3)
             with pytest.raises(InfeasibleAssignment):
-                summand_of(system, us, [t, *ts[1:]])
+                summands_of(system, us, [t, *ts[1:]])
             with pytest.raises(InfeasibleAssignment):
-                summand_of(system, [tuple(c + 1 for c in system.graph.vertices[0]), *us[1:]], ts)
+                summands_of(system, [tuple(c + 1 for c in system.graph.vertices[0]), *us[1:]], ts)
             base = system.base
             seen.add((base.dim, any(c.denominator > 1 for p in base.generators for c in p)))
         assert {(dim, rational) for dim in (2, 3, 4) for rational in (False, True)} <= seen
         assert len(cases) >= 150
+
+    def test_sweep_checks_each_optimum_once(self, monkeypatch):
+        # one check of S covers both summands of an optimum
+        checks = []
+        check = decomposition.SummandSystem.check
+
+        def counting(self, us, ts):
+            checks.append(1)
+            return check(self, us, ts)
+
+        total = 0
+        for g in sweep_diagrams(random.Random(19)):
+            args, kwargs = sweep_call(g)
+            optima = {tuple(res.x) for res in exactlp.solve_lp(*args, **kwargs) if res.value < 0}
+            with monkeypatch.context() as patch:
+                patch.setattr(decomposition.SummandSystem, "check", counting)
+                candidates = decomposition._edge_scale_candidates(summand_system(g))
+            assert len(checks) == len(candidates) == len(optima), g
+            total += len(checks)
+            checks.clear()
+        assert total >= 40
 
 
 class TestVerifyDecomposition:
@@ -248,7 +265,7 @@ class TestDecide:
         monkeypatch.setattr(decomposition.SummandSystem, "_lp_constraints", refuse)
         monkeypatch.setattr(exactlp, "solve_lp", refuse)
         g = D((1, 2), (2, 1))
-        assert decomposition._edge_scale_candidates(g, summand_system(g)) == []
+        assert decomposition._edge_scale_candidates(summand_system(g)) == []
         assert execute("decompose", payload) == want
         cert = want[0]["certificate"]
         assert (cert["method"], cert["left"]["generators"], cert["right"]["generators"]) == (
@@ -277,7 +294,7 @@ class TestDecide:
                 g = on_plane(dim, rng.randint(3, 8 - dim), rng.randint(2, 5))
             if len(g.generators) == 1 or decomposition._is_axis_simplex(g):
                 continue
-            candidates = decomposition._edge_scale_candidates(g, summand_system(g))
+            candidates = decomposition._edge_scale_candidates(summand_system(g))
             for pair in candidates:
                 assert verify_decomposition(g, *pair), (g, pair)
             checked += len(candidates)
@@ -384,11 +401,12 @@ class TestSplits:
         def refuse(*args):
             raise AssertionError("a split reached a facet search")
 
-        monkeypatch.setattr(decomposition, "canonicalize", refuse)
         monkeypatch.setattr(volume, "_cone_facets", refuse)
-        for (g, shifts), (translations, splits) in zip(cases, expected):
-            assert _translation_candidates(g) == translations
-            assert [_split(g, x) for x in shifts] == splits
+        with monkeypatch.context() as patch:
+            patch.setattr(diagram, "canonicalize", refuse)
+            for (g, shifts), (translations, splits) in zip(cases, expected):
+                assert _translation_candidates(g) == translations
+                assert [_split(g, x) for x in shifts] == splits
         # in the plane the point split is verified without a search as well
         cert = decide_decomposability(D((2, 3)))
         assert cert.method == "point-split"

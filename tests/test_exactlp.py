@@ -162,7 +162,7 @@ def sweep_call(g):
     fake = types.SimpleNamespace(OPTIMAL=OPTIMAL, solve_lp=recording)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(decomposition, "exactlp", fake)
-        decomposition._edge_scale_candidates(g, summand_system(g))
+        decomposition._edge_scale_candidates(summand_system(g))
     (call,) = calls
     return call
 

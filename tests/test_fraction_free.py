@@ -28,7 +28,7 @@ def assert_same_search(gens):
     want = fraction_kernels.cone_facets(gens)
     assert [tight for _, tight in got] == [tight for _, tight in want], gens
     for (normal, _), (ref, _) in zip(got, want):
-        assert all(type(x) is F for x in normal), normal
+        assert all(type(x) is int for x in normal), normal
         k = next(i for i, x in enumerate(ref) if x != 0)
         factor = normal[k] / ref[k]
         assert factor > 0 and [factor * x for x in ref] == normal, gens
