@@ -25,6 +25,7 @@ from .decomposition import (
     decide_decomposability,
 )
 from .errors import PshDiagError, UnsupportedDimension, VerificationFailure
+from .reuse import batch_scope
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -139,7 +140,13 @@ def execute(command: str, payload: dict) -> tuple[dict, int]:
 
 
 def run_batch(manifest: dict) -> tuple[dict, int]:
-    """Execute a manifest's requests in order; output is sorted by id."""
+    """Execute a manifest's requests in order; output is sorted by id.
+
+    The entries run in one ``reuse.batch_scope``: each distinct polynomial
+    text is parsed once and each distinct diagram decided once, and later
+    entries share those results.  Nothing carries over to the next batch,
+    and an entry that fails computes and fails afresh each time.
+    """
     if not isinstance(manifest, dict) or not isinstance(manifest.get("requests", []), list):
         return {"error": "manifest must have a 'requests' list"}, EXIT_INPUT
     requests = manifest.get("requests", [])
@@ -156,7 +163,8 @@ def run_batch(manifest: dict) -> tuple[dict, int]:
             return {"error": f"duplicate request id {req['id']!r}"}, EXIT_INPUT
         ids.add(req["id"])
         entries.append((req["id"], req["command"], req.get("payload", {})))
-    outcomes = [(rid, *execute(command, payload)) for rid, command, payload in entries]
+    with batch_scope():
+        outcomes = [(rid, *execute(command, payload)) for rid, command, payload in entries]
 
     results = {}
     exit_code = EXIT_OK

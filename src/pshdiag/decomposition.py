@@ -70,8 +70,9 @@ from .errors import (
     UnsupportedDimension,
     VerificationFailure,
 )
-from .linalg import exact
+from .linalg import exact, integral
 from .polynomials import SingularityInput, diagram_of_input
+from .reuse import once_per_batch
 
 METHOD_SIMPLEX_FACET = "simplex-facet"
 METHOD_TWO_DIM_CHAIN = "two-dim-chain"
@@ -161,7 +162,13 @@ class SummandSystem:
         return eq, ub
 
     def check(self, us, ts) -> None:
-        """Raise InfeasibleAssignment unless the assignment satisfies S."""
+        """Raise InfeasibleAssignment unless the assignment satisfies S.
+
+        The values are ints and `Fraction`s, as ``summands_of`` passes them.
+        Each edge equation u_i - u_j = -t d, d = v_j - v_i, is tested on
+        integers: with u = U/a, t = T/b and v = V/c over common
+        denominators it reads (U_i - U_j) b c = -T (V_j - V_i) a.
+        """
         n = self.base.dim
         if len(us) != self.num_vertices or len(ts) != self.num_edges:
             raise InfeasibleAssignment("assignment shape mismatch")
@@ -170,11 +177,15 @@ class SummandSystem:
                 raise InfeasibleAssignment("displacement dimension mismatch")
             if any(c < 0 for c in u) or any(c > vk for c, vk in zip(u, v)):
                 raise InfeasibleAssignment(f"displacement {point_text(u)} outside [0, {point_text(v)}]")
-        for t, (i, j, d) in zip(ts, self.graph.edges):
+        a, uu = integral([x for u in us for x in u])
+        b, tt = integral(ts)
+        c, vv = integral([x for v in self.graph.vertices for x in v])
+        for t, tn, (i, j, _) in zip(ts, tt, self.graph.edges):
             if t < 0 or t > 1:
                 raise InfeasibleAssignment(f"edge scale {t} outside [0, 1]")
             for k in range(n):
-                if us[i][k] - us[j][k] != -t * d[k]:
+                ik, jk = i * n + k, j * n + k
+                if (uu[ik] - uu[jk]) * b * c != -tn * (vv[jk] - vv[ik]) * a:
                     raise InfeasibleAssignment(
                         f"edge ({i},{j}) constraint violated at coordinate {k}"
                     )
@@ -357,6 +368,7 @@ def _edge_scale_candidates(system: SummandSystem):
     return candidates
 
 
+@once_per_batch
 def decide_decomposability(g: Diagram) -> Certificate:
     """Exact decision of decomposability modulo homothety.
 

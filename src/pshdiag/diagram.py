@@ -68,7 +68,8 @@ _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def point(coords) -> Point:
-    return tuple(Fraction(c) for c in coords)
+    """The coordinates as `Fraction`s: a `Fraction` as it is, any other value through `Fraction`."""
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
 
 def point_text(coords) -> str:

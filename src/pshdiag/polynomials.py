@@ -65,6 +65,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .linalg import det, frac_rows, integral
+from .reuse import once_per_batch
 
 Exponent = tuple[int, ...]
 Terms = dict[Exponent, Fraction]
@@ -301,6 +302,7 @@ def _monomial(tree: Tree) -> bool:
     return isinstance(tree, Polynomial) and len(tree.terms) <= 1
 
 
+@once_per_batch
 def parse_tree(text: str, dim: int) -> Tree:
     """The expression tree of the text: products of powers are kept, sums multiplied out."""
     if not 1 <= dim <= MAX_DIM:

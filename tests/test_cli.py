@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from pshdiag import decomposition, exactlp
+from pshdiag import decomposition, exactlp, polynomials
 from pshdiag.diagram import MAX_DIGITS, MAX_DIM, MAX_GENERATORS, diagram_from_json
 from pshdiag.measures import covolume_2d_oracle
 from pshdiag.polynomials import MAX_EXPONENT
@@ -744,6 +744,89 @@ class TestBatch:
         assert list(json.loads(out)["results"]) == ["2", "10"]
 
 
+# one input in two texts, and its diagram, the 3-D sum of two segments,
+# whose decision runs the edge-scale sweep
+SEGMENTS_INPUT = {"dim": 3, "polys": ["z1*z2 + z1*z3", "z2^2 + z2*z3"]}
+SEGMENTS = {"dim": 3, "generators": [["1", "1", "0"], ["1", "0", "1"], ["0", "2", "0"], ["0", "1", "1"]]}
+SESSION = [
+    ("classify", {"input": SEGMENTS_INPUT}),
+    ("decompose", {"diagram": SEGMENTS}),
+    ("diagram", {"input": SEGMENTS_INPUT}),
+    ("lelong", {"input": SEGMENTS_INPUT, "weight": ["1", "2", "3"]}),
+    ("substitute", {"input": SEGMENTS_INPUT, "matrix": [["1", "0", "0"], ["0", "1", "0"], ["1", "0", "1"]]}),
+]
+
+
+def manifest_of(requests):
+    return {"requests": [{"id": f"{k}-{c}", "command": c, "payload": p} for k, (c, p) in enumerate(requests)]}
+
+
+class TestBatchReuse:
+    """Within one batch each distinct text is parsed and each distinct diagram decided once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"parse": 0, "sweep": 0}
+
+        def counted(name, original):
+            def call(*args):
+                counts[name] += 1
+                return original(*args)
+
+            return call
+
+        monkeypatch.setattr(polynomials._Parser, "parse", counted("parse", polynomials._Parser.parse))
+        monkeypatch.setattr(
+            decomposition, "_edge_scale_candidates", counted("sweep", decomposition._edge_scale_candidates)
+        )
+        return counts
+
+    def test_batch_parses_and_decides_once(self, calls):
+        result, code = run_batch(manifest_of(SESSION))
+        assert code == EXIT_OK
+        assert calls == {"parse": 2, "sweep": 1}
+        # shared results answer as each entry does alone
+        for k, (command, payload) in enumerate(SESSION):
+            assert result["results"][f"{k}-{command}"]["result"] == execute(command, payload)[0]
+        certificate = result["results"]["1-decompose"]["result"]["certificate"]
+        assert certificate["method"] == "facet-pair-lp"
+        assert result["results"]["0-classify"]["result"]["certificate"] == certificate
+
+    def test_nothing_carries_across_batches(self, calls):
+        first = run_batch(manifest_of(SESSION))
+        assert first == run_batch(manifest_of(SESSION))
+        assert calls == {"parse": 4, "sweep": 2}
+
+    def test_execute_outside_a_batch_computes_every_call(self, calls):
+        for _ in range(2):
+            assert execute("decompose", {"diagram": SEGMENTS})[1] == EXIT_OK
+            assert execute("diagram", {"input": SEGMENTS_INPUT})[1] == EXIT_OK
+        assert calls == {"parse": 4, "sweep": 2}
+
+    def test_repeated_failures_fail_alike(self, calls):
+        malformed = ("diagram", {"input": {"dim": 2, "polys": ["z1 +* z2"]}})
+        singular = ("substitute", {"input": INPUT, "matrix": [["1", "2"], ["2", "4"]]})
+        # a list cannot be a key of the shared results, so it is read as outside a batch
+        unhashable = ("classify", {"input": {"dim": 2, "polys": [["z1"]]}})
+        result, code = run_batch(manifest_of([malformed, singular, unhashable] * 2))
+        assert code == EXIT_INPUT
+        # the malformed text is read afresh each time, the good one once
+        assert calls["parse"] == 3
+        results = result["results"]
+        for k, request in enumerate([malformed, singular, unhashable]):
+            first, again = results[f"{k}-{request[0]}"], results[f"{k + 3}-{request[0]}"]
+            assert first == again == {"ok": False, "exit_code": EXIT_INPUT, "result": execute(*request)[0]}
+
+    def test_internal_fault_is_not_shared(self, calls, monkeypatch):
+        monkeypatch.setattr(exactlp, "solve_lp", lambda *args, **kwargs: None)
+        result, code = run_batch(manifest_of(SESSION[:2]))
+        assert code == EXIT_INTERNAL
+        for rid in ("0-classify", "1-decompose"):
+            assert result["results"][rid]["exit_code"] == EXIT_INTERNAL
+            assert "infeasible" in result["results"][rid]["result"]["error"]
+        assert calls["sweep"] == 2
+
+
 class TestMainEntry:
     def test_classify_json_round_trip(self, capsys):
         code, out = run_cli(
@@ -890,7 +973,8 @@ class TestMainEntry:
 def test_optimized_interpreter_gives_same_bytes(tmp_path):
     # behaviour must not rest on assert statements, which -O strips; the
     # second manifest expands a product of a power and a sum, and runs the
-    # edge-scale sweep on a 3-D sum of two segments
+    # edge-scale sweep on a 3-D sum of two segments, whose decision the
+    # classify entry of the same diagram then shares
     product = {"dim": 2, "polys": ["(z1 + z2)^3 * (z1 + 2*z2)"]}
     segments = {"dim": 3, "generators": [[1, 1, 0], [1, 0, 1], [0, 2, 0], [0, 1, 1]]}
     expanding = tmp_path / "manifest.json"
@@ -899,6 +983,8 @@ def test_optimized_interpreter_gives_same_bytes(tmp_path):
         {"id": "substitute-product", "command": "substitute",
          "payload": {"input": product, "matrix": [["1", "0"], ["-1", "1"]]}},
         {"id": "decompose-segments", "command": "decompose", "payload": {"diagram": segments}},
+        {"id": "classify-segments", "command": "classify",
+         "payload": {"input": {"dim": 3, "polys": ["z1*z2 + z1*z3 + z2^2 + z2*z3"]}}},
     ]}))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
