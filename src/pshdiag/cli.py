@@ -237,8 +237,11 @@ def emit(result: dict, fmt: str, command: str, output_path: str | None) -> None:
     else:
         text = render_text(command, result)
     if output_path:
-        with open(output_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(output_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise CliInputError(f"cannot write {output_path}: {exc}") from exc
     else:
         print(text)
 
@@ -255,7 +258,8 @@ def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh, parse_int=_json_int)
-    except (OSError, json.JSONDecodeError, PshDiagError) as exc:
+    # RecursionError: arrays or objects nested past the interpreter's depth limit
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError, PshDiagError) as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -312,10 +316,10 @@ def main(argv=None) -> int:
             result, code = run_batch(payload["manifest"])
         else:
             result, code = execute(args.command, payload)
+        emit(result, args.format, args.command, args.output)
     except CliInputError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_INPUT
-    emit(result, args.format, args.command, args.output)
     return code
 
 

@@ -4,14 +4,16 @@ A diagram is the set conv(generators) + R^n_+, stored by its minimal
 (canonical) generator set in lexicographic order.  All operations are pure
 and exact; a diagram is immutable after construction.
 
-No operation runs an LP: ``contains`` checks the inequalities of
-``volume.diagram_facets``, and ``compact_graph`` and, outside the plane,
-``canonicalize`` read its tight sets (in 2-D ``canonicalize`` is a
-monotone chain, and the facets are read off that chain); everything else
-is arithmetic on the generators.  A face is looked up among the tight
-sets on one of its vertices: any list of tight sets that holds every
-facet containing the members gives ``volume.least_face`` the same face.
-``member_of_hull`` is the tests' LP reference.
+No operation runs an LP.  A diagram holds one facet list, ``facets``:
+outside the plane ``canonicalize`` hands on those of its search, and any
+other diagram reads ``volume.diagram_facets`` once, on first use.
+``contains`` checks their inequalities, ``compact_graph`` and
+``measures.newton_number`` read their tight sets, and in 2-D
+``canonicalize`` is a monotone chain.  Everything else is arithmetic on
+the generators.  A face is looked up among the tight sets on one of its
+vertices: any list of tight sets that holds every facet containing the
+members gives ``volume.least_face`` the same face.  ``member_of_hull``
+is the tests' LP reference.
 
 Generators are `Fraction`s, but ``canonicalize`` compares int and
 `Fraction` coordinates as it is given them, so a lattice support is
@@ -27,6 +29,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import exactlp
 from .errors import (
@@ -40,7 +43,8 @@ from .errors import (
     UnsupportedDimension,
 )
 from .linalg import dot, exact
-from .volume import diagram_facets, least_face
+from .reuse import once_per_batch
+from .volume import Facet, diagram_facets, least_face
 
 Point = tuple[Fraction, ...]
 
@@ -87,6 +91,11 @@ class Diagram:
 
     def __str__(self):
         return "Diagram[" + ", ".join(map(point_text, self.generators)) + "]"
+
+    @cached_property
+    def facets(self) -> tuple[Facet, ...]:
+        """``volume.diagram_facets``, found on first read unless ``canonicalize`` kept them."""
+        return tuple(diagram_facets(self))
 
 
 @dataclass(frozen=True)
@@ -150,7 +159,8 @@ def canonicalize(dim: int, raw_points) -> Diagram:
     sorted order, and a point is a vertex iff ``volume.least_face`` of it,
     sought among the facets on it, holds no other point.  Only a point on
     at least n facets can be a vertex of the full-dimensional diagram, so
-    the others skip that test.
+    the others skip that test.  The result keeps the facets, with tight
+    sets cut to its vertices and renumbered.
     A point q >= p componentwise sorts after p and lies in the cone the
     search has built by then, so it costs one sign test per current ray and
     adds no ray; the search raises ``UnsupportedDimension`` past its
@@ -179,13 +189,14 @@ def canonicalize(dim: int, raw_points) -> Diagram:
                 keep.pop()  # keep[-1] lies on or above the segment keep[-2] p
             keep.append(p)
         return Diagram(dim, tuple(map(point, keep)))
-    on = _incidence([t for _, _, t in diagram_facets(Diagram(dim, tuple(pts)))], len(pts))
-    keep = [
-        point(p)
-        for i, p in enumerate(pts)
-        if len(on[i]) >= dim and least_face(on[i], frozenset([i])) == {i}
-    ]
-    return Diagram(dim, tuple(keep))
+    facets = Diagram(dim, tuple(pts)).facets
+    on = _incidence([t for _, _, t in facets], len(pts))
+    keep = [i for i, f in enumerate(on) if len(f) >= dim and least_face(f, frozenset([i])) == {i}]
+    index = {i: k for k, i in enumerate(keep)}  # each kept point's place among the vertices
+    g = Diagram(dim, tuple(point(pts[i]) for i in keep))
+    facets = tuple((a, b, frozenset(index[i] for i in t if i in index)) for a, b, t in facets)
+    object.__setattr__(g, "facets", facets)
+    return g
 
 
 def _incidence(tights: list[frozenset[int]], m: int) -> list[list[frozenset[int]]]:
@@ -199,7 +210,7 @@ def _incidence(tights: list[frozenset[int]], m: int) -> list[list[frozenset[int]
 
 def contains(g: Diagram, p) -> bool:
     p = _check_point(p, g.dim)
-    return all(dot(a, p) >= b for a, b, _ in diagram_facets(g))
+    return all(dot(a, p) >= b for a, b, _ in g.facets)
 
 
 def support_value(g: Diagram, t) -> Fraction:
@@ -316,7 +327,7 @@ def compact_graph(g: Diagram) -> DiagramGraph:
     tight sets are tested, in (i, j) order.
     """
     gens = g.generators
-    tights = [t for _, _, t in diagram_facets(g)]
+    tights = [t for _, _, t in g.facets]
     on = _incidence(tights, len(gens))
     shared = Counter(pair for t in tights for pair in itertools.combinations(sorted(t), 2))
     edges = []
@@ -418,4 +429,14 @@ def diagram_from_json(obj: dict) -> Diagram:
         raise UnsupportedDimension(
             f"{len(gens)} generators exceed the budget of {MAX_GENERATORS} per diagram"
         )
-    return canonicalize(dim, [[rational_from_json(c) for c in p] for p in gens])
+    return _canonical(dim, tuple(tuple(rational_from_json(c) for c in p) for p in gens))
+
+
+@once_per_batch
+def _canonical(dim: int, points: tuple[tuple, ...]) -> Diagram:
+    """``canonicalize``, once per dimension and points within a batch.
+
+    The points are keyed as ``rational_from_json`` reads them, not as JSON
+    gives them: a float 1.0 or a true equals 1 as a key, yet is refused.
+    """
+    return canonicalize(dim, points)

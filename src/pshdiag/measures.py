@@ -17,7 +17,7 @@ from .diagram import (
 from .errors import DimensionMismatch, Unbounded
 from .linalg import det
 from .polynomials import SingularityInput, diagram_of_input, weight
-from .volume import diagram_facets, triangulate_face
+from .volume import triangulate_face
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def newton_number(g: Diagram) -> NewtonNumberResult:
     """
     if not touches_all_axes(g):
         return INFINITE
-    facets = diagram_facets(g)
+    facets = g.facets
     tights = [t for _, _, t in facets]
     total = Fraction(0)
     for a, _, tight in facets:

@@ -9,7 +9,8 @@ the next, and an exception is never kept, so a failing call fails afresh
 each time.
 
 Only pure functions whose equal arguments give equal, immutable results
-are decorated (``polynomials.parse_tree`` and
+are decorated (``polynomials.parse_tree``, ``diagram._canonical``, which
+canonicalizes a JSON diagram's points and so shares its facets too, and
 ``decomposition.decide_decomposability``), so sharing a result cannot
 change an answer.
 """

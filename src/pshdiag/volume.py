@@ -1,15 +1,15 @@
 """Exact facets and volumes of polyhedra, by the double description method.
 
-``diagram_facets`` is the one source of face data for diagrams: each facet
-comes with the generators tight on it, and vertices, compact edges and the
-triangulations behind Newton numbers and volumes are read off these
-incidences.  In the plane the facets are read off the canonical chain;
-the facet search serves every other dimension and ``polytope_volume``.
-Exact throughout, and intended for n <= 4: the facet search
-runs on Python ints, each generator and ray a positive integer multiple of
-its rational vector, which has the same signs, so every decision is that
-of the search over `Fraction`s; normals come out primitive, as the ints
-the search computes (entries with gcd 1).
+``diagram_facets`` is the one source of face data for diagrams, run once
+per diagram for ``Diagram.facets``: each facet comes with the generators
+tight on it, and vertices, compact edges and the triangulations behind
+Newton numbers are read off these incidences.  In the plane the facets
+are read off the canonical chain; the facet search serves every other
+dimension and ``polytope_volume``.  Exact throughout, and intended for
+n <= 4: the facet search runs on Python ints, each generator and ray a
+positive integer multiple of its rational vector, which has the same
+signs, so every decision is that of the search over `Fraction`s; normals
+come out primitive, as the ints the search computes (entries with gcd 1).
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ import sys
 
 import pytest
 
+from pshdiag import volume
 from pshdiag.cli import execute, run_batch
 
 CORPUS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
@@ -33,10 +34,14 @@ def load_corpus():
 
 
 @pytest.mark.parametrize("workload", ["hull", "decide"])
-def test_pool_answers_match_golden(workload):
+def test_pool_answers_match_golden(workload, monkeypatch):
     corpus = load_corpus()
     golden = corpus.load_golden(workload)
     sent = 0
+    # each diagram searches for its facets at most once, as canonicalize hands them on
+    searches = []
+    search = volume._cone_facets
+    monkeypatch.setattr(volume, "_cone_facets", lambda gens: searches.append(1) or search(gens))
     for variants in corpus.pools(workload).values():
         for images in variants:
             for command, payload in images:
@@ -45,6 +50,7 @@ def test_pool_answers_match_golden(workload):
                 assert (code, result) == (want["code"], want["result"]), (command, payload)
                 sent += 1
     assert sent == {"hull": 1200, "decide": 640}[workload]
+    assert len(searches) <= {"hull": 288, "decide": 362}[workload]
 
 
 def sha256(text: str) -> str:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from pshdiag import decomposition, exactlp, polynomials
+from pshdiag import decomposition, diagram, exactlp, polynomials
 from pshdiag.diagram import MAX_DIGITS, MAX_DIM, MAX_GENERATORS, diagram_from_json
 from pshdiag.measures import covolume_2d_oracle
 from pshdiag.polynomials import MAX_EXPONENT
@@ -827,6 +827,46 @@ class TestBatchReuse:
         assert calls["sweep"] == 2
 
 
+    def test_one_canonical_diagram_per_batch(self, monkeypatch):
+        # a 3-D diagram with dominated points and a non-vertex on an edge
+        g = {"dim": 3, "generators": [[4, 0, 0], [0, 4, 0], [0, 0, 4], ["1", "1", "1"], [2, 2, 2], [2, 2, 0]]}
+        requests = [
+            ("newton-number", {"diagram": g}),
+            ("decompose", {"diagram": g}),
+            ("indicator", {"diagram": g, "t": ["-1", "-2", "-3"]}),
+            ("sum", {"a": g, "b": g}),
+            ("homothetic", {"a": g, "b": g}),
+        ]
+        alone = [execute(*request) for request in requests]
+        seen = []
+        canonicalize = diagram.canonicalize
+
+        def recording(dim, points):
+            seen.append(points)
+            return canonicalize(dim, points)
+
+        monkeypatch.setattr(diagram, "canonicalize", recording)
+        result, code = run_batch(manifest_of(requests))
+        assert code == EXIT_OK
+        assert seen.count(tuple(tuple(map(int, p)) for p in g["generators"])) == 1
+        for k, (command, _) in enumerate(requests):
+            entry = result["results"][f"{k}-{command}"]
+            assert json.dumps(entry["result"], sort_keys=True) == json.dumps(alone[k][0], sort_keys=True)
+            assert entry["exit_code"] == alone[k][1]
+
+    def test_numbers_equal_to_an_integer_are_read_afresh(self):
+        # 1.0 and true equal 1 as keys, but JSON floats and booleans are refused
+        requests = [
+            ("decompose", {"diagram": {"dim": 2, "generators": [[c, 2], [3, 0]]}}) for c in (1, 1.0, True)
+        ]
+        result, code = run_batch(manifest_of(requests))
+        assert code == EXIT_INPUT
+        for k, request in enumerate(requests):
+            entry = result["results"][f"{k}-decompose"]
+            assert (entry["result"], entry["exit_code"]) == execute(*request)
+        assert [e["exit_code"] for e in result["results"].values()] == [EXIT_OK, EXIT_INPUT, EXIT_INPUT]
+
+
 class TestMainEntry:
     def test_classify_json_round_trip(self, capsys):
         code, out = run_cli(
@@ -908,6 +948,23 @@ class TestMainEntry:
     def test_missing_file_exit_2(self, capsys):
         code = main(["newton-number", "/nonexistent.json"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "content", [b"[" * 200_000, b"\xff\xfe{}"], ids=["nested-past-recursion-limit", "not-utf-8"]
+    )
+    def test_unreadable_json_exit_2(self, capsys, tmp_path, content):
+        path = tmp_path / "g.json"
+        path.write_bytes(content)
+        assert main(["newton-number", str(path)]) == EXIT_INPUT
+        assert json.loads(capsys.readouterr().err)["error"].startswith(f"cannot read {path}: ")
+
+    def test_unwritable_output_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code = main(["--output", str(path), "newton-number", str(FIXTURES / "diagram_original.json")])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and not path.exists()
+        assert json.loads(captured.err)["error"].startswith(f"cannot write {path}: ")
 
     @pytest.mark.parametrize(
         "args,payload",

@@ -411,10 +411,10 @@ class TestSplits:
         cert = decide_decomposability(D((2, 3)))
         assert cert.method == "point-split"
 
-    def test_translated_diagram_refused_after_two_facet_searches(self, monkeypatch):
+    def test_translated_diagram_refused_after_one_facet_search(self, monkeypatch):
         # 18 lattice points of a 7-D plane, shifted by 2 on every axis: 15
-        # translation splits, built without a search, so the only two read
-        # the input and its edges before the sweep budget refuses
+        # translation splits, built without a search, so the only one reads
+        # the input, whose facets give its edges, before the sweep budget refuses
         rng = random.Random(0)
         gens = [[c + 2 for c in on_hyperplane(rng, 7, 4)] for _ in range(18)]
         searches = []
@@ -428,7 +428,7 @@ class TestSplits:
         result, code = execute("decompose", {"diagram": {"dim": 7, "generators": gens}})
         assert code == EXIT_SEMANTIC
         assert "edge-scale sweep" in result["error"]
-        assert len(searches) == 2
+        assert len(searches) == 1
 
 
 class TestOracleAgreement:

@@ -8,6 +8,7 @@ per vertex pair, and Newton numbers by clipping the diagram to a box and
 triangulating the vertices of the clipped polytope.
 """
 
+import dataclasses
 import itertools
 import math
 import random
@@ -26,7 +27,7 @@ from pshdiag import (
 )
 from pshdiag import diagram, linalg, measures, volume
 from pshdiag.cli import EXIT_OK, execute, run_batch
-from pshdiag.diagram import member_of_hull
+from pshdiag.diagram import Diagram, member_of_hull
 from pshdiag.exactlp import solve_lp
 from pshdiag.linalg import det, dot, nullspace
 from pshdiag.volume import _cone_facets, diagram_facets, enumerate_vertices, polytope_volume
@@ -291,10 +292,8 @@ def test_one_dimensional_newton_number():
     assert newton_number(canonicalize(1, [[0]])).value == 0
 
 
-def test_one_facet_search_per_call(monkeypatch):
-    # in the plane the facets are read off the chain: no search at all
-    diagrams = random_diagrams(2, 8, 21) + random_diagrams(3, 8, 22) + random_diagrams(4, 4, 23)
-    cube = list(itertools.product((F(0), F(1)), repeat=4))
+def counting_searches(monkeypatch):
+    """The list that each ``volume._cone_facets`` call appends its generators to, from now on."""
     calls = []
     search = volume._cone_facets
 
@@ -303,13 +302,63 @@ def test_one_facet_search_per_call(monkeypatch):
         return search(gens)
 
     monkeypatch.setattr(volume, "_cone_facets", counting)
+    return calls
+
+
+def test_one_facet_search_per_call(monkeypatch):
+    # in the plane the facets are read off the chain: no search at all;
+    # elsewhere canonicalize hands on the facets it found, and a diagram
+    # built directly searches on its first read and never again
+    diagrams = random_diagrams(2, 8, 21) + random_diagrams(3, 8, 22) + random_diagrams(4, 4, 23)
+    cube = list(itertools.product((F(0), F(1)), repeat=4))
+    calls = counting_searches(monkeypatch)
     for g in diagrams:
+        direct = Diagram(g.dim, g.generators)
         calls.clear()
         newton_number(g)
+        assert calls == [], g
+        newton_number(direct)
+        newton_number(direct)
         assert len(calls) == (g.dim != 2 and touches_all_axes(g)), g
     calls.clear()
     assert polytope_volume(cube, 4) == 1
     assert len(calls) == 1
+
+
+def stored_facet_cases():
+    """Canonical diagrams from seeded 1-D, 3-D and 4-D lattice and rational clouds."""
+    for dim, seed in CLOUD_CASES:
+        if dim != 2:
+            for pts in clouds(dim, seed) + clouds(dim, seed + 100):
+                if len(set(pts)) > 1:  # one distinct point is returned before any search
+                    yield pts, canonicalize(dim, pts)
+
+
+def test_stored_facets_match_a_fresh_search():
+    cases = list(stored_facet_cases())
+    assert len(cases) > 200
+    # dominated points and non-vertices on a facet are dropped, so tight sets are cut
+    assert sum(len(g.generators) < len(set(pts)) for pts, g in cases) > 100
+    for _, g in cases:
+        fresh = Diagram(g.dim, g.generators)
+        assert "facets" in vars(g) and "facets" not in vars(fresh)
+        assert set(g.facets) == set(diagram_facets(fresh)), g
+        # the list held changes no comparison, hash or printed form
+        assert (g, hash(g), repr(g)) == (fresh, hash(fresh), repr(fresh))
+    assert [f.name for f in dataclasses.fields(Diagram)] == ["dim", "generators"]
+
+
+def test_readers_search_only_diagrams_built_directly(monkeypatch):
+    diagrams = random_diagrams(3, 8, 22) + random_diagrams(4, 4, 23)
+    diagrams += [g for _, g in stored_facet_cases() if g.dim > 2][:40]
+    calls = counting_searches(monkeypatch)
+    for g in diagrams:
+        for h, searches in [(g, 0), (Diagram(g.dim, g.generators), 1)]:
+            calls.clear()
+            contains(h, h.generators[0])
+            compact_graph(h)
+            newton_number(h)
+            assert len(calls) == searches, h
 
 
 def test_vertices_and_edges_need_no_rank(monkeypatch):
