@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import sys
+from fractions import Fraction
 
 from . import diagram as dg
 from . import measures
@@ -181,15 +182,14 @@ def _color_enabled() -> bool:
     return os.environ.get("NO_COLOR") is None and sys.stdout.isatty()
 
 
-def _staircase(g: dg.Diagram) -> str:
-    """ASCII sketch of a 2-D diagram's vertex chain."""
+def _staircase(generators: list[list[str]]) -> str:
+    """ASCII sketch of a 2-D diagram's vertex chain, from its generator texts."""
     height = 10
     width = 2 * height
-    xs = [p[0] for p in g.generators]
-    ys = [p[1] for p in g.generators]
-    span = max(max(xs), max(ys), 1)
+    points = [[Fraction(c) for c in p] for p in generators]
+    span = max(max(c for p in points for c in p), 1)
     grid = [[" "] * width for _ in range(height)]
-    for p in g.generators:
+    for p in points:
         col = int(p[0] / span * (width - 1))
         row = height - 1 - int(p[1] / span * (height - 1))
         grid[row][col] = "*"
@@ -201,11 +201,13 @@ def _staircase(g: dg.Diagram) -> str:
 def render_text(command: str, result: dict) -> str:
     lines = []
 
+    def generator_list(obj):
+        return ", ".join("(" + ", ".join(p) + ")" for p in obj["generators"])
+
     def diagram_lines(obj):
-        pts = ", ".join("(" + ", ".join(p) + ")" for p in obj["generators"])
-        lines.append(f"vertices: {pts}")
+        lines.append(f"vertices: {generator_list(obj)}")
         if obj["dim"] == 2:
-            lines.append(_staircase(dg.diagram_from_json(obj)))
+            lines.append(_staircase(obj["generators"]))
 
     if "diagram" in result and command in ("diagram", "sum"):
         diagram_lines(result["diagram"])
@@ -219,9 +221,7 @@ def render_text(command: str, result: dict) -> str:
         diagram_lines(result["diagram"])
         cert = result["certificate"]
         if cert["verdict"] == "decomposable":
-            left = ", ".join("(" + ", ".join(p) + ")" for p in cert["left"]["generators"])
-            right = ", ".join("(" + ", ".join(p) + ")" for p in cert["right"]["generators"])
-            lines.append(f"witness: [{left}] + [{right}]")
+            lines.append(f"witness: [{generator_list(cert['left'])}] + [{generator_list(cert['right'])}]")
         else:
             lines.append(f"indecomposability method: {cert['method']}")
         lines.append(result["caveat"])

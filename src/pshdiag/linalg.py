@@ -85,18 +85,10 @@ def det(m: Matrix) -> Fraction:
 
 
 def solve_unique(a: Matrix, b: list[Fraction]) -> list[Fraction] | None:
-    """Solution of a square system, or None if singular."""
+    """Solution of a square system, or None if singular: one ``rref`` of [a | b]."""
     n = len(a)
-    if det(a) == 0:
-        return None
-    aug = [row[:] + [b[i]] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    x = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        if c == n:
-            return None  # inconsistent
-        x[c] = red[r][n]
-    return x
+    red, pivots = rref([list(row) + [b[i]] for i, row in enumerate(a)])
+    return [row[n] for row in red] if pivots == list(range(n)) else None
 
 
 def nullspace(m: Matrix) -> list[list[Fraction]]:

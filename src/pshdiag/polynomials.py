@@ -523,7 +523,10 @@ def _read_input(obj: dict) -> tuple[int, list[Tree]]:
     dim = obj["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise DimensionMismatch("'dim' must be an integer")
-    return dim, [parse_tree(t, dim) for t in obj["polys"]]
+    texts = obj["polys"]
+    if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+        raise TypeError("'polys' must be a list of polynomial texts")
+    return dim, [parse_tree(t, dim) for t in texts]
 
 
 def input_from_json(obj: dict) -> SingularityInput:

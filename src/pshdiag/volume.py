@@ -5,7 +5,9 @@ per diagram for ``Diagram.facets``: each facet comes with the generators
 tight on it, and vertices, compact edges and the triangulations behind
 Newton numbers are read off these incidences.  In the plane the facets
 are read off the canonical chain; the facet search serves every other
-dimension and ``polytope_volume``.  Exact throughout, and intended for
+dimension and ``polytope_volume``.  It starts from the dual rays of a
+diagram's cone in closed form, and only the cones of ``polytope_volume``
+take their start from ``rref``.  Exact throughout, and intended for
 n <= 4: the facet search runs on Python ints, each generator and ray a
 positive integer multiple of its rational vector, which has the same
 signs, so every decision is that of the search over `Fraction`s; normals
@@ -22,12 +24,11 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import UnsupportedDimension, VerificationFailure
-from .linalg import det, dot, integral, rank, reduced, solve_unique
+from .linalg import det, dot, integral, rank, reduced, rref, solve_unique
 
 if TYPE_CHECKING:
     from .diagram import Diagram, Point
 
-Inequality = tuple[tuple[Fraction, ...], Fraction]  # (a, b) meaning a.x >= b
 Facet = tuple[tuple[int, ...], int, frozenset[int]]  # (a, b, tight), (a, -b) primitive
 
 # Most ray tests one facet search may make: a sign test of one ray against
@@ -42,45 +43,24 @@ Facet = tuple[tuple[int, ...], int, frozenset[int]]  # (a, b, tight), (a, -b) pr
 MAX_RAY_TESTS = 1_000_000
 
 
-def _dual_basis(gens: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+def _start(ints: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     """The first d independent generators, in index order, and their dual rays.
 
-    Fraction-free Gauss-Jordan on the rows [g | e_i] of the chosen
-    generators: every row is kept reduced in the other rows' pivot columns
-    and divided by its gcd, so it ends as [D_i e_c | m_i] where m_i times
-    the chosen generators is D_i e_c.  Ray j, tight on every chosen
-    generator but the j-th, is column j of their inverse, whose entry c is
-    m_i[j] / D_i; a ratio that no nonzero row scaling changes, so the ray
-    is read off exactly, times the lcm of the |D_i|.
+    Ray j, tight on every start generator but the j-th, is column j of the
+    inverse of their rows, as a primitive int vector.  A diagram's cone
+    starts with the units (e_k, 0), k < d - 1, and a lifted point (V, D),
+    D > 0; the inverse of [[I, 0], [V, D]] is [[I, 0], [-V / D, 1 / D]], so
+    its rays are (D e_k, -V_k) and (0, ..., 0, 1).  Any other cone takes
+    the pivots of its transposed generators and the inverse from ``rref``.
     """
-    d = len(gens[0])
-    start: list[int] = []
-    rows: list[tuple[int, list[int]]] = []  # (pivot column, row)
-    for k, g in enumerate(gens):
-        row = g + [0] * d
-        row[d + len(start)] = 1
-        for c, r in rows:
-            f = row[c]
-            if f:
-                row = reduced([r[c] * x - f * y for x, y in zip(row, r)])
-        col = next((c for c in range(d) if row[c]), None)
-        if col is None:
-            continue  # g lies in the span of the generators chosen before it
-        pv = row[col]
-        rows = [
-            (c, reduced([pv * x - r[col] * y for x, y in zip(r, row)]) if r[col] else r)
-            for c, r in rows
-        ]
-        rows.append((col, row))
-        start.append(k)
-        if len(start) == d:
-            break
-    scale = math.lcm(*(r[c] for c, r in rows))
-    rays = [[0] * d for _ in range(d)]
-    for c, r in rows:
-        for j in range(d):
-            rays[j][c] = r[d + j] * (scale // r[c])
-    return start, [reduced(ray) for ray in rays]
+    d = len(ints[0])
+    *v, top = ints[d - 1]
+    if top > 0 and all(ints[k] == [int(j == k) for j in range(d)] for k in range(d - 1)):
+        rays = [reduced([top * (j == k) for j in range(d - 1)] + [-v[k]]) for k in range(d - 1)]
+        return list(range(d)), rays + [[0] * (d - 1) + [1]]
+    start = rref([list(col) for col in zip(*ints)])[1]
+    inverse = rref([ints[i] + [int(r == j) for j in range(d)] for r, i in enumerate(start)])[0]
+    return start, [reduced(integral([row[d + j] for row in inverse])[1]) for j in range(d)]
 
 
 def _cone_facets(gens: list[tuple]) -> list[tuple[list[int], list[int]]]:
@@ -88,9 +68,10 @@ def _cone_facets(gens: list[tuple]) -> list[tuple[list[int], list[int]]]:
 
     Double description (Motzkin et al. 1953; Fukuda, Prodon 1996): the facet
     normals are the extreme rays of the dual cone {a : a.g >= 0}.  From the
-    dual rays of d independent generators, each further generator keeps the
-    rays on its nonnegative side and joins each adjacent (+, -) pair: rays
-    tight on at least d - 2 common generators, no third ray tight on all.
+    dual rays of the first d independent generators (``_start``, in closed
+    form on a diagram's cone), each further generator keeps the rays on its
+    nonnegative side and joins each adjacent (+, -) pair: rays tight on at
+    least d - 2 common generators, no third ray tight on all.
 
     The search runs on Python ints (fraction-free, as in Bareiss, Math.
     Comp. 22, 1968): each generator is replaced by its least positive
@@ -105,7 +86,7 @@ def _cone_facets(gens: list[tuple]) -> list[tuple[list[int], list[int]]]:
     """
     d = len(gens[0])
     ints = [reduced(integral(g)[1]) for g in gens]
-    start, normals = _dual_basis(ints)
+    start, normals = _start(ints)
     # a ray is a normal and the bit set of the generators cut so far tight on it
     tight = sum(1 << i for i in start)
     rays = [(r, tight ^ (1 << i)) for r, i in zip(normals, start)]
@@ -218,7 +199,7 @@ def triangulate_face(
     return simplices
 
 
-def enumerate_vertices(ineqs: list[Inequality], n: int) -> list[Point]:
+def enumerate_vertices(ineqs: list[tuple[tuple[Fraction, ...], Fraction]], n: int) -> list[Point]:
     """All vertices of {x : a.x >= b for each (a, b)} (assumed bounded)."""
     verts: set[Point] = set()
     for subset in itertools.combinations(range(len(ineqs)), n):
@@ -235,14 +216,14 @@ def enumerate_vertices(ineqs: list[Inequality], n: int) -> list[Point]:
 def polytope_volume(vertices: list[Point], n: int) -> Fraction:
     """Euclidean volume of the convex hull of the vertices in R^n.
 
-    Assumes the hull is full-dimensional (returns 0 when it is not).
+    0 when the hull is not full-dimensional: when the points lifted to
+    (p, 1) span less than R^(n+1).
     """
     points = sorted(set(vertices))
-    if len(points) <= n:
+    lifted = [tuple(p) + (1,) for p in points]
+    if rank(lifted) <= n:
         return Fraction(0)
-    if rank([[q[k] - points[0][k] for k in range(n)] for q in points[1:]]) < n:
-        return Fraction(0)
-    tights = [frozenset(t) for _, t in _cone_facets([tuple(p) + (1,) for p in points])]
+    tights = [frozenset(t) for _, t in _cone_facets(lifted)]
     total = Fraction(0)
     for simplex in triangulate_face(frozenset(range(len(points))), tights, points):
         p0 = points[simplex[0]]

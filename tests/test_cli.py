@@ -264,6 +264,14 @@ class TestExecute:
         )
         assert code == EXIT_INPUT
 
+    # a dict of texts was read off its keys, a string char by char, and the
+    # other shapes failed with Python's own messages
+    @pytest.mark.parametrize("polys", [{"z1 + z2^2": 1}, "z1", 5, ["z1", 5], [["z1"]]])
+    @pytest.mark.parametrize("command", ["diagram", "lelong", "classify", "substitute"])
+    def test_polys_must_be_a_list_of_texts(self, command, polys):
+        payload = {**GOOD_PAYLOADS[command], "input": {"dim": 2, "polys": polys}}
+        assert execute(command, payload) == ({"error": "'polys' must be a list of polynomial texts"}, EXIT_INPUT)
+
     def test_deep_parentheses_exit_2(self):
         # nesting past polynomials.MAX_NESTING is a syntax error, not a
         # RecursionError escaping execute
@@ -909,6 +917,17 @@ class TestMainEntry:
         assert lines[1] == "vertices: (0, 2), (2, 0)"
         assert "indecomposability method: simplex-facet" in lines
         assert "witness" not in out and "almost homogeneity" in lines[-1]
+
+    def test_text_format_of_a_rational_sum(self, capsys, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps({"dim": 2, "generators": [["0", "7/2"], ["2/3", "1"], ["5", "0"]]}))
+        b.write_text(json.dumps({"dim": 2, "generators": [["0", "3/4"], ["1/2", "0"]]}))
+        sketch = ["", "", "", "*", "", "", "", "  *", "    *", " " * 19 + "*"]
+        assert run_cli(capsys, "--format", "text", "sum", a, b) == (EXIT_OK, "\n".join(
+            ["vertices: (0, 17/4), (2/3, 7/4), (7/6, 1), (11/2, 0)"]
+            + ["  |" + row.ljust(20) for row in sketch]
+            + ["  +" + "-" * 20, ""]
+        ))
 
     def test_text_format_colors_verdicts_on_a_terminal(self, capsys, monkeypatch):
         monkeypatch.delenv("NO_COLOR", raising=False)

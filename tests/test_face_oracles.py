@@ -17,6 +17,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import fraction_kernels
 from pshdiag import (
     canonicalize,
     compact_graph,
@@ -137,7 +138,7 @@ def random_diagrams(dim, count, seed):
     other axes.
     """
     rng = random.Random(seed)
-    total = {2: 8, 3: 6, 4: 4}[dim]
+    total = {1: 10, 2: 8, 3: 6, 4: 4}[dim]
     out = []
     for idx in range(count):
         pts = []
@@ -231,7 +232,9 @@ def test_cone_facets_match_subset_search_on_clouds(dim, seed):
         assert_same_facets(homogenized(undominated(pts), dim))
 
 
-def test_cone_facets_match_subset_search_on_simplex_sums():
+def simplex_sums():
+    """Seeded 3-D pairs of lattice simplices, each with the undominated
+    pairwise sums of their vertices."""
     rng = random.Random(24)
     for size in (3, 4) * 6:
         a, b = (
@@ -239,16 +242,79 @@ def test_cone_facets_match_subset_search_on_simplex_sums():
             for _ in range(2)
         )
         sums = [tuple(x + y for x, y in zip(p, q)) for p in a.generators for q in b.generators]
-        assert_same_facets(homogenized(undominated(sums), 3))
+        yield a, b, undominated(sums)
+
+
+# every lattice point of R^4_+ with coordinate sum 2: collinear generators,
+# so two rays can share d - 2 tight generators and still not be adjacent
+LATTICE_LAYER = [p for p in itertools.product(range(3), repeat=4) if sum(p) == 2]
+
+
+def test_cone_facets_match_subset_search_on_simplex_sums():
+    for a, b, sums in simplex_sums():
+        assert_same_facets(homogenized(sums, 3))
         assert_same_facets(homogenized(minkowski_sum(a, b).generators, 3))
 
 
 def test_cone_facets_match_subset_search_on_lattice_layer():
-    # every lattice point of R^4_+ with coordinate sum 2: collinear
-    # generators, so two rays can share d - 2 tight generators and still
-    # not be adjacent
-    layer = [p for p in itertools.product(range(3), repeat=4) if sum(p) == 2]
-    assert_same_facets(homogenized(layer, 4))
+    assert_same_facets(homogenized(LATTICE_LAYER, 4))
+
+
+def seeded_cones():
+    """The homogenized cones of the seeded families above, as ``diagram_facets`` builds them."""
+    for dim, count, seed in [(1, 20, 20), *CASES]:
+        for g in random_diagrams(dim, count, seed):
+            yield homogenized(g.generators, dim)
+    for dim, seed in CLOUD_CASES:
+        for pts in clouds(dim, seed):
+            yield homogenized(undominated(pts), dim)
+    for a, b, sums in simplex_sums():
+        yield homogenized(sums, 3)
+        yield homogenized(minkowski_sum(a, b).generators, 3)
+    yield homogenized(LATTICE_LAYER, 4)
+
+
+def reference_start(gens):
+    """The first d independent generators by ``rref`` pivots of their
+    transpose, and the columns of their `Fraction` inverse as primitive ints."""
+    start = linalg.rref([list(col) for col in zip(*gens)])[1]
+    inverse = fraction_kernels.inverse([list(gens[i]) for i in start])
+    rays = []
+    for col in zip(*inverse):
+        scale = math.lcm(*(x.denominator for x in col))
+        ints = [int(x * scale) for x in col]
+        rays.append([x // math.gcd(*ints) for x in ints])
+    return start, rays
+
+
+def test_diagram_cones_start_in_closed_form():
+    cones = list(seeded_cones())
+    assert {len(gens[0]) for gens in cones} == {2, 3, 4, 5}
+    for gens in cones:
+        d = len(gens[0])
+        start, rays = volume._start([linalg.reduced(linalg.integral(g)[1]) for g in gens])
+        assert (start, rays) == reference_start(gens) and start == list(range(d)), gens
+        assert all(type(x) is int for ray in rays for x in ray), gens
+
+
+def test_diagram_cones_reach_no_rref(monkeypatch):
+    def refuse(m):
+        raise AssertionError("a diagram's cone reached rref")
+
+    monkeypatch.setattr(volume, "rref", refuse)
+    for dim, count, seed in [(1, 20, 20), *CASES[1:]]:
+        for g in random_diagrams(dim, count, seed):
+            direct = Diagram(g.dim, g.generators)
+            assert set(diagram_facets(direct)) == set(g.facets), g
+            assert newton_number(direct) == newton_number(g), g
+    for dim, seed in CLOUD_CASES:
+        if dim != 2:
+            for pts in clouds(dim, seed):
+                assert canonicalize(dim, pts).generators
+    for a, b, sums in simplex_sums():
+        assert canonicalize(3, sums) == minkowski_sum(a, b)
+    # 4! times the volume of the simplex with vertices 0 and 2 e_k
+    assert newton_number(canonicalize(4, LATTICE_LAYER)).value == 2**4
 
 
 @pytest.mark.parametrize("dim,count,seed", CASES)
@@ -280,11 +346,21 @@ def test_polytope_volume_closed_forms(n):
     assert polytope_volume(cube + [(F(1, 2),) * n], n) == 1
     cross = [tuple(F(s * (j == k)) for j in range(n)) for k in range(n) for s in (1, -1)]
     assert polytope_volume(cross, n) == F(2**n, math.factorial(n))
+    # hulls of lower dimension, with more than n points from n = 3 on
+    assert polytope_volume([p for p in cube if p[0] == 0], n) == 0
+    assert polytope_volume([tuple(F(t * (k + 1), 2) for k in range(n)) for t in range(n + 3)], n) == 0
     rng = random.Random(n)
     for _ in range(5):
         simplex = [tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)) for _ in range(n + 1)]
         edges = [[q[k] - simplex[0][k] for k in range(n)] for q in simplex[1:]]
         assert polytope_volume(simplex, n) == abs(det(edges)) / math.factorial(n)
+
+
+def test_singular_systems_have_no_unique_solution():
+    # enumerate_vertices skips these: equations that agree (x + 2y = 1 twice) or not
+    assert linalg.solve_unique([[1, 2], [2, 4]], [1, 2]) is None
+    assert linalg.solve_unique([[1, 2], [2, 4]], [1, 3]) is None
+    assert linalg.solve_unique([[1, 2], [2, 3]], [1, 3]) == [3, -1]
 
 
 def test_one_dimensional_newton_number():
