@@ -160,7 +160,7 @@ def canonicalize(dim: int, raw_points) -> Diagram:
     sought among the facets on it, holds no other point.  Only a point on
     at least n facets can be a vertex of the full-dimensional diagram, so
     the others skip that test.  The result keeps the facets, with tight
-    sets cut to its vertices and renumbered.
+    sets cut to its vertices and renumbered if a point was dropped.
     A point q >= p componentwise sorts after p and lies in the cone the
     search has built by then, so it costs one sign test per current ray and
     adds no ray; the search raises ``UnsupportedDimension`` past its
@@ -192,9 +192,10 @@ def canonicalize(dim: int, raw_points) -> Diagram:
     facets = Diagram(dim, tuple(pts)).facets
     on = _incidence([t for _, _, t in facets], len(pts))
     keep = [i for i, f in enumerate(on) if len(f) >= dim and least_face(f, frozenset([i])) == {i}]
-    index = {i: k for k, i in enumerate(keep)}  # each kept point's place among the vertices
     g = Diagram(dim, tuple(point(pts[i]) for i in keep))
-    facets = tuple((a, b, frozenset(index[i] for i in t if i in index)) for a, b, t in facets)
+    if len(keep) < len(pts):  # renumber; when every point is a vertex the numbers stand
+        index = {i: k for k, i in enumerate(keep)}  # each kept point's place among the vertices
+        facets = tuple((a, b, frozenset(index[i] for i in t if i in index)) for a, b, t in facets)
     object.__setattr__(g, "facets", facets)
     return g
 

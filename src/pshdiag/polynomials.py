@@ -28,15 +28,28 @@ product or power of one term.  The tree has two readers:
   their budgets are the facet search's, a product's vertex pairs and the
   digits of an exponent, and those of the expansion only inside a sum.
 
-Coefficients are `Fraction`s, but products multiply out on Python ints
-(see ``poly_mul``).  Either way a parsed sum is validated once, constants
-and variables are built as the valid terms they are, and a product or
-power of one term is one term, c^k * z^(k*e), with no product at all.
+Coefficients are `Fraction`s at every public boundary; inside, the ring
+runs on integer term tables ({exponent: int}, all over one denominator).
+One kernel, ``_mul_ints``, multiplies two tables, and ``_pow_ints``
+powers one by repeated squaring on it.  ``poly_mul``, ``poly_pow`` and
+``substitute_linear`` scale their inputs to integers once and build one
+`Fraction` per output term.  The parser reads a run of monomial factors
+(a constant, a variable, a power of one within the power budget, or a
+parenthesized polynomial of at most one term) as one (exponent,
+coefficient) pair, so a monomial term such as ``3*z1^2*z3`` is one term
+with no product at all.  A parsed sum is validated once.
+
+The budgets are checked where the work is done: MAX_TERM_PAIRS by
+``_mul_ints`` before each product (and by ``newton_support`` on vertex
+pairs), MAX_EXPONENT by ``poly_pow`` and by ``substitute_linear`` before
+each power they build, and by the parser before it folds a power of one
+term.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -69,6 +82,7 @@ from .reuse import once_per_batch
 
 Exponent = tuple[int, ...]
 Terms = dict[Exponent, Fraction]
+IntTerms = dict[Exponent, int]
 
 
 @dataclass(frozen=True)
@@ -135,26 +149,33 @@ class Product:
 # what costs nothing: a constant, a variable, a product or power of one
 # term within the power budget.
 Tree = Polynomial | Product
+# A monomial as the parser reads it: (exponent, coefficient), the coefficient
+# an int or a Fraction; zero is (0, ..., 0) with coefficient 0.
+Monomial = tuple[Exponent, int | Fraction]
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|(z\d+)|([+\-*^()/])|(\S))")
 _TOKEN_KINDS = (None, "int", "var", "op")  # by the number of the group that matched
 
 # deepest parenthesis nesting accepted; each level costs four stack frames
 MAX_NESTING = 100
-# most term pairs one product may multiply; on integer numerators a pair
-# costs about a microsecond (0.9 to 1.2 on Python 3.11, 2-vCPU host), so a
-# product at the limit takes about 0.3 s.  ``newton_support`` counts a
-# product's vertex pairs against it too.  The largest product the tests
-# multiply out has 66,049 pairs, and the benchmark pools 81 (``classify``
-# and ``substitute`` in ``session``; ``diagram`` multiplies out no product).
+# most term pairs one product may multiply, checked by ``_mul_ints`` before
+# it multiplies, so for every product of ``poly_mul``, of each step of a
+# power and of each term of ``substitute_linear``; a pair costs about a
+# microsecond (0.9 to 1.2 on Python 3.11, 2-vCPU host), so a product at the
+# limit takes about 0.3 s.  ``newton_support`` counts a product's vertex
+# pairs against it too.  The largest product the tests multiply out has
+# 249,831 pairs (a power of a linear form at the budget), and the benchmark
+# pools 81 (``classify`` and ``substitute`` in ``session``; ``diagram``
+# multiplies out no product).
 MAX_TERM_PAIRS = 250_000
-# largest exponent k > 1 of a power p^k, times the size of p (see _size),
-# that ``poly_pow`` computes: a power written in the text and a power of a
-# linear form in ``substitute_linear`` alike.  Nested powers multiply
+# largest exponent k > 1 of a power p^k, times the size of p (see _size):
+# checked before ``poly_pow`` computes a power written in the text, before
+# ``substitute_linear`` builds a power of a linear form, and before the
+# parser folds a power of one term.  Nested powers multiply
 # exponents, so a bound on k alone would let ((2*z1)^1000)^1000 through;
 # weighted, every power has degree and coefficient bits of about this
 # bound at most.  ``newton_support`` computes no power of a sum, and the
-# parser builds a power of one term only within this budget.  Below the
+# parser folds a power of one term only within this budget.  Below the
 # edge cases at the budget, the largest weighted power of a sum in the
 # tests is 3 * 24 = 72, and in the benchmark pools 17 * 2 = 34 (a linear
 # form in ``substitute``).
@@ -165,17 +186,25 @@ MAX_EXPONENT = 10_000
 _LONG_EXPONENT = 10**MAX_DIGITS
 
 
-def _size(p: Polynomial) -> int:
-    """The larger of p's total degree and its coefficients' bit length (1 for p = 0)."""
+def _size(terms) -> int:
+    """The larger of the total degree and the coefficients' bit length of the
+    (exponent, coefficient) terms (1 for none)."""
     size = 1
-    for e, c in p.terms:
+    for e, c in terms:
         size = max(size, sum(e), c.numerator.bit_length(), c.denominator.bit_length())
     return size
 
 
-def _power_fits(p: Polynomial, k: int) -> bool:
-    """Whether p^k is within the power budget (see MAX_EXPONENT)."""
-    return k <= 1 or k * _size(p) <= MAX_EXPONENT
+def _power_fits(terms, k: int) -> bool:
+    """Whether the k-th power of the terms' polynomial is within the power budget (see MAX_EXPONENT)."""
+    return k <= 1 or k * _size(terms) <= MAX_EXPONENT
+
+
+def _check_power(terms, k: int) -> None:
+    if not _power_fits(terms, k):
+        raise UnsupportedDimension(
+            f"exponent times base size {_size(terms)} exceeds the budget of {MAX_EXPONENT}"
+        )
 
 
 class _Parser:
@@ -195,6 +224,8 @@ class _Parser:
             self.tokens.append((_TOKEN_KINDS[group], val, pos))
         self.i = 0
         self.depth = 0
+        self.zero = (0,) * dim
+        self.units = [tuple(int(i == j) for i in range(dim)) for j in range(dim)]
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
@@ -237,21 +268,28 @@ class _Parser:
         return _add(self.dim, [(negative, expand(t)) for negative, t in terms])
 
     def term(self) -> Tree:
-        factors = [self.factor()]
+        """Factors in the order written, each run of monomial factors folded into one."""
+        factors: list[Tree] = []
+        mono = None  # the product of the monomial factors since the last other one
         while True:
+            f = self.factor()
+            if type(f) is tuple:
+                mono = f if mono is None else (tuple(map(operator.add, mono[0], f[0])), mono[1] * f[1])
+            else:
+                if mono is not None:
+                    factors.append(self.leaf(mono))
+                    mono = None
+                factors.append(f)
             kind, val, _ = self.peek()
             if kind != "op" or val != "*":
-                return factors[0] if len(factors) == 1 else Product(tuple((f, 1) for f in factors))
+                break
             self.take()
-            q = self.factor()
-            p = factors[-1]
-            if _monomial(p) and _monomial(q):
-                e_c = [(tuple(map(operator.add, e1, e2)), c1 * c2) for e1, c1 in p.terms for e2, c2 in q.terms]
-                factors[-1] = Polynomial(self.dim, tuple(e_c))
-            else:
-                factors.append(q)
+        if mono is not None:
+            factors.append(self.leaf(mono))
+        return factors[0] if len(factors) == 1 else Product(tuple((f, 1) for f in factors))
 
-    def factor(self) -> Tree:
+    def factor(self) -> Tree | Monomial:
+        """A tree, or a monomial (see ``base``)."""
         p = self.base()
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
@@ -260,12 +298,16 @@ class _Parser:
             if kind != "int":
                 raise NegativeExponent("exponent must be a nonnegative integer", pos)
             k = int(val)
-            if _monomial(p) and _power_fits(p, k):
-                return poly_pow(p, k)
-            return Product(((p, k),))
+            if type(p) is not tuple:
+                return Product(((p, k),))
+            if not _power_fits((p,), k):
+                return Product(((self.leaf(p), k),))
+            return tuple(k * x for x in p[0]), p[1] ** k
         return p
 
-    def base(self) -> Tree:
+    def base(self) -> Tree | Monomial:
+        """A tree, or a monomial for a constant, a variable or a parenthesized
+        polynomial of at most one term."""
         kind, val, pos = self.take()
         if kind == "int":
             num = int(val)
@@ -275,15 +317,13 @@ class _Parser:
                 kind3, val3, pos3 = self.take()
                 if kind3 != "int" or int(val3) == 0:
                     raise PolynomialSyntaxError("expected positive integer denominator", pos3)
-                return _const(self.dim, Fraction(num, int(val3)))
-            return _const(self.dim, Fraction(num))
+                return self.zero, Fraction(num, int(val3))
+            return self.zero, num
         if kind == "var":
             idx = int(val[1:])
             if idx < 1 or idx > self.dim:
                 raise UnknownVariable(f"variable {val} out of range for dimension {self.dim}", pos)
-            e = [0] * self.dim
-            e[idx - 1] = 1
-            return Polynomial(self.dim, ((tuple(e), Fraction(1)),))
+            return self.units[idx - 1], 1
         if kind == "op" and val == "(":
             if self.depth == MAX_NESTING:
                 raise PolynomialSyntaxError(
@@ -293,13 +333,14 @@ class _Parser:
             p = self.expr()
             self.expect_op(")")
             self.depth -= 1
+            if isinstance(p, Polynomial) and len(p.terms) <= 1:
+                return p.terms[0] if p.terms else (self.zero, 0)
             return p
         raise PolynomialSyntaxError(f"unexpected token {val!r}", pos)
 
-
-def _monomial(tree: Tree) -> bool:
-    """Whether the tree is a polynomial of at most one term."""
-    return isinstance(tree, Polynomial) and len(tree.terms) <= 1
+    def leaf(self, mono: Monomial) -> Polynomial:
+        e, c = mono
+        return Polynomial(self.dim, ((e, Fraction(c)),) if c else ())
 
 
 @once_per_batch
@@ -374,8 +415,45 @@ def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
     return _add(p.dim, [(False, p), (False, q)])
 
 
+def _table(terms) -> tuple[int, IntTerms]:
+    """The lcm d of the (exponent, coefficient) terms' denominators, and the terms times d."""
+    den, nums = integral([c for _, c in terms])
+    return den, {e: x for (e, _), x in zip(terms, nums)}
+
+
+def _over(dim: int, table: IntTerms, den: int) -> Polynomial:
+    """The polynomial of the integer terms over den, one ``Fraction`` per term."""
+    return Polynomial(dim, tuple(sorted((e, Fraction(x, den)) for e, x in table.items())))
+
+
+def _mul_ints(a: IntTerms, b: IntTerms) -> IntTerms:
+    """The product of two integer term tables, under MAX_TERM_PAIRS; no zero terms."""
+    _check_pairs(len(a) * len(b))
+    sums: IntTerms = {}
+    right = list(b.items())
+    for e1, x in a.items():
+        for e2, y in right:
+            e = tuple(map(operator.add, e1, e2))
+            sums[e] = sums.get(e, 0) + x * y
+    return {e: x for e, x in sums.items() if x}
+
+
+def _pow_ints(a: IntTerms, k: int, dim: int) -> IntTerms:
+    """a^k for k >= 0 by repeated squaring; a single term c*z^e gives c^k * z^(k*e) directly."""
+    if len(a) == 1 or not a and k:  # and 0^k = 0 for k > 0
+        return {tuple(k * x for x in e): c**k for e, c in a.items()}
+    result = {(0,) * dim: 1}
+    while k:  # square and multiply: a^k from the binary digits of k
+        if k & 1:
+            result = _mul_ints(result, a)
+        k >>= 1
+        if k:
+            a = _mul_ints(a, a)
+    return result
+
+
 def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    """The product, multiplied out on integer numerators.
+    """The product, multiplied out on integer numerators (``_mul_ints``).
 
     Each factor's coefficients are scaled by the lcm of their denominators,
     so a term pair costs one integer product, and each output term one
@@ -383,21 +461,13 @@ def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
     """
     if p.dim != q.dim:
         raise DimensionMismatch(f"{p.dim} != {q.dim}")
-    _check_pairs(len(p.terms) * len(q.terms))
-    dp, nums_p = integral([c for _, c in p.terms])
-    dq, nums_q = integral([c for _, c in q.terms])
-    right = [(e, c) for (e, _), c in zip(q.terms, nums_q)]
-    sums: dict[Exponent, int] = {}
-    for (e1, _), a in zip(p.terms, nums_p):
-        for e2, b in right:
-            e = tuple(map(operator.add, e1, e2))
-            sums[e] = sums.get(e, 0) + a * b
-    den = dp * dq
-    return Polynomial(p.dim, tuple(sorted((e, Fraction(c, den)) for e, c in sums.items() if c)))
+    dp, a = _table(p.terms)
+    dq, b = _table(q.terms)
+    return _over(p.dim, _mul_ints(a, b), dp * dq)
 
 
 def poly_pow(p: Polynomial, k: int) -> Polynomial:
-    """p^k by repeated squaring; a single term c*z^e gives c^k * z^(k*e) directly.
+    """p^k on integer numerators (``_pow_ints``) over d^k, d the lcm of p's denominators.
 
     p^1 is p itself.  ``UnsupportedDimension`` past the power budget (see
     MAX_EXPONENT).
@@ -406,26 +476,23 @@ def poly_pow(p: Polynomial, k: int) -> Polynomial:
         raise NegativeExponent("exponent must be nonnegative", 0)
     if k == 1:
         return p
-    if not _power_fits(p, k):
-        raise UnsupportedDimension(
-            f"exponent times base size {_size(p)} exceeds the budget of {MAX_EXPONENT}"
-        )
-    if len(p.terms) == 1 or not p.terms and k:  # and 0^k = 0 for k > 0
-        return Polynomial(p.dim, tuple((tuple(k * x for x in e), c**k) for e, c in p.terms))
-    result = _const(p.dim, Fraction(1))
-    while k:  # square and multiply: p^k from the binary digits of k
-        if k & 1:
-            result = poly_mul(result, p)
-        k >>= 1
-        if k:
-            p = poly_mul(p, p)
-    return result
+    _check_power(p.terms, k)
+    den, table = _table(p.terms)
+    return _over(p.dim, _pow_ints(table, k, p.dim), den**k)
 
 
 def substitute_linear(p: Polynomial, m) -> Polynomial:
     """Expand p(M*zeta): row i of M gives z_i as a linear form in zeta.
 
-    Each power of a linear form is computed once, however many terms use it.
+    One pass on integers.  Row v of M, scaled by the lcm s_v of its
+    denominators, is the linear form l_v as an integer table, and each
+    power l_v^k that a term uses is built once (``_pow_ints``), under the
+    budgets of ``poly_pow``.  A term c * z^e is the product of its powers
+    in the order v = 0, ..., n-1, each under MAX_TERM_PAIRS, from c times
+    the lcm of p's denominators.  Once every term is built, the terms are
+    summed into one table over their common denominator, that lcm times
+    s_v^t_v for each v, t_v the largest exponent of z_v in p, and each
+    output coefficient is one ``Fraction``.
     """
     rows = frac_rows(m)
     n = p.dim
@@ -433,19 +500,32 @@ def substitute_linear(p: Polynomial, m) -> Polynomial:
         raise DimensionMismatch(f"matrix must be {n}x{n}")
     if det(rows) == 0:
         raise SingularMatrix("substitution matrix is singular")
-    linear = [
-        polynomial(n, {tuple(int(i == j) for i in range(n)): rows[v][j] for j in range(n)})
-        for v in range(n)
-    ]
-    power = functools.cache(lambda v, k: poly_pow(linear[v], k))
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    linear = [[(units[j], c) for j, c in enumerate(row) if c] for row in rows]
+    scaled = [_table(form) for form in linear]  # (s_v, l_v times s_v)
+
+    @functools.cache
+    def power(v: int, k: int) -> IntTerms:
+        _check_power(linear[v], k)
+        return _pow_ints(scaled[v][1], k, n)
+
+    den, table = _table(p.terms)
     terms = []
-    for e, c in p.terms:
-        term = _const(n, c)
+    for e, x in table.items():
+        term = {(0,) * n: x}
         for v, k in enumerate(e):
             if k:
-                term = poly_mul(term, power(v, k))
-        terms.append((False, term))
-    return _add(n, terms)
+                term = _mul_ints(term, power(v, k))
+        terms.append((e, term))
+    # every power is built, so each t_v has passed the power budget of l_v
+    top = [max((e[v] for e in table), default=0) for v in range(n)]
+    sums: IntTerms = {}
+    for e, term in terms:
+        scale = math.prod(s ** (t - k) for (s, _), t, k in zip(scaled, top, e))
+        for e2, y in term.items():
+            sums[e2] = sums.get(e2, 0) + y * scale
+    den *= math.prod(s**t for (s, _), t in zip(scaled, top))
+    return _over(n, {e: x for e, x in sums.items() if x}, den)
 
 
 # --- Newton data -----------------------------------------------------------

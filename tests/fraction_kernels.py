@@ -1,31 +1,41 @@
 """Reference `Fraction` kernels, kept to check their fraction-free versions.
 
 These are the facet search, the polynomial product and power, the
-canonical generator set and the determinant the package ran before they
-moved to Python ints, with the `Fraction` matrix inverse the facet search
-started from.  ``pshdiag.volume._cone_facets`` must find the same tight
-sets in the same order, with normals equal up to a positive factor;
-``pshdiag.polynomials.poly_mul`` and ``poly_pow`` must return equal
-polynomials; ``pshdiag.diagram.canonicalize``, which hands dominated
-points to the facet search where this one filters them out first, must
-return equal diagrams and raise the same errors; and ``pshdiag.linalg.det``
-must return equal values.  Tests compare them.
+substitution, the text parser, the canonical generator set and the
+determinant the package ran before they moved to Python ints, with the
+`Fraction` matrix inverse the facet search started from.
+``pshdiag.volume._cone_facets`` must find the same tight sets in the same
+order, with normals equal up to a positive factor;
+``pshdiag.polynomials.poly_mul``, ``poly_pow`` and ``substitute_linear``
+must return equal polynomials and raise the same errors, under the same
+budgets, which these read from ``pshdiag.polynomials`` when they run;
+``pshdiag.polynomials.parse_tree`` must return a tree equal to
+``parse_tree`` here, and raise the same errors at the same positions;
+``pshdiag.diagram.canonicalize``, which hands dominated points to the
+facet search where this one filters them out first, must return equal
+diagrams and raise the same errors; and ``pshdiag.linalg.det`` must
+return equal values.  Tests compare them.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
-from pshdiag.diagram import Diagram, Point, point, point_text
+from pshdiag import polynomials
+from pshdiag.diagram import Diagram, Point, check_digits, point, point_text
 from pshdiag.errors import (
     DimensionMismatch,
     EmptyInput,
     NegativeCoordinate,
     NegativeExponent,
+    PolynomialSyntaxError,
+    SingularMatrix,
+    UnknownVariable,
     UnsupportedDimension,
 )
-from pshdiag.linalg import Matrix, dot, rref
-from pshdiag.polynomials import MAX_TERM_PAIRS, Polynomial, Terms, _const, polynomial
+from pshdiag.linalg import Matrix, dot, frac_rows, rref
+from pshdiag.polynomials import MAX_NESTING, Polynomial, Product, Terms, Tree, _const, polynomial
 from pshdiag.volume import MAX_RAY_TESTS, diagram_facets, least_face
 
 # Most point comparisons the dominance filter of ``canonicalize`` may make,
@@ -86,10 +96,9 @@ def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
     if p.dim != q.dim:
         raise DimensionMismatch(f"{p.dim} != {q.dim}")
     pairs = len(p.terms) * len(q.terms)
-    if pairs > MAX_TERM_PAIRS:
-        raise UnsupportedDimension(
-            f"product of {pairs} term pairs exceeds the budget of {MAX_TERM_PAIRS}"
-        )
+    budget = polynomials.MAX_TERM_PAIRS
+    if pairs > budget:
+        raise UnsupportedDimension(f"product of {pairs} term pairs exceeds the budget of {budget}")
     terms: Terms = {}
     for e1, c1 in p.terms:
         for e2, c2 in q.terms:
@@ -109,6 +118,190 @@ def poly_pow(p: Polynomial, k: int) -> Polynomial:
         if k:
             p = poly_mul(p, p)
     return result
+
+
+def size(p: Polynomial) -> int:
+    size = 1
+    for e, c in p.terms:
+        size = max(size, sum(e), c.numerator.bit_length(), c.denominator.bit_length())
+    return size
+
+
+def power_fits(p: Polynomial, k: int) -> bool:
+    return k <= 1 or k * size(p) <= polynomials.MAX_EXPONENT
+
+
+def checked_pow(p: Polynomial, k: int) -> Polynomial:
+    """``poly_pow`` under the power budget; p^1 is p."""
+    if k == 1:
+        return p
+    if not power_fits(p, k):
+        raise UnsupportedDimension(
+            f"exponent times base size {size(p)} exceeds the budget of {polynomials.MAX_EXPONENT}"
+        )
+    return poly_pow(p, k)
+
+
+def add(dim: int, terms) -> Polynomial:
+    sums: Terms = {}
+    for negative, p in terms:
+        for e, c in p.terms:
+            sums[e] = sums.get(e, 0) + (-c if negative else c)
+    return Polynomial(dim, tuple(sorted((e, c) for e, c in sums.items() if c)))
+
+
+def expand(tree: Tree) -> Polynomial:
+    if isinstance(tree, Polynomial):
+        return tree
+    return functools.reduce(poly_mul, (checked_pow(expand(t), k) for t, k in tree.factors))
+
+
+def substitute_linear(p: Polynomial, m) -> Polynomial:
+    """p(M*zeta), each term a constant times each power of a linear form."""
+    rows = frac_rows(m)
+    n = p.dim
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise DimensionMismatch(f"matrix must be {n}x{n}")
+    if det(rows) == 0:
+        raise SingularMatrix("substitution matrix is singular")
+    linear = [
+        polynomial(n, {tuple(int(i == j) for i in range(n)): rows[v][j] for j in range(n)})
+        for v in range(n)
+    ]
+    power = functools.cache(lambda v, k: checked_pow(linear[v], k))
+    terms = []
+    for e, c in p.terms:
+        term = _const(n, c)
+        for v, k in enumerate(e):
+            if k:
+                term = poly_mul(term, power(v, k))
+        terms.append((False, term))
+    return add(n, terms)
+
+
+def monomial(tree: Tree) -> bool:
+    return isinstance(tree, Polynomial) and len(tree.terms) <= 1
+
+
+class Parser:
+    """The text grammar of ``pshdiag.polynomials``, a `Polynomial` per token."""
+
+    def __init__(self, text: str, dim: int):
+        self.text = text
+        self.dim = dim
+        self.tokens: list[tuple[str, str, int]] = []
+        for m in polynomials._TOKEN.finditer(text):
+            group = m.lastindex
+            val, pos = m.group(group), m.start(group)
+            if group == 4:
+                raise PolynomialSyntaxError(f"unexpected character {val!r}", pos)
+            if group < 3:
+                check_digits(val, pos)
+            self.tokens.append((polynomials._TOKEN_KINDS[group], val, pos))
+        self.i = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
+
+    def take(self):
+        tok = self.peek()
+        self.i += 1
+        return tok
+
+    def expect_op(self, op: str):
+        kind, val, pos = self.take()
+        if kind != "op" or val != op:
+            raise PolynomialSyntaxError(f"expected {op!r}", pos)
+
+    def parse(self) -> Tree:
+        tree = self.expr()
+        kind, val, pos = self.peek()
+        if kind is not None:
+            raise PolynomialSyntaxError(f"unexpected token {val!r}", pos)
+        return tree
+
+    def expr(self) -> Tree:
+        terms: list[tuple[bool, Tree]] = []
+        kind, val, _ = self.peek()
+        negative = False
+        if kind == "op" and val in "+-":
+            self.take()
+            negative = val == "-"
+        while True:
+            terms.append((negative, self.term()))
+            kind, val, _ = self.peek()
+            if kind != "op" or val not in "+-":
+                break
+            self.take()
+            negative = val == "-"
+        if len(terms) == 1 and not negative:
+            return terms[0][1]
+        if len(terms) == 1 and not isinstance(terms[0][1], Polynomial):
+            return Product(((_const(self.dim, Fraction(-1)), 1), (terms[0][1], 1)))
+        return add(self.dim, [(negative, expand(t)) for negative, t in terms])
+
+    def term(self) -> Tree:
+        factors = [self.factor()]
+        while True:
+            kind, val, _ = self.peek()
+            if kind != "op" or val != "*":
+                return factors[0] if len(factors) == 1 else Product(tuple((f, 1) for f in factors))
+            self.take()
+            q = self.factor()
+            p = factors[-1]
+            if monomial(p) and monomial(q):
+                e_c = [(tuple(a + b for a, b in zip(e1, e2)), c1 * c2) for e1, c1 in p.terms for e2, c2 in q.terms]
+                factors[-1] = Polynomial(self.dim, tuple(e_c))
+            else:
+                factors.append(q)
+
+    def factor(self) -> Tree:
+        p = self.base()
+        kind, val, _ = self.peek()
+        if kind == "op" and val == "^":
+            self.take()
+            kind, val, pos = self.take()
+            if kind != "int":
+                raise NegativeExponent("exponent must be a nonnegative integer", pos)
+            k = int(val)
+            if monomial(p) and power_fits(p, k):
+                return checked_pow(p, k)
+            return Product(((p, k),))
+        return p
+
+    def base(self) -> Tree:
+        kind, val, pos = self.take()
+        if kind == "int":
+            num = int(val)
+            kind2, val2, _ = self.peek()
+            if kind2 == "op" and val2 == "/":
+                self.take()
+                kind3, val3, pos3 = self.take()
+                if kind3 != "int" or int(val3) == 0:
+                    raise PolynomialSyntaxError("expected positive integer denominator", pos3)
+                return _const(self.dim, Fraction(num, int(val3)))
+            return _const(self.dim, Fraction(num))
+        if kind == "var":
+            idx = int(val[1:])
+            if idx < 1 or idx > self.dim:
+                raise UnknownVariable(f"variable {val} out of range for dimension {self.dim}", pos)
+            e = [0] * self.dim
+            e[idx - 1] = 1
+            return Polynomial(self.dim, ((tuple(e), Fraction(1)),))
+        if kind == "op" and val == "(":
+            if self.depth == MAX_NESTING:
+                raise PolynomialSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
+            p = self.expr()
+            self.expect_op(")")
+            self.depth -= 1
+            return p
+        raise PolynomialSyntaxError(f"unexpected token {val!r}", pos)
+
+
+def parse_tree(text: str, dim: int) -> Tree:
+    return Parser(text, dim).parse()
 
 
 def _check_point(p, dim: int) -> Point:

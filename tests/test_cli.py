@@ -14,7 +14,7 @@ import pytest
 from pshdiag import decomposition, diagram, exactlp, polynomials
 from pshdiag.diagram import MAX_DIGITS, MAX_DIM, MAX_GENERATORS, diagram_from_json
 from pshdiag.measures import covolume_2d_oracle
-from pshdiag.polynomials import MAX_EXPONENT
+from pshdiag.polynomials import MAX_EXPONENT, MAX_TERM_PAIRS, polynomial, serialize_polynomial
 from pshdiag.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -462,6 +462,32 @@ class TestExecute:
         assert time.perf_counter() - start < 1
         assert code == EXIT_SEMANTIC
         assert "base size" in result["error"] and "budget" in result["error"]
+
+    def test_substituted_long_product_exit_3(self):
+        # a text of 2,000 powers folds into z1^20000000; the power of the
+        # form z1/3 is refused before any term is put over the denominator
+        # 3^20000000, which would take seconds
+        text = "1 + " + "*".join(["z1^10000"] * 2000)
+        payload = {"input": {"dim": 1, "polys": [text]}, "matrix": [["1/3"]]}
+        start = time.perf_counter()
+        error = f"exponent times base size 2 exceeds the budget of {MAX_EXPONENT}"
+        assert execute("substitute", payload) == ({"error": error}, EXIT_SEMANTIC)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("k", [998, 999])
+    def test_substituted_power_at_the_pair_budget(self, k):
+        # z1 -> z1 + z2; the last step of the power (z1 + z2)^k multiplies
+        # (z1 + z2)^(k - 512) by (z1 + z2)^512: 487 * 513 = 249,831 term
+        # pairs for k = 998, within the budget, and 488 * 513 for k = 999
+        payload = {"input": {"dim": 2, "polys": [f"z1^{k}"]}, "matrix": [["1", "1"], ["0", "1"]]}
+        result, code = execute("substitute", payload)
+        if k == 998:
+            want = polynomial(2, {(i, k - i): math.comb(k, i) for i in range(k + 1)})
+            assert (code, result["input"]["polys"]) == (EXIT_OK, [serialize_polynomial(want)])
+            assert len(want.terms) == 999
+        else:
+            error = f"product of 250344 term pairs exceeds the budget of {MAX_TERM_PAIRS}"
+            assert (code, result) == (EXIT_SEMANTIC, {"error": error})
 
     def test_substituted_power_as_text(self):
         # the same power exits 3 whether it is written out or substituted

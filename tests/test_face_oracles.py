@@ -424,6 +424,19 @@ def test_stored_facets_match_a_fresh_search():
     assert [f.name for f in dataclasses.fields(Diagram)] == ["dim", "generators"]
 
 
+def test_vertex_sets_keep_the_search_numbering():
+    # every point of a diagram's vertex set is kept, so the tight sets come
+    # unrenumbered from the search, the same facets as renumbered from a cloud
+    kept = 0
+    for _, g in stored_facet_cases():
+        again = canonicalize(g.dim, g.generators)
+        assert again == g
+        if len(g.generators) > 1:
+            assert "facets" in vars(again) and set(again.facets) == set(g.facets), g
+            kept += 1
+    assert kept > 100
+
+
 def test_readers_search_only_diagrams_built_directly(monkeypatch):
     diagrams = random_diagrams(3, 8, 22) + random_diagrams(4, 4, 23)
     diagrams += [g for _, g in stored_facet_cases() if g.dim > 2][:40]

@@ -16,7 +16,8 @@ import pytest
 
 import fraction_kernels
 from pshdiag import diagram as dg
-from pshdiag import linalg, parse_polynomial, poly_add, poly_mul, poly_pow, polynomial, volume
+from pshdiag import linalg, parse_polynomial, poly_add, poly_mul, poly_pow, polynomial, polynomials, volume
+from pshdiag.errors import PshDiagError
 from pshdiag.polynomials import _const, _Parser
 from pshdiag.volume import _cone_facets
 from test_canonicalize_oracle import on_hyperplane, undominated
@@ -257,8 +258,106 @@ def test_parsed_atoms_equal_validated_forms(dim):
         atoms[f"z{k + 1}"] = {tuple(int(i == k) for i in range(dim)): F(1)}
     for text, terms in atoms.items():
         want = polynomial(dim, terms)
-        for got in (_Parser(text, dim).base(), parse_polynomial(text, dim)):
+        parser = _Parser(text, dim)  # an atom is read as its (exponent, coefficient) pair
+        for got in (parser.leaf(parser.base()), parse_polynomial(text, dim)):
             assert got == want, text
             assert_fraction_terms(got)
     assert _const(dim, F(0)) == polynomial(dim, {origin: F(0)})
     assert _const(dim, F(-2, 3)) == polynomial(dim, {origin: F(-2, 3)})
+
+
+def outcome(fn, *args):
+    """fn's value, or the type, message and position of the error it raises."""
+    try:
+        return fn(*args)
+    except PshDiagError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def low_budgets(rng, monkeypatch):
+    """Patch MAX_TERM_PAIRS low, and MAX_EXPONENT low or not, at random."""
+    monkeypatch.setattr(polynomials, "MAX_TERM_PAIRS", rng.choice([4, 12, 40, 150]))
+    monkeypatch.setattr(polynomials, "MAX_EXPONENT", rng.choice([3, 12, 40, 10_000]))
+
+
+def tree_leaves(tree):
+    if isinstance(tree, polynomials.Polynomial):
+        yield tree
+    else:
+        for t, _ in tree.factors:
+            yield from tree_leaves(t)
+
+
+def test_substitution_matches_fraction_kernel(monkeypatch):
+    # equal polynomials, or the same error from the same budget check first
+    rng = random.Random(76)
+    kinds = {}
+    for _ in range(300):
+        dim = rng.randint(1, 4)
+        p = random_polynomial(rng, dim)
+        if rng.random() < 0.3:  # higher powers of the linear forms, for the exponent budget
+            shift = [rng.randint(0, 5) for _ in range(dim)]
+            p = polynomial(dim, {tuple(map(sum, zip(e, shift))): c for e, c in p.terms})
+        m = random_matrix(rng, dim)
+        low_budgets(rng, monkeypatch)
+        got = outcome(polynomials.substitute_linear, p, m)
+        assert got == outcome(fraction_kernels.substitute_linear, p, m), (p, m)
+        if isinstance(got, polynomials.Polynomial):
+            assert_fraction_terms(got)
+        kind = got[1].split(" ")[0] if isinstance(got, tuple) else "answered"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    # answers, singular matrices, and each budget ("product of ..." and "exponent times ...")
+    assert all(kinds.get(k, 0) > 20 for k in ["answered", "substitution", "product", "exponent"]), kinds
+
+
+def random_token_text(rng, bases, powers, depth=2):
+    """A text of sums of products of powers of the bases, with parentheses and signs."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            if depth and rng.random() < 0.35:
+                base = f"({random_token_text(rng, bases, powers, depth - 1)})"
+            else:
+                base = rng.choice(bases)
+            factors.append(base + rng.choice(powers))
+        terms.append("*".join(factors))
+    text = rng.choice(["", "", "-", "+"]) + terms[0]
+    return text + "".join(f" {rng.choice('+-')} {t}" for t in terms[1:])
+
+
+def random_texts(rng, count):
+    """Texts over z0-z3, 0, 1/2, 3/0, ^0, ^20000, ^x, parentheses and signs:
+    half of them well formed, the rest with malformed tokens or with a
+    token cut out or put in."""
+    for i in range(count):
+        bases, powers = ["z1", "z2", "z3", "2", "7", "1/2", "0"], ["", "", "^0", "^2", "^3", "^5"]
+        if i % 2:
+            bases, powers = bases * 8 + ["z0", "3/0"], powers * 6 + ["^20000", "^x"]
+        text = random_token_text(rng, bases, powers)
+        if i % 4 == 3:
+            cut = rng.randrange(len(text))
+            text = text[:cut] + rng.choice(["", "*", "+", "(", ")", "^", " - "]) + text[cut + 1:]
+        yield rng.randint(3, 4) if i % 2 == 0 else rng.randint(1, 4), text
+
+
+def test_parser_matches_fraction_parser(monkeypatch):
+    # equal trees with Fraction coefficients, or the same error at the same
+    # position; and equal expansions under the same budgets
+    rng = random.Random(77)
+    kinds = {}
+    for dim, text in random_texts(rng, 1500):
+        low_budgets(rng, monkeypatch)
+        got = outcome(polynomials.parse_tree, text, dim)
+        assert got == outcome(fraction_kernels.parse_tree, text, dim), (text, dim)
+        if not isinstance(got, tuple):
+            tree = got
+            for leaf in tree_leaves(tree):
+                assert_fraction_terms(leaf)
+            got = outcome(polynomials.expand, tree)
+            assert got == outcome(fraction_kernels.expand, tree), (text, dim)
+        kind = f"{got[0].__name__} {got[1].split()[0]}" if isinstance(got, tuple) else "answered"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    # answers, syntax errors, and each budget
+    common = ["answered", "PolynomialSyntaxError unexpected", "UnsupportedDimension product", "UnsupportedDimension exponent"]
+    assert all(kinds.get(k, 0) > 50 for k in common), kinds

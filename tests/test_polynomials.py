@@ -177,12 +177,15 @@ class TestSubstitution:
         assert len(calls) <= p.dim
 
     def test_each_power_of_a_linear_form_once(self, monkeypatch):
-        # z1 -> z1 + z2 and z2 -> -z1 + 2*z2; the powers 1..12 of each form
+        # z1 -> z1 + z2 and z2 -> -z1 + 2*z2; the powers 1..12 of each form,
+        # each built once as an integer table however many terms use it
         p, want = P("(z1 + 2*z2 + 1)^12"), P("(z1 + z2 + 2*(-z1 + 2*z2) + 1)^12")
         calls = []
-        monkeypatch.setattr(polynomials, "poly_pow", lambda *a: calls.append(a) or poly_pow(*a))
+        real = polynomials._pow_ints
+        monkeypatch.setattr(polynomials, "_pow_ints", lambda a, k, dim: calls.append((sorted(a.items()), k)) or real(a, k, dim))
         assert substitute_linear(p, [[1, 1], [-1, 2]]) == want
-        assert len(calls) == 2 * 12
+        forms = [[((0, 1), 1), ((1, 0), 1)], [((0, 1), 2), ((1, 0), -1)]]
+        assert sorted(calls) == sorted((form, k) for form in forms for k in range(1, 13))
 
 
 class TestSupportAndDiagram:
