@@ -79,11 +79,15 @@ METHOD_TWO_DIM_CHAIN = "two-dim-chain"
 METHOD_FACET_PAIR_LP = "facet-pair-lp"
 
 # Most phase-1 tableau cells, summed over the objectives, that one
-# edge-scale sweep may take on.  A sweep takes 0.02-0.25 microseconds per
-# cell (2-D chains of 12 and 20 edges, 5-D and 6-D simplices of 10 and 15
-# edges, Python 3.11 on a 2-vCPU host), so one at the limit runs up to
-# about 2.5 seconds; the largest in the tests (a 4-D diagram of 16 edges)
-# takes on 5,153,520 and the largest in the benchmark pools 21,228.
+# edge-scale sweep may take on.  The cells are counted in the full phase-1
+# layout, one artificial column per row, although exactlp stores none for
+# the sweep's bounds, so the budget refuses the inputs it always refused.
+# A sweep takes 0.005-0.16 microseconds per cell (2-D chains of 12 and 20
+# edges 0.15-0.16, 4-D sums of 16 and 17 edges 0.013-0.017, 5-D and 6-D
+# simplices of 10 and 15 edges 0.005-0.009; Python 3.11 on a 2-vCPU
+# host), so one at the limit runs up to about 1.6 seconds; the largest in
+# the tests (a 4-D diagram of 16 edges) takes on 5,153,520 and the
+# largest in the benchmark pools 21,228.
 MAX_SWEEP_CELLS = 10_000_000
 
 
@@ -331,8 +335,9 @@ def _edge_scale_candidates(system: SummandSystem):
     # per variable (u <= v and t <= 1)
     n_ub = nvars
     rows = edges * n + n_ub
-    # the phase-1 tableau: constraint rows and the cost row, by structural,
-    # slack and artificial columns and the right-hand side
+    # the full phase-1 tableau: constraint rows and the cost row, by
+    # structural, slack and one artificial column per row and the
+    # right-hand side
     cells = (rows + 1) * (nvars + n_ub + rows + 1)
     sweep = edges * (edges - 1) * cells
     if sweep > MAX_SWEEP_CELLS:

@@ -9,11 +9,13 @@ Row invariant: each constraint row is a positive multiple of its
 `Fraction` row, the multiple being its entry in its basic column, and the
 cost row is a positive multiple of the reduced costs.  A row starts as
 its coefficients times the lcm of their denominators, which is also its
-artificial entry; a pivot on (row, col) with entry pv > 0 replaces every
-other row r by pv*r - r[col]*pivot_row over their gcd.  Each decision of
-Bland's rule reads a sign or compares ratios r[-1]/r[col] of single rows,
-and neither changes under positive row scaling, so the pivots, and the
-answers x_b = r[-1]/r[b], are those of the `Fraction` tableau.
+artificial entry (and its slack entry, for a bound with b >= 0, whose
+artificial column is left out, below); a pivot on (row, col) with entry
+pv > 0 replaces every other row r by pv*r - r[col]*pivot_row over their
+gcd.  Each decision of Bland's rule reads a sign or compares ratios
+r[-1]/r[col] of single rows, and neither changes under positive row
+scaling, so the pivots, and the answers x_b = r[-1]/r[b], are those of
+the `Fraction` tableau.
 
 The update is sparse: each row r is scaled to pv*r, and r[col]*y is
 subtracted only at the columns where the pivot row holds y != 0 (15 % of
@@ -24,12 +26,40 @@ read as they are, and any other through `Fraction`; answers are built
 only from the basic structural columns, every other x_j being 0.
 
 One call solves one constraint system: phase 1 finds a feasible basis once,
-and phase 2 minimises each objective from a copy of that basis.  Problem
-sizes throughout the package are desk scale (tens of variables).
+and phase 2 minimises each objective from that basis.  Problem sizes
+throughout the package are desk scale (tens of variables).
+
+Phase 1 stores an artificial column only for an equation and for a bound
+a·x <= b with b < 0.  A bound with b >= 0 has an artificial column equal
+to its slack column at the start, and every row operation keeps the two
+equal.  Reduced costs of equal columns differ by the difference of their
+costs, 1 - 0, so the artificial's is exactly 1 more than the slack's:
+were it negative, the slack's would be too, and the slack has the lower
+index, so Bland's rule never enters that artificial.  Leaving it out
+keeps the order of the other columns, so the tableau without it makes
+the same pivots.  Basic variables carry the labels of the full layout,
+row i's artificial being total + i (total counting the structural and
+slack columns): each row starts with its artificial's label, stored or
+not, and a stored artificial enters under its label, so ties between rows
+break as in the full tableau.  The phase-1 cost row is written directly,
+as minus the sum of the rows, each over its scale, with 0 at the stored
+artificials.
+
+In phase 2 the `Fraction` constraint rows at a basis are fixed by the
+basis, so a pivot (basis, entering column) leads to the same leaving row
+and the same rows whichever objective takes it.  A call keeps every pivot
+it takes, and an objective that reaches one already taken reuses its
+rows and updates only its own cost row, by the stored pivot row (on one
+pass of the benchmark's `decide` pool, 3,022 of 6,640 phase-2 pivots are
+reached again).  The reused rows are positive multiples of the rows that
+objective would have built, so each decision, and each answer, is
+unchanged.  Each optimal basis builds its `Fraction` answer once per
+call, and each result gets its own list.  Nothing is kept past the call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,23 +77,32 @@ class LPResult:
     value: Fraction | None = None
 
 
-def _pivot(tab: list[list[int]], basis: list[int], row: int, col: int) -> None:
+def _eliminated(r: list[int], col: int, pv: int, support: list[tuple[int, int]]) -> list[int]:
+    """pv*r - r[col]*pivot_row over its gcd, the pivot row given by its nonzero (j, y)."""
+    f = r[col]
+    r = [pv * x for x in r] if pv != 1 else r[:]
+    for j, y in support:
+        r[j] -= f * y
+    return reduced(r)
+
+
+def _pivot(tab: list[list[int]], basis: list[int], row: int, col: int) -> list[tuple[int, int]]:
+    """Pivot on (row, col), replacing rows rather than editing them.
+
+    Returns the pivot row's nonzero (column, entry) pairs, with which
+    ``_eliminated`` updates a row kept outside tab.
+    """
     pr = tab[row]
     pv = pr[col]
     if pv < 0:
         pr = tab[row] = [-x for x in pr]
         pv = -pv
-    # pv*r - f*pr as a new list (phase-2 tableaux share rows), subtracting
-    # only where the pivot row is nonzero
     support = [(j, y) for j, y in enumerate(pr) if y]
     for i, r in enumerate(tab):
-        f = r[col]
-        if i != row and f != 0:
-            r = [pv * x for x in r] if pv != 1 else r[:]
-            for j, y in support:
-                r[j] -= f * y
-            tab[i] = reduced(r)
+        if i != row and r[col] != 0:
+            tab[i] = _eliminated(r, col, pv, support)
     basis[row] = col
+    return support
 
 
 def _priced(cost: list[int], tab: list[list[int]], basis: list[int]) -> list[int]:
@@ -76,24 +115,33 @@ def _priced(cost: list[int], tab: list[list[int]], basis: list[int]) -> list[int
     return reduced(cost)
 
 
-def _run_simplex(tab: list[list[int]], basis: list[int], ncols: int) -> str:
-    """Minimize; last tableau row holds reduced costs. Bland's rule."""
-    while True:
-        cost = tab[-1]
-        col = next((j for j in range(ncols) if cost[j] < 0), None)
-        if col is None:
-            return OPTIMAL
-        best_row = None
-        for i in range(len(tab) - 1):
-            r = tab[i]
-            if r[col] > 0:
-                # r[-1]/r[col] against the best row's ratio, by cross-multiplication
-                diff = None if best_row is None else r[-1] * best[col] - best[-1] * r[col]
-                if diff is None or diff < 0 or (diff == 0 and basis[i] < basis[best_row]):
-                    best_row, best = i, r
-        if best_row is None:
+def _entering(cost: list[int], ncols: int) -> int | None:
+    """Bland's entering column: the first with a negative reduced cost."""
+    return next((j for j in range(ncols) if cost[j] < 0), None)
+
+
+def _leaving(tab: list[list[int]], basis, col: int) -> int | None:
+    """Bland's leaving row: least ratio r[-1]/r[col] over r[col] > 0, ties to the least label."""
+    best_row = None
+    for i, b in enumerate(basis):
+        r = tab[i]
+        if r[col] > 0:
+            # r[-1]/r[col] against the best row's ratio, by cross-multiplication
+            diff = None if best_row is None else r[-1] * best[col] - best[-1] * r[col]
+            if diff is None or diff < 0 or (diff == 0 and b < basis[best_row]):
+                best_row, best = i, r
+    return best_row
+
+
+def _run_simplex(tab: list[list[int]], basis: list[int], labels: list[int]) -> str:
+    """Minimize the last row of tab; column j enters as basic label labels[j]."""
+    while (col := _entering(tab[-1], len(labels))) is not None:
+        row = _leaving(tab, basis, col)
+        if row is None:
             return UNBOUNDED
-        _pivot(tab, basis, best_row, col)
+        _pivot(tab, basis, row, col)
+        basis[row] = labels[col]
+    return OPTIMAL
 
 
 def solve_lp(n: int, objectives=(), eq=(), ub=(), nonneg: bool = False) -> list[LPResult] | None:
@@ -103,7 +151,7 @@ def solve_lp(n: int, objectives=(), eq=(), ub=(), nonneg: bool = False) -> list[
     objective, in order, or None when the system is infeasible; with no
     objectives, a feasible system gives an empty list.
     """
-    # standard form columns: x (or x+, x-), slacks, artificials, rhs
+    # standard form columns: x (or x+, x-), slacks, stored artificials, rhs
     width = n if nonneg else 2 * n
     nslack = len(ub)
     rows = [*eq, *ub]
@@ -114,7 +162,7 @@ def solve_lp(n: int, objectives=(), eq=(), ub=(), nonneg: bool = False) -> list[
     def expand(coeffs: list[int]) -> list[int]:
         return coeffs if nonneg else coeffs + [-v for v in coeffs]
 
-    tab = []
+    tab, scales, kept = [], [], []
     for i, (coeffs, b) in enumerate(rows):
         scale, row = integral(exact((*coeffs, b)))
         sign = -1 if row[-1] < 0 else 1
@@ -122,14 +170,24 @@ def solve_lp(n: int, objectives=(), eq=(), ub=(), nonneg: bool = False) -> list[
         slack = [0] * nslack
         if i >= neq:
             slack[i - neq] = sign * scale
-        art = [0] * m
-        art[i] = scale
-        tab.append(expand(row[:-1]) + slack + art + row[-1:])
+        if i < neq or sign < 0:
+            kept.append(i)
+        tab.append(expand(row[:-1]) + slack + row[-1:])
+        scales.append(scale)
+    for i, row in enumerate(tab):
+        row[-1:-1] = [scales[i] if k == i else 0 for k in kept]
 
     # phase 1: minimise the sum of the artificials
+    labels = [*range(total), *(total + i for i in kept)]
     basis = [total + i for i in range(m)]
-    tab.append(_priced([0] * total + [1] * m + [0], tab, basis))
-    status = _run_simplex(tab, basis, total + m)
+    lcm = math.lcm(*scales)
+    cost = [0] * (len(labels) + 1)
+    for row, scale in zip(tab, scales):
+        w = lcm // scale
+        cost = [x - w * y for x, y in zip(cost, row)]
+    cost[total:-1] = [0] * len(kept)
+    tab.append(reduced(cost))
+    status = _run_simplex(tab, basis, labels)
     if status != OPTIMAL:
         raise VerificationFailure(f"phase 1 is bounded below by 0 but reported {status}")
     if tab[-1][-1] != 0:
@@ -142,24 +200,39 @@ def solve_lp(n: int, objectives=(), eq=(), ub=(), nonneg: bool = False) -> list[
                 _pivot(tab, basis, i, col)
     keep = [i for i in range(m) if basis[i] < total]
     tab = [tab[i][:total] + [tab[i][-1]] for i in keep]
-    basis = [basis[i] for i in keep]
+    start = tuple(basis[i] for i in keep)
 
-    # phase 2, once per objective; _pivot replaces rows rather than
-    # editing them, so a shallow copy of the feasible tableau suffices
+    # phase 2, once per objective; _pivot replaces rows rather than editing
+    # them, so each pivot's rows share every row it leaves unchanged
+    steps = {}  # (basis, col) -> pivot entry, pivot row support, rows and basis after
+    optima = {}  # optimal basis -> x
     results = []
     for objective in objectives:
         c = exact(objective)
         _, cost = integral(c)
-        run_tab = tab + [_priced(expand(cost) + [0] * (nslack + 1), tab, basis)]
-        run_basis = list(basis)
-        if _run_simplex(run_tab, run_basis, total) == UNBOUNDED:
+        run_tab, at = tab, start
+        cost = _priced(expand(cost) + [0] * (nslack + 1), run_tab, at)
+        while (col := _entering(cost, total)) is not None:
+            step = steps.get((at, col))
+            if step is None:
+                row = _leaving(run_tab, at, col)
+                if row is None:
+                    break
+                run_tab, basis = list(run_tab), list(at)
+                support = _pivot(run_tab, basis, row, col)
+                step = steps[at, col] = (run_tab[row][col], support, run_tab, tuple(basis))
+            pv, support, run_tab, at = step
+            cost = _eliminated(cost, col, pv, support)
+        if col is not None:
             results.append(LPResult(UNBOUNDED))
             continue
-        y = [Fraction(0)] * width
-        for r, b in zip(run_tab, run_basis):
-            if b < width:
-                y[b] = Fraction(r[-1], r[b])
-        x = y if nonneg else [y[i] - y[n + i] for i in range(n)]
+        x = optima.get(at)
+        if x is None:
+            y = [Fraction(0)] * width
+            for r, b in zip(run_tab, at):
+                if b < width:
+                    y[b] = Fraction(r[-1], r[b])
+            x = optima[at] = tuple(y) if nonneg else tuple(y[i] - y[n + i] for i in range(n))
         value = sum((ci * xi for ci, xi in zip(c, x) if ci), Fraction(0))
-        results.append(LPResult(OPTIMAL, x, value))
+        results.append(LPResult(OPTIMAL, list(x), value))
     return results

@@ -31,13 +31,13 @@ product or power of one term.  The tree has two readers:
 Coefficients are `Fraction`s at every public boundary; inside, the ring
 runs on integer term tables ({exponent: int}, all over one denominator).
 One kernel, ``_mul_ints``, multiplies two tables, and ``_pow_ints``
-powers one by repeated squaring on it.  ``poly_mul``, ``poly_pow`` and
-``substitute_linear`` scale their inputs to integers once and build one
-`Fraction` per output term.  The parser reads a run of monomial factors
-(a constant, a variable, a power of one within the power budget, or a
-parenthesized polynomial of at most one term) as one (exponent,
-coefficient) pair, so a monomial term such as ``3*z1^2*z3`` is one term
-with no product at all.  A parsed sum is validated once.
+powers one by repeated squaring on it.  ``poly_mul``, ``poly_pow``,
+``substitute_linear`` and the sum ``_add`` scale their inputs to integers
+once and build one `Fraction` per output term.  The parser reads a run of
+monomial factors (a constant, a variable, a power of one within the power
+budget, or a parenthesized polynomial of at most one term) as one
+(exponent, coefficient) pair, so a monomial term such as ``3*z1^2*z3`` is
+one term with no product at all.  A parsed sum is validated once.
 
 The budgets are checked where the work is done: MAX_TERM_PAIRS by
 ``_mul_ints`` before each product (and by ``newton_support`` on vertex
@@ -370,9 +370,11 @@ def serialize_polynomial(p: Polynomial) -> str:
     parts = []
     for e, c in sorted(p.terms, reverse=True):
         check_printable(c)
+        num, den = c.numerator, c.denominator
+        size = abs(num)
         factors = []
-        if abs(c) != 1 or all(k == 0 for k in e):
-            factors.append(str(abs(c)))
+        if size != den or not any(e):
+            factors.append(str(size) if den == 1 else f"{size}/{den}")
         for i, k in enumerate(e):
             if k == 1:
                 factors.append(f"z{i + 1}")
@@ -380,9 +382,9 @@ def serialize_polynomial(p: Polynomial) -> str:
                 factors.append(f"z{i + 1}^{k}")
         mono = "*".join(factors)
         if not parts:
-            parts.append(mono if c > 0 else f"-{mono}")
+            parts.append(mono if num > 0 else f"-{mono}")
         else:
-            parts.append(f"+ {mono}" if c > 0 else f"- {mono}")
+            parts.append(f"+ {mono}" if num > 0 else f"- {mono}")
     return " ".join(parts)
 
 
@@ -394,12 +396,18 @@ def _const(dim: int, c: Fraction) -> Polynomial:
 
 
 def _add(dim: int, terms) -> Polynomial:
-    """The sum of the (negated, polynomial) terms, summed into one dict."""
-    sums: Terms = {}
+    """The sum of the (negated, polynomial) terms.
+
+    It is summed on one integer table over the lcm of their denominators,
+    with one ``Fraction`` per output term (``_over``).
+    """
+    den = math.lcm(*(c.denominator for _, p in terms for _, c in p.terms))
+    sums: IntTerms = {}
     for negative, p in terms:
         for e, c in p.terms:
-            sums[e] = sums.get(e, 0) + (-c if negative else c)
-    return Polynomial(dim, tuple(sorted((e, c) for e, c in sums.items() if c)))
+            x = c.numerator * (den // c.denominator)
+            sums[e] = sums.get(e, 0) + (-x if negative else x)
+    return _over(dim, {e: x for e, x in sums.items() if x}, den)
 
 
 def _check_pairs(pairs: int) -> None:

@@ -1,14 +1,15 @@
 """Reference `Fraction` kernels, kept to check their fraction-free versions.
 
-These are the facet search, the polynomial product and power, the
+These are the facet search, the polynomial sum, product and power, the
 substitution, the text parser, the canonical generator set and the
 determinant the package ran before they moved to Python ints, with the
 `Fraction` matrix inverse the facet search started from.
 ``pshdiag.volume._cone_facets`` must find the same tight sets in the same
 order, with normals equal up to a positive factor;
-``pshdiag.polynomials.poly_mul``, ``poly_pow`` and ``substitute_linear``
-must return equal polynomials and raise the same errors, under the same
-budgets, which these read from ``pshdiag.polynomials`` when they run;
+``pshdiag.polynomials.poly_mul``, ``poly_pow``, ``substitute_linear`` and
+the sum ``_add`` must return equal polynomials and raise the same
+errors, under the same budgets, which these read from
+``pshdiag.polynomials`` when they run;
 ``pshdiag.polynomials.parse_tree`` must return a tree equal to
 ``parse_tree`` here, and raise the same errors at the same positions;
 ``pshdiag.diagram.canonicalize``, which hands dominated points to the
@@ -143,6 +144,7 @@ def checked_pow(p: Polynomial, k: int) -> Polynomial:
 
 
 def add(dim: int, terms) -> Polynomial:
+    """The sum of the (negated, polynomial) terms, one `Fraction` addition per term."""
     sums: Terms = {}
     for negative, p in terms:
         for e, c in p.terms:

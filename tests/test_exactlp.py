@@ -30,6 +30,22 @@ def random_system(rng):
     return n, eq, ub, nonneg
 
 
+def assert_batched_as_alone(n, objectives, eq, ub, nonneg):
+    """One call answers its objectives as one call each, in either order."""
+    results = solve_lp(n, objectives, eq=eq, ub=ub, nonneg=nonneg)
+    alone = [solve_lp(n, [c], eq=eq, ub=ub, nonneg=nonneg) for c in objectives]
+    reverse = solve_lp(n, objectives[::-1], eq=eq, ub=ub, nonneg=nonneg)
+    bare = solve_lp(n, eq=eq, ub=ub, nonneg=nonneg)
+    if results is None:
+        assert alone == [None] * len(objectives)
+        assert reverse is None and bare is None
+        return None
+    assert bare == []
+    assert results == [a[0] for a in alone]
+    assert reverse == results[::-1]
+    return results
+
+
 def test_many_objectives_match_one_at_a_time():
     rng = random.Random(41)
     seen = {True: 0, False: 0}
@@ -39,18 +55,10 @@ def test_many_objectives_match_one_at_a_time():
             [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
             for _ in range(rng.randint(1, 4))
         ]
-        results = solve_lp(n, objectives, eq=eq, ub=ub, nonneg=nonneg)
-        alone = [solve_lp(n, [c], eq=eq, ub=ub, nonneg=nonneg) for c in objectives]
-        reverse = solve_lp(n, objectives[::-1], eq=eq, ub=ub, nonneg=nonneg)
-        bare = solve_lp(n, eq=eq, ub=ub, nonneg=nonneg)
+        results = assert_batched_as_alone(n, objectives, eq, ub, nonneg)
         seen[results is not None] += 1
         if results is None:
-            assert alone == [None] * len(objectives)
-            assert reverse is None and bare is None
             continue
-        assert bare == []
-        assert results == [a[0] for a in alone]
-        assert reverse == results[::-1]
         for c, res in zip(objectives, results):
             assert res.status == OPTIMAL
             assert res.value == sum(ci * xi for ci, xi in zip(c, res.x))
@@ -58,6 +66,15 @@ def test_many_objectives_match_one_at_a_time():
             assert all(sum(a * x for a, x in zip(row, res.x)) <= b for row, b in ub)
             assert not nonneg or all(x >= 0 for x in res.x)
     assert seen[True] >= 15 and seen[False] >= 15
+
+    # the edge-scale sweeps, whose objectives share most of their pivots
+    sweeps = 0
+    for g in sweep_diagrams(random.Random(23)):
+        (n, objectives), kwargs = sweep_call(g)
+        results = assert_batched_as_alone(n, objectives, **kwargs)
+        assert results and all(res.status == OPTIMAL for res in results)
+        sweeps += 1
+    assert sweeps >= 10
 
 
 def traced_solve(module, *args, **kwargs):
@@ -67,7 +84,7 @@ def traced_solve(module, *args, **kwargs):
 
     def recording(tab, basis, row, col):
         pivots.append((row, col))
-        real(tab, basis, row, col)
+        return real(tab, basis, row, col)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(module, "_pivot", recording)
@@ -80,14 +97,40 @@ def assert_exact(results):
             assert type(res.value) is F and all(type(x) is F for x in res.x), res
 
 
-def assert_same_path(*args, **kwargs):
-    """solve_lp pivots and answers as the Fraction tableau does."""
-    got, got_pivots = traced_solve(exactlp, *args, **kwargs)
-    want, want_pivots = traced_solve(fraction_simplex, *args, **kwargs)
+def full_layout(pivots, n, eq, ub, nonneg):
+    """exactlp's pivots, each stored artificial column renumbered as in the full layout.
+
+    The full phase-1 layout, fraction_simplex's, has one artificial column
+    per row, row i's at total + i.
+    """
+    total = (n if nonneg else 2 * n) + len(ub)
+    # the rows that store one: equations and bounds with b < 0
+    kept = [i for i, (_, b) in enumerate([*eq, *ub]) if i < len(eq) or F(b) < 0]
+    return [(row, col if col < total else total + kept[col - total]) for row, col in pivots]
+
+
+def assert_same_path(n, objectives=(), eq=(), ub=(), nonneg=False):
+    """solve_lp answers and pivots as the Fraction tableau does.
+
+    The Fraction tableau runs phase 1 once and then each objective's own
+    pivots, one after another.  A solve_lp call takes each phase-2 pivot
+    once, whichever of its objectives reaches it first, so its pivots are
+    traced one objective per call: the bare system's, then each call's
+    beyond those.  Returns the answers and the pivots.
+    """
+    want, want_pivots = traced_solve(fraction_simplex, n, objectives, eq=eq, ub=ub, nonneg=nonneg)
+    got = solve_lp(n, objectives, eq=eq, ub=ub, nonneg=nonneg)
     assert got == want
-    assert got_pivots == want_pivots
     assert_exact(got)
-    return got, got_pivots
+    _, pivots = traced_solve(exactlp, n, [], eq=eq, ub=ub, nonneg=nonneg)
+    phase1 = len(pivots)
+    for k, c in enumerate(objectives):
+        one, path = traced_solve(exactlp, n, [c], eq=eq, ub=ub, nonneg=nonneg)
+        assert one == (None if want is None else [want[k]])
+        assert path[:phase1] == pivots[:phase1]
+        pivots += path[phase1:]
+    assert full_layout(pivots, n, eq, ub, nonneg) == want_pivots
+    return got, want_pivots
 
 
 def branch_systems():
@@ -118,9 +161,9 @@ def test_rational_systems_pivot_as_the_fraction_tableau(monkeypatch):
     def recording(tab, basis, row, col):
         pv = tab[row][col]
         branches.add("unit" if pv == 1 else "negative" if pv < 0 else "scaled")
-        if sum(1 for j, y in enumerate(tab[row]) if y and j != basis[row]) == 1:
+        if sum(1 for y in tab[row] if y) == 2:
             branches.add("one nonzero")
-        real(tab, basis, row, col)
+        return real(tab, basis, row, col)
 
     monkeypatch.setattr(exactlp, "_pivot", recording)
     rng = random.Random(8)
@@ -218,3 +261,59 @@ def test_answers_are_fractions_whatever_the_coefficient_type(kind):
         results = solve_lp(3, objectives, eq=eq, ub=ub, nonneg=nonneg)
         assert [r.status for r in results] == [OPTIMAL, OPTIMAL if nonneg else UNBOUNDED, OPTIMAL]
         assert_exact(results)
+
+
+def test_bound_artificials_never_enter():
+    """The Fraction tableau never enters the artificial of a bound a·x <= b with b >= 0.
+
+    Before every phase-1 pivot, that column equals the bound's slack
+    column in each constraint row and its reduced cost is the slack's
+    plus 1, which is why exactlp stores no such column.
+    """
+    rng = random.Random(5)
+    systems = [random_system(rng) for _ in range(120)]
+    dims = []
+    for g in sweep_diagrams(random.Random(19)):
+        if dims.count(g.dim) < 2:
+            dims.append(g.dim)
+            (n, _), kwargs = sweep_call(g)
+            systems.append((n, kwargs["eq"], kwargs["ub"], True))
+    assert sorted(dims) == [2, 2, 3, 3, 4, 4]
+    real = fraction_simplex._pivot
+    seen = {"negative bound": 0, "checked": 0, "artificial entered": 0}
+    for n, eq, ub, nonneg in systems:
+        width = n if nonneg else 2 * n
+        total, m = width + len(ub), len(eq) + len(ub)
+        bounds = [k for k, (_, b) in enumerate(ub) if F(b) >= 0]
+        seen["negative bound"] += len(bounds) < len(ub)
+
+        def recording(tab, basis, row, col):
+            if len(tab[0]) == total + m + 1:  # a phase-1 tableau
+                seen["artificial entered"] += col >= total
+                for k in bounds:
+                    slack, art = width + k, total + len(eq) + k
+                    assert col != art
+                    assert all(r[art] == r[slack] for r in tab[:-1])
+                    assert tab[-1][art] == tab[-1][slack] + 1
+                    seen["checked"] += 1
+            real(tab, basis, row, col)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fraction_simplex, "_pivot", recording)
+            fraction_simplex.solve_lp(n, eq=eq, ub=ub, nonneg=nonneg)
+    assert seen["negative bound"] >= 30 and seen["checked"] >= 10_000, seen
+    assert seen["artificial entered"], seen  # a stored artificial may enter
+
+
+def test_results_own_their_answers():
+    box = [([1, 0], 2), ([0, 1], 2), ([-1, 0], 2), ([0, -1], 2)]
+    objectives = [[1, 1], [2, 2], [1, 1], [-1, 0]]
+    for nonneg in (True, False):
+        results = solve_lp(2, objectives, ub=box, nonneg=nonneg)
+        # the first three share one optimum, and one optimal basis
+        assert results[0].x == results[1].x == results[2].x != results[3].x
+        assert len({id(res.x) for res in results}) == len(results)
+        results[0].x[0] += 1
+        results[0].x.append(F(7))
+        assert results[1:] == solve_lp(2, objectives, ub=box, nonneg=nonneg)[1:]
+        assert solve_lp(2, objectives, ub=box, nonneg=nonneg)[0].x == results[1].x

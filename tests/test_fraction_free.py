@@ -140,6 +140,27 @@ def test_parsed_sums_match_fraction_kernels():
         assert_fraction_terms(got)
 
 
+def test_sums_match_fraction_kernel():
+    rng = random.Random(69)
+    seen = {"zero": 0, "cancelled term": 0}
+    for _ in range(300):
+        dim = rng.randint(1, 3)
+        summands = [random_polynomial(rng, dim) for _ in range(rng.randint(0, 4))]
+        terms = [(rng.random() < 0.5, p) for p in summands]
+        if terms and rng.random() < 0.3:
+            negative, p = rng.choice(terms)
+            terms.append((not negative, p))  # cancels p
+        if rng.random() < 0.1:
+            terms.append((False, polynomial(dim, {})))
+        got = polynomials._add(dim, terms)
+        assert got == fraction_kernels.add(dim, terms), terms
+        assert_fraction_terms(got)
+        seen["zero"] += got.is_zero()
+        summed = {e for _, p in terms for e, _ in p.terms}
+        seen["cancelled term"] += len(got.terms) < len(summed)
+    assert min(seen.values()) >= 10, seen
+
+
 def assert_same_canonical(dim, raw):
     got = dg.canonicalize(dim, raw)
     assert got == fraction_kernels.canonicalize(dim, raw), raw
