@@ -415,14 +415,20 @@ def rational_from_json(value) -> int | Fraction:
     )
 
 
-def diagram_from_json(obj: dict) -> Diagram:
-    if not isinstance(obj, dict) or "dim" not in obj or "generators" not in obj:
-        raise EmptyInput("diagram JSON must have 'dim' and 'generators'")
+def dim_from_json(obj: dict, kind: str, field: str) -> int:
+    """The 'dim' of a JSON object that must hold 'dim' and ``field``: an int from 1 to MAX_DIM."""
+    if not isinstance(obj, dict) or "dim" not in obj or field not in obj:
+        raise EmptyInput(f"{kind} JSON must have 'dim' and '{field}'")
     dim = obj["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise DimensionMismatch("'dim' must be an integer")
     if not 1 <= dim <= MAX_DIM:
         raise DimensionMismatch(f"dimension must be between 1 and {MAX_DIM}, got {dim}")
+    return dim
+
+
+def diagram_from_json(obj: dict) -> Diagram:
+    dim = dim_from_json(obj, "diagram", "generators")
     gens = obj["generators"]
     if not isinstance(gens, list) or not all(isinstance(p, list) for p in gens):
         raise TypeError("'generators' must be a list of coordinate lists")

@@ -7,15 +7,16 @@ are exact at one gcd per row update, not one per operation.
 
 Row invariant: each constraint row is a positive multiple of its
 `Fraction` row, the multiple being its entry in its basic column, and the
-cost row is a positive multiple of the reduced costs.  A row starts as
-its coefficients times the lcm of their denominators, which is also its
-artificial entry (and its slack entry, for a bound with b >= 0, whose
-artificial column is left out, below); a pivot on (row, col) with entry
-pv > 0 replaces every other row r by pv*r - r[col]*pivot_row over their
-gcd.  Each decision of Bland's rule reads a sign or compares ratios
-r[-1]/r[col] of single rows, and neither changes under positive row
-scaling, so the pivots, and the answers x_b = r[-1]/r[b], are those of
-the `Fraction` tableau.
+cost row is a positive multiple of the reduced costs.  The tableau holds
+only the constraint rows; each phase keeps its cost row outside it.  A
+row starts as its coefficients times the lcm of their denominators, which
+is also its artificial entry (and its slack entry, for a bound with
+b >= 0, whose artificial column is left out, below); a pivot on
+(row, col) with entry pv > 0 replaces every other row r, the cost row
+too, by pv*r - r[col]*pivot_row over their gcd.  Each decision of
+Bland's rule reads a sign or compares ratios r[-1]/r[col] of single rows,
+and neither changes under positive row scaling, so the pivots, and the
+answers x_b = r[-1]/r[b], are those of the `Fraction` tableau.
 
 The update is sparse: each row r is scaled to pv*r, and r[col]*y is
 subtracted only at the columns where the pivot row holds y != 0 (15 % of
@@ -43,18 +44,21 @@ slack columns): each row starts with its artificial's label, stored or
 not, and a stored artificial enters under its label, so ties between rows
 break as in the full tableau.  The phase-1 cost row is written directly,
 as minus the sum of the rows, each over its scale, with 0 at the stored
-artificials.
+artificials.  The drive-out that follows pivots only the constraint rows.
 
-In phase 2 the `Fraction` constraint rows at a basis are fixed by the
-basis, so a pivot (basis, entering column) leads to the same leaving row
-and the same rows whichever objective takes it.  A call keeps every pivot
-it takes, and an objective that reaches one already taken reuses its
-rows and updates only its own cost row, by the stored pivot row (on one
-pass of the benchmark's `decide` pool, 3,022 of 6,640 phase-2 pivots are
-reached again).  The reused rows are positive multiples of the rows that
-objective would have built, so each decision, and each answer, is
-unchanged.  Each optimal basis builds its `Fraction` answer once per
-call, and each result gets its own list.  Nothing is kept past the call.
+Both phases run one loop of Bland's rule, ``_minimise``, which keeps every
+pivot it takes in a memo.  The `Fraction` constraint rows at a basis are
+fixed by the basis, so a pivot (basis, entering column) leads to the same
+leaving row and the same rows whichever cost row takes it.  Phase 1 starts
+from an empty memo, in which no pivot repeats, since Bland's rule visits no
+basis twice.  Phase 2 shares one memo across the call's objectives: an
+objective that reaches a pivot already taken reuses its rows and updates
+only its own cost row, by the stored pivot row (on one pass of the
+benchmark's `decide` pool, 3,022 of 6,640 phase-2 pivots are reached
+again).  The reused rows are positive multiples of the rows that objective
+would have built, so each decision, and each answer, is unchanged.  Each
+optimal basis builds its `Fraction` answer once per call, and each result
+gets its own list.  Nothing is kept past the call.
 """
 
 from __future__ import annotations
@@ -89,8 +93,10 @@ def _eliminated(r: list[int], col: int, pv: int, support: list[tuple[int, int]])
 def _pivot(tab: list[list[int]], basis: list[int], row: int, col: int) -> list[tuple[int, int]]:
     """Pivot on (row, col), replacing rows rather than editing them.
 
+    Bland's rule pivots on a positive entry; only the drive-out of phase 1's
+    artificials pivots on a negative one, and negates its row first.
     Returns the pivot row's nonzero (column, entry) pairs, with which
-    ``_eliminated`` updates a row kept outside tab.
+    ``_eliminated`` updates a cost row kept outside tab.
     """
     pr = tab[row]
     pv = pr[col]
@@ -133,15 +139,27 @@ def _leaving(tab: list[list[int]], basis, col: int) -> int | None:
     return best_row
 
 
-def _run_simplex(tab: list[list[int]], basis: list[int], labels: list[int]) -> str:
-    """Minimize the last row of tab; column j enters as basic label labels[j]."""
-    while (col := _entering(tab[-1], len(labels))) is not None:
-        row = _leaving(tab, basis, col)
-        if row is None:
-            return UNBOUNDED
-        _pivot(tab, basis, row, col)
-        basis[row] = labels[col]
-    return OPTIMAL
+def _minimise(tab: list[list[int]], at: tuple, cost: list[int], labels, steps: dict):
+    """Minimise the cost row, held outside tab, from basis ``at`` by Bland's rule.
+
+    Column j enters as basic label labels[j].  ``steps`` is the memo of
+    pivots taken: (basis, entering column) -> pivot entry, pivot row support,
+    and rows and basis after.  Returns the status and the rows, basis and
+    cost row reached.
+    """
+    while (col := _entering(cost, len(labels))) is not None:
+        step = steps.get((at, col))
+        if step is None:
+            row = _leaving(tab, at, col)
+            if row is None:
+                return UNBOUNDED, tab, at, cost
+            tab, basis = list(tab), list(at)
+            support = _pivot(tab, basis, row, col)
+            basis[row] = labels[col]
+            step = steps[at, col] = (tab[row][col], support, tab, tuple(basis))
+        pv, support, tab, at = step
+        cost = _eliminated(cost, col, pv, support)
+    return OPTIMAL, tab, at, cost
 
 
 def solve_lp(n: int, objectives=(), eq=(), ub=(), nonneg: bool = False) -> list[LPResult] | None:
@@ -162,37 +180,33 @@ def solve_lp(n: int, objectives=(), eq=(), ub=(), nonneg: bool = False) -> list[
     def expand(coeffs: list[int]) -> list[int]:
         return coeffs if nonneg else coeffs + [-v for v in coeffs]
 
-    tab, scales, kept = [], [], []
-    for i, (coeffs, b) in enumerate(rows):
-        scale, row = integral(exact((*coeffs, b)))
+    scaled = [integral(exact((*coeffs, b))) for coeffs, b in rows]
+    # the rows that store an artificial column: equations and bounds with b < 0
+    kept = [i for i, (_, row) in enumerate(scaled) if i < neq or row[-1] < 0]
+    tab = []
+    for i, (scale, row) in enumerate(scaled):
         sign = -1 if row[-1] < 0 else 1
-        row = [sign * v for v in row]
         slack = [0] * nslack
         if i >= neq:
             slack[i - neq] = sign * scale
-        if i < neq or sign < 0:
-            kept.append(i)
-        tab.append(expand(row[:-1]) + slack + row[-1:])
-        scales.append(scale)
-    for i, row in enumerate(tab):
-        row[-1:-1] = [scales[i] if k == i else 0 for k in kept]
+        artificial = [scale if k == i else 0 for k in kept]
+        tab.append(expand([sign * v for v in row[:-1]]) + slack + artificial + [sign * row[-1]])
 
     # phase 1: minimise the sum of the artificials
     labels = [*range(total), *(total + i for i in kept)]
-    basis = [total + i for i in range(m)]
-    lcm = math.lcm(*scales)
+    lcm = math.lcm(*(scale for scale, _ in scaled))
     cost = [0] * (len(labels) + 1)
-    for row, scale in zip(tab, scales):
+    for row, (scale, _) in zip(tab, scaled):
         w = lcm // scale
         cost = [x - w * y for x, y in zip(cost, row)]
     cost[total:-1] = [0] * len(kept)
-    tab.append(reduced(cost))
-    status = _run_simplex(tab, basis, labels)
+    status, tab, at, cost = _minimise(tab, tuple(range(total, total + m)), reduced(cost), labels, {})
     if status != OPTIMAL:
         raise VerificationFailure(f"phase 1 is bounded below by 0 but reported {status}")
-    if tab[-1][-1] != 0:
+    if cost[-1] != 0:
         return None
     # drive remaining artificials out of the basis
+    basis = list(at)
     for i in range(m):
         if basis[i] >= total:
             col = next((j for j in range(total) if tab[i][j] != 0), None)
@@ -202,29 +216,17 @@ def solve_lp(n: int, objectives=(), eq=(), ub=(), nonneg: bool = False) -> list[
     tab = [tab[i][:total] + [tab[i][-1]] for i in keep]
     start = tuple(basis[i] for i in keep)
 
-    # phase 2, once per objective; _pivot replaces rows rather than editing
-    # them, so each pivot's rows share every row it leaves unchanged
-    steps = {}  # (basis, col) -> pivot entry, pivot row support, rows and basis after
+    # phase 2, once per objective, every objective reusing the pivots taken
+    steps = {}
     optima = {}  # optimal basis -> x
     results = []
     for objective in objectives:
         c = exact(objective)
         _, cost = integral(c)
-        run_tab, at = tab, start
-        cost = _priced(expand(cost) + [0] * (nslack + 1), run_tab, at)
-        while (col := _entering(cost, total)) is not None:
-            step = steps.get((at, col))
-            if step is None:
-                row = _leaving(run_tab, at, col)
-                if row is None:
-                    break
-                run_tab, basis = list(run_tab), list(at)
-                support = _pivot(run_tab, basis, row, col)
-                step = steps[at, col] = (run_tab[row][col], support, run_tab, tuple(basis))
-            pv, support, run_tab, at = step
-            cost = _eliminated(cost, col, pv, support)
-        if col is not None:
-            results.append(LPResult(UNBOUNDED))
+        cost = _priced(expand(cost) + [0] * (nslack + 1), tab, start)
+        status, run_tab, at, _ = _minimise(tab, start, cost, range(total), steps)
+        if status != OPTIMAL:
+            results.append(LPResult(status))
             continue
         x = optima.get(at)
         if x is None:

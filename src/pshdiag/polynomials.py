@@ -63,6 +63,7 @@ from .diagram import (
     canonicalize,
     check_digits,
     check_printable,
+    dim_from_json,
     point,
     rational_from_json,
     weight,
@@ -606,14 +607,12 @@ def input_to_json(u: SingularityInput) -> dict:
 
 
 def _read_input(obj: dict) -> tuple[int, list[Tree]]:
-    if not isinstance(obj, dict) or "dim" not in obj or "polys" not in obj:
-        raise EmptyInput("singularity JSON must have 'dim' and 'polys'")
-    dim = obj["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool):
-        raise DimensionMismatch("'dim' must be an integer")
+    dim = dim_from_json(obj, "singularity", "polys")
     texts = obj["polys"]
     if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
         raise TypeError("'polys' must be a list of polynomial texts")
+    if not texts:
+        raise EmptyInput("at least one polynomial is required")
     return dim, [parse_tree(t, dim) for t in texts]
 
 
@@ -630,8 +629,6 @@ def diagram_from_input_json(obj: dict) -> Diagram:
     wherever that answers; its budgets on products and powers do not apply.
     """
     dim, trees = _read_input(obj)
-    if not trees:
-        raise EmptyInput("at least one polynomial is required")
     points: set[Exponent] = set()
     for tree in trees:
         support = newton_support(tree, dim)

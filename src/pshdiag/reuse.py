@@ -12,7 +12,10 @@ Only pure functions whose equal arguments give equal, immutable results
 are decorated (``polynomials.parse_tree``, ``diagram._canonical``, which
 canonicalizes a JSON diagram's points and so shares its facets too, and
 ``decomposition.decide_decomposability``), so sharing a result cannot
-change an answer.
+change an answer.  Every argument they get is hashable: ``parse_tree`` a
+string and an int, checked by ``polynomials._read_input``; ``_canonical``
+an int and tuples of ints and `Fraction`s; ``decide_decomposability`` a
+frozen ``Diagram``.
 """
 
 from __future__ import annotations
@@ -48,8 +51,6 @@ def once_per_batch(fn):
             return results[key]
         except KeyError:
             pass
-        except TypeError:  # an unhashable argument: ``fn`` reports it as it always does
-            return fn(*args)
         value = results[key] = fn(*args)
         return value
 

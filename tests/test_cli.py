@@ -272,6 +272,22 @@ class TestExecute:
         payload = {**GOOD_PAYLOADS[command], "input": {"dim": 2, "polys": polys}}
         assert execute(command, payload) == ({"error": "'polys' must be a list of polynomial texts"}, EXIT_INPUT)
 
+    # the dimension is read first, by the rule of a JSON diagram's: an empty
+    # list was refused as empty, and a bad list before a bad dimension
+    @pytest.mark.parametrize("dim,polys", [(0, []), (0, ["1"]), (MAX_DIM + 1, 5), (-1, [["z1"]])])
+    @pytest.mark.parametrize("command", ["diagram", "lelong", "classify", "substitute"])
+    def test_input_dim_read_before_polys(self, command, dim, polys):
+        payload = {**GOOD_PAYLOADS[command], "input": {"dim": dim, "polys": polys}}
+        assert execute(command, payload) == (
+            {"error": f"dimension must be between 1 and {MAX_DIM}, got {dim}"},
+            EXIT_INPUT,
+        )
+
+    @pytest.mark.parametrize("command", ["diagram", "lelong", "classify", "substitute"])
+    def test_empty_polys_exit_2(self, command):
+        payload = {**GOOD_PAYLOADS[command], "input": {"dim": 2, "polys": []}}
+        assert execute(command, payload) == ({"error": "at least one polynomial is required"}, EXIT_INPUT)
+
     def test_deep_parentheses_exit_2(self):
         # nesting past polynomials.MAX_NESTING is a syntax error, not a
         # RecursionError escaping execute
@@ -840,7 +856,7 @@ class TestBatchReuse:
     def test_repeated_failures_fail_alike(self, calls):
         malformed = ("diagram", {"input": {"dim": 2, "polys": ["z1 +* z2"]}})
         singular = ("substitute", {"input": INPUT, "matrix": [["1", "2"], ["2", "4"]]})
-        # a list cannot be a key of the shared results, so it is read as outside a batch
+        # a list in place of a polynomial text is refused before any text is parsed
         unhashable = ("classify", {"input": {"dim": 2, "polys": [["z1"]]}})
         result, code = run_batch(manifest_of([malformed, singular, unhashable] * 2))
         assert code == EXIT_INPUT

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import random
 import types
@@ -77,8 +78,9 @@ def test_many_objectives_match_one_at_a_time():
     assert sweeps >= 10
 
 
-def traced_solve(module, *args, **kwargs):
-    """A module's solve_lp results and the (row, col) of each pivot it made."""
+@contextlib.contextmanager
+def recorded_pivots(module):
+    """The (row, col) of each pivot the module makes inside the block."""
     pivots = []
     real = module._pivot
 
@@ -88,6 +90,12 @@ def traced_solve(module, *args, **kwargs):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(module, "_pivot", recording)
+        yield pivots
+
+
+def traced_solve(module, *args, **kwargs):
+    """A module's solve_lp results and the (row, col) of each pivot it made."""
+    with recorded_pivots(module) as pivots:
         return module.solve_lp(*args, **kwargs), pivots
 
 
@@ -114,22 +122,36 @@ def assert_same_path(n, objectives=(), eq=(), ub=(), nonneg=False):
 
     The Fraction tableau runs phase 1 once and then each objective's own
     pivots, one after another.  A solve_lp call takes each phase-2 pivot
-    once, whichever of its objectives reaches it first, so its pivots are
-    traced one objective per call: the bare system's, then each call's
-    beyond those.  Returns the answers and the pivots.
+    once, whichever of its objectives reaches it first, so each of its
+    phase-2 runs of _minimise is replayed from its recorded start with no
+    pivots to reuse, and must end where the run did.  The pivots are those
+    the call made before its first phase-2 run (phase 1 and the drive-out),
+    then each replay's.  Returns the answers and the pivots.
     """
     want, want_pivots = traced_solve(fraction_simplex, n, objectives, eq=eq, ub=ub, nonneg=nonneg)
-    got = solve_lp(n, objectives, eq=eq, ub=ub, nonneg=nonneg)
+    real = exactlp._minimise
+    runs = []  # (pivots made before the run, its arguments but the memo, status and basis reached)
+
+    def recording(tab, at, cost, labels, steps):
+        before = len(pivots)
+        status, end_tab, end, end_cost = real(tab, at, cost, labels, steps)
+        runs.append((before, (tab, at, cost, labels), (status, end)))
+        return status, end_tab, end, end_cost
+
+    with recorded_pivots(exactlp) as pivots, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlp, "_minimise", recording)
+        got = solve_lp(n, objectives, eq=eq, ub=ub, nonneg=nonneg)
     assert got == want
     assert_exact(got)
-    _, pivots = traced_solve(exactlp, n, [], eq=eq, ub=ub, nonneg=nonneg)
-    phase1 = len(pivots)
-    for k, c in enumerate(objectives):
-        one, path = traced_solve(exactlp, n, [c], eq=eq, ub=ub, nonneg=nonneg)
-        assert one == (None if want is None else [want[k]])
-        assert path[:phase1] == pivots[:phase1]
-        pivots += path[phase1:]
-    assert full_layout(pivots, n, eq, ub, nonneg) == want_pivots
+    # phase 1, then one run per objective unless the system is infeasible
+    assert len(runs) == 1 + (0 if want is None else len(objectives))
+    path = pivots[: runs[1][0]] if len(runs) > 1 else pivots
+    for _, args, (status, end) in runs[1:]:
+        with recorded_pivots(exactlp) as replay:
+            again, _, again_end, _ = real(*args, {})
+        assert (again, again_end) == (status, end)
+        path += replay
+    assert full_layout(path, n, eq, ub, nonneg) == want_pivots
     return got, want_pivots
 
 
