@@ -44,11 +44,39 @@ sums to {p}, and the least ratio c of either side to p is 0 (each side
 vanishes at a coordinate where p does not), so neither is a homothet.
 So every candidate verifies: the least one is verified once, and one
 that fails is a bug and raises ``VerificationFailure`` (exit 4).
+
+The plane reads the summand pairs off an LP sweep over S: each pair of
+edge scales pushed apart, both ways, by ``exactlp``.  From dimension 3 on
+they come from the type space, by exact linear algebra (Shephard,
+Mathematika 10, 1963; McMullen, Israel J. Math. 58, 1987).  Let L be the
+solutions of the edge equations with u_ik = 0 wherever v_ik = 0.  Those
+coordinates are pinned in S as well, and every other bound of S is strict
+at (v/2, 1/2), so S has a point with unequal edge scales exactly when the
+projection of L onto the scales has dimension over 1.  The three edges of
+a compact 3-cycle have equal scales: its cycle equation reads
+(t_1 - t_3) d_1 + (t_2 - t_3) d_2 = 0, and d_1, d_2 are independent, as
+three vertices are never collinear; so the edges are first joined into
+classes.  Along a spanning tree each u_i is u_0 plus scaled edges, each
+edge off the tree gives n linear rows in the class scales and u_0, and
+each v_ik = 0 one more; these rows pin u_0 on every axis where a vertex
+is 0, so the projection's dimension is the number of unknowns less the
+rank.  When it is 1, only homothets and translation splits remain.
+Otherwise the type cone, the points of the projection with every scale
+>= 0, is pointed and holds the homothety direction t = 1 inside, so each
+extreme ray has a zero scale and a positive one.  Lifted to (u, t),
+shifted to least 0 on every axis (a translation, a move along L) and
+scaled by the largest lambda with lambda u <= v and lambda t <= 1, a ray
+is a point of S with unequal scales, whose pair verifies by the argument
+above.  So the verdict is the sweep's, and the witness is the least of
+these pairs and the translation splits.  The method stays
+``facet-pair-lp``, the name these certificates have always carried, so
+the answers of the benchmark pools keep every byte.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -70,25 +98,36 @@ from .errors import (
     UnsupportedDimension,
     VerificationFailure,
 )
-from .linalg import exact, integral
+from .linalg import exact, int_kernel, integral
 from .polynomials import SingularityInput, diagram_of_input
 from .reuse import once_per_batch
+from .volume import _cone_facets
 
 METHOD_SIMPLEX_FACET = "simplex-facet"
 METHOD_TWO_DIM_CHAIN = "two-dim-chain"
 METHOD_FACET_PAIR_LP = "facet-pair-lp"
 
 # Most phase-1 tableau cells, summed over the objectives, that one
-# edge-scale sweep may take on.  The cells are counted in the full phase-1
-# layout, one artificial column per row, although exactlp stores none for
-# the sweep's bounds, so the budget refuses the inputs it always refused.
-# A sweep takes 0.005-0.16 microseconds per cell (2-D chains of 12 and 20
-# edges 0.15-0.16, 4-D sums of 16 and 17 edges 0.013-0.017, 5-D and 6-D
-# simplices of 10 and 15 edges 0.005-0.009; Python 3.11 on a 2-vCPU
-# host), so one at the limit runs up to about 1.6 seconds; the largest in
-# the tests (a 4-D diagram of 16 edges) takes on 5,153,520 and the
-# largest in the benchmark pools 21,228.
+# edge-scale sweep may take on; the sweep decides the plane only.  The
+# cells are counted in the full phase-1 layout, one artificial column per
+# row, although exactlp stores none for the sweep's bounds, so the budget
+# refuses the inputs it always refused.  A sweep over a 2-D chain takes
+# 0.15-0.16 microseconds per cell (chains of 12 and 20 edges; Python 3.11
+# on a 2-vCPU host), so one at the limit runs about 1.6 seconds.  The
+# largest 2-D sweep in the tests takes on 34,720 cells and the largest in
+# the benchmark pools 14,076.
 MAX_SWEEP_CELLS = 10_000_000
+
+# Most cells, rows by columns, that the type space's elimination may take
+# on: n rows per compact edge off the spanning tree and one per zero
+# coordinate, by one column per class of edge scales and one per axis
+# where some vertex is 0, counted before any row is built.  The
+# elimination is cubic: on sums of two 2-D chains in the planes z = 0 and
+# x = 0 it took 0.42 s at 144,585 cells, 0.82 s at 196,712 and 4.4 s at
+# 694,557 (Python 3.11 on a 2-vCPU host), so one at the limit runs about
+# 1 second.  The largest in the tests takes on 5,600 cells, and the
+# largest in the benchmark pools 63.
+MAX_TYPE_SPACE_CELLS = 250_000
 
 
 @dataclass(frozen=True)
@@ -392,8 +431,12 @@ def decide_decomposability(g: Diagram) -> Certificate:
 
 
 def _decide_general(g: Diagram) -> Certificate:
-    candidates = _translation_candidates(g) + _edge_scale_candidates(summand_system(g))
-    method = METHOD_TWO_DIM_CHAIN if g.dim == 2 else METHOD_FACET_PAIR_LP
+    translations = _translation_candidates(g)
+    if g.dim == 2:
+        method, pairs = METHOD_TWO_DIM_CHAIN, _edge_scale_candidates(summand_system(g))
+    else:
+        method, pairs = METHOD_FACET_PAIR_LP, _type_space_candidates(summand_system(g))
+    candidates = translations + pairs
     if candidates:
         return _witness(g, candidates, method)
     # constant edge scales propagate along the connected graph, so any
@@ -404,6 +447,131 @@ def _decide_general(g: Diagram) -> Certificate:
         "edge scales constant over the summand polytope; "
         "all summands are homothets",
     )
+
+
+def _scale_classes(graph: DiagramGraph) -> list[int]:
+    """The class of each compact edge, numbered in edge order: the edges of
+    every compact 3-cycle are joined by union-find, as their scales are equal."""
+    parent = list(range(len(graph.edges)))
+
+    def find(e):
+        while parent[e] != e:
+            parent[e] = parent[parent[e]]
+            e = parent[e]
+        return e
+
+    index = {(i, j): e for e, (i, j, _) in enumerate(graph.edges)}
+    near = [set() for _ in graph.vertices]
+    for i, j, _ in graph.edges:
+        near[i].add(j)
+        near[j].add(i)
+    for (i, j), e in index.items():
+        for k in near[i] & near[j]:
+            if k > j:
+                root = find(e)
+                for f in (index[i, k], index[j, k]):
+                    parent[find(f)] = root
+    roots: dict[int, int] = {}
+    return [roots.setdefault(find(e), len(roots)) for e in range(len(parent))]
+
+
+def _type_space_candidates(system: SummandSystem):
+    """Summand pairs at the extreme rays of the type cone; none when all
+    edge scales are equal on L.
+
+    The columns are the class scales (``_scale_classes``), then u_0 on
+    each axis where some vertex is 0, all times the lcm of the vertices'
+    denominators.  Along a BFS tree from vertex 0 each u_i is a form in
+    the columns; each edge off the tree gives n rows, and each v_ik = 0
+    the row u_ik = 0.  The null space of the rows is L, one-to-one on the
+    scales, as every u_0 column is pinned by an axis row.  Raises
+    ``UnsupportedDimension`` when the rows by columns exceed
+    ``MAX_TYPE_SPACE_CELLS``, before the rows are built.
+    """
+    graph = system.graph
+    n, m = system.base.dim, system.num_vertices
+    classes = _scale_classes(graph)
+    width = max(classes, default=-1) + 1
+    if width < 2:
+        return []  # one scale for every edge
+    scale, flat = integral([c for v in graph.vertices for c in v])
+    vs = [flat[i * n : (i + 1) * n] for i in range(m)]
+    axes = [k for k in range(n) if any(v[k] == 0 for v in vs)]
+    cols = width + len(axes)
+    cells = (n * (len(graph.edges) - m + 1) + flat.count(0)) * cols
+    if cells > MAX_TYPE_SPACE_CELLS:
+        raise UnsupportedDimension(
+            f"type-space elimination over {cells} matrix cells exceeds the budget "
+            f"of {MAX_TYPE_SPACE_CELLS}"
+        )
+    ds = [[b - a for a, b in zip(vs[i], vs[j])] for i, j, _ in graph.edges]
+    near = [[] for _ in range(m)]
+    for e, (i, j, _) in enumerate(graph.edges):
+        near[i].append((j, e, 1))
+        near[j].append((i, e, -1))
+    forms = [None] * m
+    forms[0] = [[0] * cols for _ in range(n)]
+    for c, k in enumerate(axes, width):
+        forms[0][k][c] = 1
+    order = [0]
+    steps = []  # the tree edges (j, i, e, sign) in BFS order: u_j = u_i + sign t_e d_e
+    for i in order:
+        for j, e, sign in near[i]:
+            if forms[j] is None:
+                forms[j] = [row[:] for row in forms[i]]
+                for row, dk in zip(forms[j], ds[e]):
+                    row[classes[e]] += sign * dk
+                steps.append((j, i, e, sign))
+                order.append(j)
+    tree = {e for *_, e, _ in steps}
+    rows = []
+    for e, (i, j, _) in enumerate(graph.edges):
+        if e not in tree:
+            for a, b, dk in zip(forms[i], forms[j], ds[e]):
+                row = [y - x for x, y in zip(a, b)]
+                row[classes[e]] -= dk
+                rows.append(row)
+    rows += [form[k] for form, v in zip(forms, vs) for k in axes if v[k] == 0]
+    _, basis = int_kernel(rows, cols)
+    if len(basis) < 2:
+        return []  # the homothety's ray alone
+    gens = list(dict.fromkeys(tuple(v[c] for v in basis) for c in range(width)))
+    candidates = []
+    for z, _ in _cone_facets(gens):
+        x = [sum(map(operator.mul, z, col)) for col in zip(*basis)]
+        u0 = [0] * n
+        for c, k in enumerate(axes, width):
+            u0[k] = x[c]
+        us, ts = _ray_point(vs, ds, steps, [x[c] for c in classes], scale, u0)
+        try:
+            candidates.append(_ordered(*summands_of(system, us, ts)))
+        except InfeasibleAssignment as exc:
+            raise VerificationFailure(f"type-space ray outside S: {exc}") from exc
+    return candidates
+
+
+def _ray_point(vs, ds, steps, ts, scale: int, u0):
+    """The point (u, t) of S on a ray of L: edge scales ts and u_0 = u0.
+
+    ``vs``, ``ds`` and u are the vertices, the edges and the displaced
+    vertices times ``scale``; u runs from u_0 along the tree ``steps``.
+    Each axis of u is shifted to least 0, a move along L, and (u, t) is
+    scaled by the largest lambda with lambda u <= v and lambda t <= 1.
+    """
+    us = [u0] + [None] * (len(vs) - 1)
+    for j, i, e, sign in steps:
+        step = sign * ts[e]
+        us[j] = [a + step * d for a, d in zip(us[i], ds[e])]
+    for k in range(len(u0)):
+        low = min(u[k] for u in us)
+        for u in us:
+            u[k] -= low
+    lam = min(
+        [Fraction(vk, uk) for u, v in zip(us, vs) for uk, vk in zip(u, v) if uk > 0]
+        + [Fraction(1, t) for t in ts if t > 0]
+    )
+    q = lam / scale
+    return [tuple(q * c for c in u) for u in us], [lam * t for t in ts]
 
 
 def classify_extreme(u: SingularityInput) -> ExtremityReport:

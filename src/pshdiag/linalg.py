@@ -4,7 +4,8 @@ Everything here is dense Gaussian elimination at desk scale; no pivoting
 heuristics are needed because the arithmetic is exact.  ``det`` runs
 fraction-free (Bareiss) on rows scaled to integers.  ``integral`` and
 ``reduced`` serve the fraction-free kernels, which keep each rational row
-as a positive integer multiple of it.
+as a positive integer multiple of it.  ``int_kernel`` takes the rank and
+an integer null basis of an int matrix, without fractions.
 """
 
 from __future__ import annotations
@@ -127,3 +128,44 @@ def reduced(row: list[int]) -> list[int]:
     """The row over the gcd of its entries; a zero row is returned as it is."""
     g = math.gcd(*row)
     return [x // g for x in row] if g > 1 else row
+
+
+def int_kernel(rows: list[list[int]], cols: int) -> tuple[int, list[list[int]]]:
+    """The rank of an int matrix and an int basis of its right null space.
+
+    Gauss-Jordan elimination without division: a row a with a nonzero
+    entry f in the pivot column becomes (p a - f r) / gcd(p, f) for the
+    pivot row r and its pivot p, divided by the gcd of its entries
+    (``reduced``), so each row stays a nonzero int multiple of the row
+    that elimination over the rationals would give.  At the end each pivot
+    row is zero on every pivot column but its own; the free column j gives
+    the null vector with l at j and -a_j l / p at the pivot column of each
+    row (a_j its entry at j, p its pivot), l the lcm of the pivots, over
+    the gcd of its entries.  The basis is ordered by free column.
+    """
+    a = [r for r in rows if any(r)]
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        k = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if k is None:
+            continue
+        a[r], a[k] = a[k], a[r]
+        top = a[r]
+        p = top[c]
+        for i, row in enumerate(a):
+            f = row[c]
+            if f and i != r:
+                g = math.gcd(p, f)
+                a[i] = reduced([(p // g) * x - (f // g) * y for x, y in zip(row, top)])
+        a[r + 1 :] = [row for row in a[r + 1 :] if any(row)]
+        pivots.append(c)
+    lcm = math.lcm(*(a[r][c] for r, c in enumerate(pivots)))
+    basis = []
+    for j in sorted(set(range(cols)) - set(pivots)):
+        v = [0] * cols
+        v[j] = lcm
+        for r, c in enumerate(pivots):
+            v[c] = -a[r][j] * lcm // a[r][c]
+        basis.append(reduced(v))
+    return len(pivots), basis

@@ -378,17 +378,37 @@ class TestExecute:
         assert code == EXIT_SEMANTIC
         assert "budget of 1000000 ray tests" in result["error"]
 
-    def test_sweep_budget_exit_3(self):
-        # 66 compact edges: 4290 edge-scale objectives over a tableau of
-        # 1.4 million cells, about 50 s of LP without the budget (phase 1
-        # takes 10 s, each objective 9 ms)
-        n = 12
-        gens = [[str(k + 2) if j == k else "0" for j in range(n)] for k in range(1, n)]
+    def test_type_space_budget_exit_3(self, monkeypatch):
+        # the sum of two 19-vertex chains, in the planes z = 0 and x = 0: 361
+        # vertices and 684 compact edges, none on a compact 3-cycle, so 1011
+        # rows by 687 columns, about 4.5 s of elimination without the budget
+        def refuse(*args):
+            raise AssertionError("the elimination ran past its budget")
+
+        monkeypatch.setattr(decomposition, "int_kernel", refuse)
+        gens = [[x, y + p, q] for x, y in convex_chain(18) for p, q in convex_chain(18)]
         start = time.perf_counter()
-        result, code = execute("decompose", {"diagram": {"dim": n, "generators": gens + [["1/12"] * n]}})
+        result, code = execute("decompose", {"diagram": {"dim": 3, "generators": gens}})
         assert time.perf_counter() - start < 10
-        assert code == EXIT_SEMANTIC
-        assert "sweep" in result["error"] and "budget" in result["error"]
+        assert (code, result["error"]) == (
+            EXIT_SEMANTIC,
+            "type-space elimination over 694557 matrix cells exceeds the budget of "
+            f"{decomposition.MAX_TYPE_SPACE_CELLS}",
+        )
+
+    def test_type_space_budget_edge(self, monkeypatch):
+        # the sum of two 4-vertex chains: 16 vertices and 24 classes, so 9
+        # edges off the tree give 27 rows, 9 zero coordinates 9 more, by 24
+        # scales and 3 axes; at a budget of exactly 972 cells it answers
+        gens = [[x, y + p, q] for x, y in convex_chain(3) for p, q in convex_chain(3)]
+        payload = {"diagram": {"dim": 3, "generators": gens}}
+        want = execute("decompose", payload)
+        assert want[0]["certificate"]["verdict"] == "decomposable"
+        monkeypatch.setattr(decomposition, "MAX_TYPE_SPACE_CELLS", 972)
+        assert execute("decompose", payload) == want
+        monkeypatch.setattr(decomposition, "MAX_TYPE_SPACE_CELLS", 971)
+        result, code = execute("decompose", payload)
+        assert code == EXIT_SEMANTIC and "over 972 matrix cells" in result["error"]
 
     @pytest.mark.parametrize(
         "command,payload,budget",
@@ -795,7 +815,7 @@ class TestBatch:
 
 
 # one input in two texts, and its diagram, the 3-D sum of two segments,
-# whose decision runs the edge-scale sweep
+# whose decision runs the type-space step
 SEGMENTS_INPUT = {"dim": 3, "polys": ["z1*z2 + z1*z3", "z2^2 + z2*z3"]}
 SEGMENTS = {"dim": 3, "generators": [["1", "1", "0"], ["1", "0", "1"], ["0", "2", "0"], ["0", "1", "1"]]}
 SESSION = [
@@ -816,7 +836,7 @@ class TestBatchReuse:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"parse": 0, "sweep": 0}
+        counts = {"parse": 0, "type space": 0}
 
         def counted(name, original):
             def call(*args):
@@ -827,14 +847,16 @@ class TestBatchReuse:
 
         monkeypatch.setattr(polynomials._Parser, "parse", counted("parse", polynomials._Parser.parse))
         monkeypatch.setattr(
-            decomposition, "_edge_scale_candidates", counted("sweep", decomposition._edge_scale_candidates)
+            decomposition,
+            "_type_space_candidates",
+            counted("type space", decomposition._type_space_candidates),
         )
         return counts
 
     def test_batch_parses_and_decides_once(self, calls):
         result, code = run_batch(manifest_of(SESSION))
         assert code == EXIT_OK
-        assert calls == {"parse": 2, "sweep": 1}
+        assert calls == {"parse": 2, "type space": 1}
         # shared results answer as each entry does alone
         for k, (command, payload) in enumerate(SESSION):
             assert result["results"][f"{k}-{command}"]["result"] == execute(command, payload)[0]
@@ -845,13 +867,13 @@ class TestBatchReuse:
     def test_nothing_carries_across_batches(self, calls):
         first = run_batch(manifest_of(SESSION))
         assert first == run_batch(manifest_of(SESSION))
-        assert calls == {"parse": 4, "sweep": 2}
+        assert calls == {"parse": 4, "type space": 2}
 
     def test_execute_outside_a_batch_computes_every_call(self, calls):
         for _ in range(2):
             assert execute("decompose", {"diagram": SEGMENTS})[1] == EXIT_OK
             assert execute("diagram", {"input": SEGMENTS_INPUT})[1] == EXIT_OK
-        assert calls == {"parse": 4, "sweep": 2}
+        assert calls == {"parse": 4, "type space": 2}
 
     def test_repeated_failures_fail_alike(self, calls):
         malformed = ("diagram", {"input": {"dim": 2, "polys": ["z1 +* z2"]}})
@@ -868,14 +890,23 @@ class TestBatchReuse:
             assert first == again == {"ok": False, "exit_code": EXIT_INPUT, "result": execute(*request)[0]}
 
     def test_internal_fault_is_not_shared(self, calls, monkeypatch):
-        monkeypatch.setattr(exactlp, "solve_lp", lambda *args, **kwargs: None)
+        # a ray of the type cone lifted outside S is a fault of the program,
+        # and each request meets it afresh
+        ray_point = decomposition._ray_point
+
+        def outside(*args):
+            us, ts = ray_point(*args)
+            return us, [t + 1 for t in ts]
+
+        monkeypatch.setattr(decomposition, "_ray_point", outside)
         result, code = run_batch(manifest_of(SESSION[:2]))
         assert code == EXIT_INTERNAL
         for rid in ("0-classify", "1-decompose"):
             assert result["results"][rid]["exit_code"] == EXIT_INTERNAL
-            assert "infeasible" in result["results"][rid]["result"]["error"]
-        assert calls["sweep"] == 2
-
+            assert result["results"][rid]["result"]["error"] == (
+                "internal invariant violation: type-space ray outside S: edge scale 2 outside [0, 1]"
+            )
+        assert calls["type space"] == 2
 
     def test_one_canonical_diagram_per_batch(self, monkeypatch):
         # a 3-D diagram with dominated points and a non-vertex on an edge
@@ -1090,9 +1121,10 @@ class TestMainEntry:
 
 def test_optimized_interpreter_gives_same_bytes(tmp_path):
     # behaviour must not rest on assert statements, which -O strips; the
-    # second manifest expands a product of a power and a sum, and runs the
-    # edge-scale sweep on a 3-D sum of two segments, whose decision the
-    # classify entry of the same diagram then shares
+    # second manifest expands a product of a power and a sum, and decides a
+    # 3-D sum of two segments from the type space (its cone's rays and
+    # their check against S), a decision the classify entry of the same
+    # diagram then shares
     product = {"dim": 2, "polys": ["(z1 + z2)^3 * (z1 + 2*z2)"]}
     segments = {"dim": 3, "generators": [[1, 1, 0], [1, 0, 1], [0, 2, 0], [0, 1, 1]]}
     expanding = tmp_path / "manifest.json"

@@ -21,7 +21,7 @@ from pshdiag import (
     weighted_simplex,
 )
 from pshdiag import decomposition, diagram, exactlp, volume
-from pshdiag.cli import EXIT_INTERNAL, EXIT_SEMANTIC, execute
+from pshdiag.cli import EXIT_INTERNAL, EXIT_OK, execute
 from pshdiag.decomposition import _decide_general, _ordered, _split, _translation_candidates
 from pshdiag.errors import InfeasibleAssignment
 
@@ -238,7 +238,7 @@ class TestDecide:
         assert cert.right == canonicalize(3, [(0, 1, 0), (1, 0, 0)])
 
     def test_edge_scale_sweep_is_one_lp_call(self, monkeypatch):
-        # every edge-scale objective shares one phase 1 over S
+        # every edge-scale objective of a 2-D chain shares one phase 1 over S
         calls = []
 
         def counting(*args, **kwargs):
@@ -247,11 +247,10 @@ class TestDecide:
 
         fake = types.SimpleNamespace(OPTIMAL=exactlp.OPTIMAL, solve_lp=counting)
         monkeypatch.setattr(decomposition, "exactlp", fake)
-        g = canonicalize(3, [(1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1)])
-        cert = _decide_general(g)
+        cert = _decide_general(D((0, 5), (1, 2), (3, 1), (6, 0)))
         assert len(calls) == 1
-        assert cert.left == canonicalize(3, [(0, 0, 1), (0, 1, 0)])
-        assert cert.right == canonicalize(3, [(0, 1, 0), (1, 0, 0)])
+        assert cert.left == D((0, 1), (2, 0))
+        assert cert.right == D((0, 4), (1, 1), (4, 0))
 
     def test_one_compact_edge_skips_the_sweep(self, monkeypatch):
         # with no pair of edge scales there is nothing to push apart, so
@@ -411,10 +410,12 @@ class TestSplits:
         cert = decide_decomposability(D((2, 3)))
         assert cert.method == "point-split"
 
-    def test_translated_diagram_refused_after_one_facet_search(self, monkeypatch):
+    def test_translated_diagram_answers_with_one_search_of_its_facets(self, monkeypatch):
         # 18 lattice points of a 7-D plane, shifted by 2 on every axis: 15
-        # translation splits, built without a search, so the only one reads
-        # the input, whose facets give its edges, before the sweep budget refuses
+        # translation splits, built without a search, so one search reads
+        # the input, whose facets give its edges, and one the sum that
+        # verifies the witness, each over the 15 vertices and 7 axes; the 81
+        # compact edges form one class, so no elimination or type cone runs
         rng = random.Random(0)
         gens = [[c + 2 for c in on_hyperplane(rng, 7, 4)] for _ in range(18)]
         searches = []
@@ -424,11 +425,19 @@ class TestSplits:
             searches.append(len(points))
             return cone_facets(points)
 
+        def refuse(*args):
+            raise AssertionError("a single class reached the type cone")
+
         monkeypatch.setattr(volume, "_cone_facets", counting)
+        monkeypatch.setattr(decomposition, "_cone_facets", refuse)
+        monkeypatch.setattr(decomposition, "int_kernel", refuse)
         result, code = execute("decompose", {"diagram": {"dim": 7, "generators": gens}})
-        assert code == EXIT_SEMANTIC
-        assert "edge-scale sweep" in result["error"]
-        assert len(searches) == 1
+        assert code == EXIT_OK
+        cert = result["certificate"]
+        assert (cert["verdict"], cert["method"]) == ("decomposable", "facet-pair-lp")
+        assert cert["left"]["generators"] == [["0"] * 6 + ["1"]]
+        assert len(cert["right"]["generators"]) == 15
+        assert searches == [7 + 15, 7 + 15]
 
 
 class TestOracleAgreement:
