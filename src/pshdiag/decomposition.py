@@ -210,7 +210,8 @@ class SummandSystem:
         The values are ints and `Fraction`s, as ``summands_of`` passes them.
         Each edge equation u_i - u_j = -t d, d = v_j - v_i, is tested on
         integers: with u = U/a, t = T/b and v = V/c over common
-        denominators it reads (U_i - U_j) b c = -T (V_j - V_i) a.
+        denominators, V/c the rows of ``Diagram.ints``, it reads
+        (U_i - U_j) b c = -T (V_j - V_i) a.
         """
         n = self.base.dim
         if len(us) != self.num_vertices or len(ts) != self.num_edges:
@@ -222,13 +223,13 @@ class SummandSystem:
                 raise InfeasibleAssignment(f"displacement {point_text(u)} outside [0, {point_text(v)}]")
         a, uu = integral([x for u in us for x in u])
         b, tt = integral(ts)
-        c, vv = integral([x for v in self.graph.vertices for x in v])
+        c, vv = self.base.ints
         for t, tn, (i, j, _) in zip(ts, tt, self.graph.edges):
             if t < 0 or t > 1:
                 raise InfeasibleAssignment(f"edge scale {t} outside [0, 1]")
             for k in range(n):
                 ik, jk = i * n + k, j * n + k
-                if (uu[ik] - uu[jk]) * b * c != -tn * (vv[jk] - vv[ik]) * a:
+                if (uu[ik] - uu[jk]) * b * c != -tn * (vv[j][k] - vv[i][k]) * a:
                     raise InfeasibleAssignment(
                         f"edge ({i},{j}) constraint violated at coordinate {k}"
                     )
@@ -334,9 +335,7 @@ def _is_axis_simplex(g: Diagram) -> bool:
     """One generator per axis, covering all axes (the weighted simplices)."""
     if len(g.generators) != g.dim or not touches_all_axes(g):
         return False
-    return all(
-        sum(1 for c in p if c != 0) == 1 for p in g.generators
-    )
+    return all(len(row) - row.count(0) == 1 for row in g.ints[1])
 
 
 def _translation_candidates(g: Diagram):
@@ -481,9 +480,9 @@ def _type_space_candidates(system: SummandSystem):
 
     The columns are the class scales (``_scale_classes``), then u_0 on
     each axis where some vertex is 0, all times the lcm of the vertices'
-    denominators.  Along a BFS tree from vertex 0 each u_i is a form in
-    the columns; each edge off the tree gives n rows, and each v_ik = 0
-    the row u_ik = 0.  The null space of the rows is L, one-to-one on the
+    denominators, the s of ``Diagram.ints``.  Along a BFS tree from
+    vertex 0 each u_i is a form in the columns; each edge off the tree
+    gives n rows, and each v_ik = 0 the row u_ik = 0.  The null space of the rows is L, one-to-one on the
     scales, as every u_0 column is pinned by an axis row.  Raises
     ``UnsupportedDimension`` when the rows by columns exceed
     ``MAX_TYPE_SPACE_CELLS``, before the rows are built.
@@ -494,11 +493,10 @@ def _type_space_candidates(system: SummandSystem):
     width = max(classes, default=-1) + 1
     if width < 2:
         return []  # one scale for every edge
-    scale, flat = integral([c for v in graph.vertices for c in v])
-    vs = [flat[i * n : (i + 1) * n] for i in range(m)]
+    scale, vs = system.base.ints
     axes = [k for k in range(n) if any(v[k] == 0 for v in vs)]
     cols = width + len(axes)
-    cells = (n * (len(graph.edges) - m + 1) + flat.count(0)) * cols
+    cells = (n * (len(graph.edges) - m + 1) + sum(v.count(0) for v in vs)) * cols
     if cells > MAX_TYPE_SPACE_CELLS:
         raise UnsupportedDimension(
             f"type-space elimination over {cells} matrix cells exceeds the budget "

@@ -18,12 +18,21 @@ is the tests' LP reference.
 Generators are `Fraction`s, but ``canonicalize`` compares int and
 `Fraction` coordinates as it is given them, so a lattice support is
 sorted, deduplicated and searched on Python ints; only what it keeps
-becomes `Fraction`.
+becomes `Fraction`.  A diagram's kernels read one integer form of its
+generators, ``ints``: their least common denominator s and each
+generator times s.  Newton numbers, the axis test, the plane's facets,
+the support and Lelong values and the summand system all read these
+rows, and each answer becomes a `Fraction` once, at the end.  The form
+is taken of a diagram's own generators only, never of the raw points
+``canonicalize`` is given: one common denominator of many points with
+large distinct denominators would make every chain test work on numbers
+of their combined size.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 import sys
 from collections import Counter
@@ -42,7 +51,7 @@ from .errors import (
     PositiveDirection,
     UnsupportedDimension,
 )
-from .linalg import dot, exact
+from .linalg import dot, exact, integral
 from .reuse import once_per_batch
 from .volume import Facet, diagram_facets, least_face
 
@@ -96,6 +105,17 @@ class Diagram:
     def facets(self) -> tuple[Facet, ...]:
         """``volume.diagram_facets``, found on first read unless ``canonicalize`` kept them."""
         return tuple(diagram_facets(self))
+
+    @cached_property
+    def ints(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(s, rows): the lcm s of the generators' denominators, and each
+        generator times s as a tuple of ints, in generator order.
+
+        Found on first read, by one ``integral`` over all coordinates.
+        Coordinate k of generator i is ``Fraction(rows[i][k], s)``.
+        """
+        s, flat = integral([c for p in self.generators for c in p])
+        return s, tuple(zip(*[iter(flat)] * self.dim))
 
 
 @dataclass(frozen=True)
@@ -214,12 +234,20 @@ def contains(g: Diagram, p) -> bool:
     return all(dot(a, p) >= b for a, b, _ in g.facets)
 
 
+def _extreme_dot(g: Diagram, a: Point, pick) -> Fraction:
+    """pick (``max`` or ``min``) of <a, gen> over the generators, on the
+    integer rows of ``ints`` and of a."""
+    r, a = integral(a)
+    s, rows = g.ints
+    return Fraction(pick(sum(map(operator.mul, a, row)) for row in rows), r * s)
+
+
 def support_value(g: Diagram, t) -> Fraction:
     """Support function sup{<t, a> : a in the diagram} for t <= 0."""
     t = _check_point(t, g.dim)
     if any(c > 0 for c in t):
         raise PositiveDirection(f"direction {point_text(t)} has a positive component")
-    return max(dot(t, gen) for gen in g.generators)
+    return _extreme_dot(g, t, max)
 
 
 def weight(coords) -> tuple[Fraction, ...]:
@@ -232,8 +260,7 @@ def weight(coords) -> tuple[Fraction, ...]:
 
 def lelong_directional(g: Diagram, a) -> Fraction:
     """min over generators of <a, gen>, for a strictly positive weight."""
-    a = weight(_check_point(a, g.dim))
-    return min(dot(a, gen) for gen in g.generators)
+    return _extreme_dot(g, weight(_check_point(a, g.dim)), min)
 
 
 def minkowski_sum(g1: Diagram, g2: Diagram) -> Diagram:
@@ -309,13 +336,18 @@ def hull_union(g1: Diagram, g2: Diagram) -> Diagram:
 
 
 def touches_all_axes(g: Diagram) -> bool:
-    """True iff every axis carries a generator (all other coordinates zero)."""
-    for k in range(g.dim):
-        if not any(
-            all(c == 0 for j, c in enumerate(p) if j != k) for p in g.generators
-        ):
-            return False
-    return True
+    """True iff every axis carries a generator (all other coordinates zero).
+
+    The origin lies on every axis.  Read on the rows of ``ints``.
+    """
+    axes = set()
+    for row in g.ints[1]:
+        support = [k for k, c in enumerate(row) if c]
+        if len(support) <= 1:
+            if not support:
+                return True
+            axes.add(support[0])
+    return len(axes) == g.dim
 
 
 def compact_graph(g: Diagram) -> DiagramGraph:

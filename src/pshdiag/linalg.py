@@ -1,8 +1,9 @@
 """Small exact linear algebra routines over `fractions.Fraction`.
 
 Everything here is dense Gaussian elimination at desk scale; no pivoting
-heuristics are needed because the arithmetic is exact.  ``det`` runs
-fraction-free (Bareiss) on rows scaled to integers.  ``integral`` and
+heuristics are needed because the arithmetic is exact.  ``int_det`` is
+the one fraction-free (Bareiss) determinant, of an int matrix; ``det``
+wraps it, scaling each rational row to integers.  ``integral`` and
 ``reduced`` serve the fraction-free kernels, which keep each rational row
 as a positive integer multiple of it.  ``int_kernel`` takes the rank and
 an integer null basis of an int matrix, without fractions.
@@ -53,36 +54,44 @@ def rank(m: Matrix) -> int:
 
 
 def det(m: Matrix) -> Fraction:
-    """The determinant, by fraction-free elimination (Bareiss, Math. Comp. 22, 1968).
-
-    Each row is scaled to integers (``integral``).  After step k every
-    entry below the pivots is a (k+1)-minor of that integer matrix, so the
-    division by the previous pivot is exact and no entry grows past a
-    minor; the last pivot is the determinant of the scaled rows.  Rows are
-    swapped as in Gaussian elimination, at the first nonzero entry of the
-    column.
-    """
+    """The determinant: ``int_det`` of the rows, each scaled to integers (``integral``)."""
     scale = 1
     a = []
     for row in m:
         s, ints = integral(row)
         scale *= s
         a.append(ints)
+    return Fraction(int_det(a), scale)
+
+
+def int_det(a: list[list[int]]) -> int:
+    """The determinant of an int matrix, by fraction-free elimination
+    (Bareiss, Math. Comp. 22, 1968); the rows are overwritten in place.
+
+    After step k every entry right of column k and below the pivots is a
+    (k+1)-minor of the matrix, so the division by the previous pivot is
+    exact and no entry grows past a minor; the last pivot is the
+    determinant.  Entries at and left of column k are not updated, as no
+    later step reads them.  Rows are swapped as in Gaussian elimination,
+    at the first nonzero entry of the column.
+    """
     n = len(a)
     sign, prev = 1, 1
     for c in range(n):
         pivot = next((i for i in range(c, n) if a[i][c]), None)
         if pivot is None:
-            return Fraction(0)
+            return 0
         if pivot != c:
             a[c], a[pivot] = a[pivot], a[c]
             sign = -sign
-        p = a[c][c]
+        top = a[c]
+        p = top[c]
         for i in range(c + 1, n):
-            f = a[i][c]
-            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[c])]
+            row = a[i]
+            f = row[c]
+            row[c + 1 :] = [(p * x - f * y) // prev for x, y in zip(row[c + 1 :], top[c + 1 :])]
         prev = p
-    return Fraction(sign * prev, scale)
+    return sign * prev
 
 
 def solve_unique(a: Matrix, b: list[Fraction]) -> list[Fraction] | None:

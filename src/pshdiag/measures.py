@@ -15,7 +15,7 @@ from .diagram import (
     touches_all_axes,
 )
 from .errors import DimensionMismatch, Unbounded
-from .linalg import det
+from .linalg import int_det
 from .polynomials import SingularityInput, diagram_of_input, weight
 from .volume import triangulate_face
 
@@ -64,21 +64,25 @@ def newton_number(g: Diagram) -> NewtonNumberResult:
     ``volume.triangulate_face`` cuts a facet into, n! * Vol = |det sigma|.
     A facet with exactly n generators is a simplex, its own triangulation,
     as is every compact facet in the plane; |det| ignores the row order.
+    The determinants are taken by ``linalg.int_det`` on the rows of
+    ``Diagram.ints``, the generators times s, so each is s^n times that of
+    the generators, and the sum becomes one `Fraction`, over s^n.
     """
     if not touches_all_axes(g):
         return INFINITE
+    s, rows = g.ints
     facets = g.facets
     tights = [t for _, _, t in facets]
-    total = Fraction(0)
+    total = 0
     for a, _, tight in facets:
         if all(x > 0 for x in a):
             if len(tight) == g.dim:
                 simplices = [tuple(tight)]
             else:
-                simplices = triangulate_face(tight, tights, g.generators)
+                simplices = triangulate_face(tight, tights, rows)
             for simplex in simplices:
-                total += abs(det([list(g.generators[i]) for i in simplex]))
-    return NewtonNumberResult(total)
+                total += abs(int_det([list(rows[i]) for i in simplex]))
+    return NewtonNumberResult(Fraction(total, s**g.dim))
 
 
 def covolume_2d_oracle(g: Diagram) -> Fraction:

@@ -154,7 +154,9 @@ Tree = Polynomial | Product
 # an int or a Fraction; zero is (0, ..., 0) with coefficient 0.
 Monomial = tuple[Exponent, int | Fraction]
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|(z\d+)|([+\-*^()/])|(\S))")
+# one token per match, the whole match; ``finditer`` skips the whitespace
+# between them, where no alternative matches
+_TOKEN = re.compile(r"(\d+)|(z\d+)|([+\-*^()/])|(\S)")
 _TOKEN_KINDS = (None, "int", "var", "op")  # by the number of the group that matched
 
 # deepest parenthesis nesting accepted; each level costs four stack frames
@@ -215,14 +217,15 @@ class _Parser:
         self.text = text
         self.dim = dim
         self.tokens: list[tuple[str, str, int]] = []
+        append = self.tokens.append
         for m in _TOKEN.finditer(text):
             group = m.lastindex  # the one group that matched
-            val, pos = m.group(group), m.start(group)
             if group == 4:
-                raise PolynomialSyntaxError(f"unexpected character {val!r}", pos)
-            if group < 3:
-                check_digits(val, pos)
-            self.tokens.append((_TOKEN_KINDS[group], val, pos))
+                raise PolynomialSyntaxError(f"unexpected character {m[0]!r}", m.start())
+            val = m[0]
+            if group < 3 and len(val) > MAX_DIGITS:
+                check_digits(val, m.start())
+            append((_TOKEN_KINDS[group], val, m.start()))
         self.i = 0
         self.depth = 0
         self.zero = (0,) * dim

@@ -126,27 +126,35 @@ def diagram_facets(g: Diagram) -> list[Facet]:
     ``tight`` holds the indices of the generators on the facet.  A facet is
     compact exactly when a > 0.  (a, -b) is primitive: ints with gcd 1.
 
-    In the plane the facets are read off the chain, which relies on the
-    ``Diagram`` invariant that the generators are its vertices in lex
-    order (x rising, y falling): x >= x_0 tight on the first, the line
-    through each consecutive pair tight on the two, and y >= y_last tight
-    on the last.  Otherwise the cone searched is spanned by (e_k, 0) for
+    In the plane the facets are read off the chain, on the integer rows
+    (X, Y) = s (x, y) of ``Diagram.ints``, which relies on the ``Diagram``
+    invariant that the generators are its vertices in lex order (x rising,
+    y falling): x >= x_0 tight on the first, the line through each
+    consecutive pair tight on the two, and y >= y_last tight on the last.
+    Each line has a primitive normal (a, b) >= 0 and reads a X + b Y >= c
+    on a generator's row, so it is (s a, s b).x >= c with gcd(s a, s b, c)
+    = gcd(s, c).  The normal is the edge over its gcd, which shares most of
+    s when the denominators are large, so no step multiplies two numbers of
+    the size of s.  Otherwise the cone searched is spanned by (e_k, 0) for
     each recession direction, then (v, 1) for each generator.
     """
     n = g.dim
     if n == 2:
-        s, ints = integral([c for p in g.generators for c in p])
-        xs, ys = ints[::2], ints[1::2]
-        # each line as integers (a, b, c), meaning a x + b y + c >= 0
-        lines = [([s, 0, -xs[0]], (0,))]
-        for i in range(len(xs) - 1):
-            a, b = ys[i] - ys[i + 1], xs[i + 1] - xs[i]
-            lines.append(([s * a, s * b, -a * xs[i] - b * ys[i]], (i, i + 1)))
-        lines.append(([0, s, -ys[-1]], (len(ys) - 1,)))
+        s, rows = g.ints
+        last = len(rows) - 1
+        # each line as a primitive normal and the generators on it
+        lines = [((1, 0), (0,))]
+        for i in range(last):
+            (x0, y0), (x1, y1) = rows[i], rows[i + 1]
+            d = math.gcd(y0 - y1, x1 - x0)
+            lines.append((((y0 - y1) // d, (x1 - x0) // d), (i, i + 1)))
+        lines.append(((0, 1), (last,)))
         facets = []
-        for line, tight in lines:
-            a, b, c = reduced(line)
-            facets.append(((a, b), -c, frozenset(tight)))
+        for (a, b), tight in lines:
+            x, y = rows[tight[0]]
+            c = a * x + b * y
+            h = math.gcd(s, c)
+            facets.append(((s // h * a, s // h * b), c // h, frozenset(tight)))
         return facets
     gens = [tuple(int(j == k) for j in range(n + 1)) for k in range(n)]
     gens += [tuple(v) + (1,) for v in g.generators]

@@ -14,8 +14,12 @@ errors, under the same budgets, which these read from
 ``parse_tree`` here, and raise the same errors at the same positions;
 ``pshdiag.diagram.canonicalize``, which hands dominated points to the
 facet search where this one filters them out first, must return equal
-diagrams and raise the same errors; and ``pshdiag.linalg.det`` must
-return equal values.  Tests compare them.
+diagrams and raise the same errors; ``pshdiag.linalg.det`` must
+return equal values; and ``pshdiag.measures.newton_number`` and
+``pshdiag.diagram.touches_all_axes``, which read a diagram's integer rows
+(``Diagram.ints``), must return the values of ``newton_number`` and
+``touches_all_axes`` here, which read its `Fraction` generators.  Tests
+compare them.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from pshdiag.errors import (
 )
 from pshdiag.linalg import Matrix, dot, frac_rows, rref
 from pshdiag.polynomials import MAX_NESTING, Polynomial, Product, Terms, Tree, _const, polynomial
-from pshdiag.volume import MAX_RAY_TESTS, diagram_facets, least_face
+from pshdiag.volume import MAX_RAY_TESTS, diagram_facets, least_face, triangulate_face
 
 # Most point comparisons the dominance filter of ``canonicalize`` may make,
 # the budget the package kept before its facet search took in dominated
@@ -370,3 +374,26 @@ def det(m: Matrix) -> Fraction:
                 f = a[i][c] * inv
                 a[i] = [x - f * y for x, y in zip(a[i], a[c])]
     return result
+
+
+def touches_all_axes(g: Diagram) -> bool:
+    """True iff every axis carries a generator (all other coordinates zero)."""
+    for k in range(g.dim):
+        if not any(all(c == 0 for j, c in enumerate(p) if j != k) for p in g.generators):
+            return False
+    return True
+
+
+def newton_number(g: Diagram) -> Fraction | None:
+    """n! * Vol(R^n_+ minus the diagram) as a sum of `Fraction` determinants
+    over the triangulated compact facets, or None when it is infinite."""
+    if not touches_all_axes(g):
+        return None
+    tights = [t for _, _, t in g.facets]
+    total = Fraction(0)
+    for a, _, tight in g.facets:
+        if all(x > 0 for x in a):
+            simplices = [tuple(tight)] if len(tight) == g.dim else triangulate_face(tight, tights, g.generators)
+            for simplex in simplices:
+                total += abs(det([list(g.generators[i]) for i in simplex]))
+    return total

@@ -26,7 +26,7 @@ from pshdiag import (
     newton_number,
     touches_all_axes,
 )
-from pshdiag import diagram, linalg, measures, volume
+from pshdiag import decomposition, diagram, linalg, measures, volume
 from pshdiag.cli import EXIT_OK, execute, run_batch
 from pshdiag.diagram import Diagram, member_of_hull
 from pshdiag.exactlp import solve_lp
@@ -450,15 +450,51 @@ def test_readers_search_only_diagrams_built_directly(monkeypatch):
             assert len(calls) == searches, h
 
 
+def patch_bindings(monkeypatch, function, replacement):
+    """Replace function with replacement at every binding in pshdiag's modules."""
+    for module in [m for name, m in sys.modules.items() if name.startswith("pshdiag")]:
+        if getattr(module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, replacement)
+
+
+def test_one_integer_form_per_diagram(monkeypatch):
+    # newton_number sums int determinants on the rows of Diagram.ints, with
+    # no Fraction det; one integral over a diagram's generators serves
+    # newton_number and decide_decomposability together
+    def refuse(m):
+        raise AssertionError("det called")
+
+    integral = linalg.integral
+    calls = []
+
+    def counting(values):
+        calls.append(list(values))
+        return integral(calls[-1])
+
+    patch_bindings(monkeypatch, linalg.det, refuse)
+    patch_bindings(monkeypatch, integral, counting)
+    diagrams = random_diagrams(2, 8, 31) + random_diagrams(3, 8, 32) + random_diagrams(4, 6, 33)
+    finite = 0
+    for g in diagrams:
+        want = fraction_kernels.newton_number(g)
+        h = Diagram(g.dim, g.generators)
+        calls.clear()
+        value = newton_number(h).value
+        assert value == want, g
+        finite += value is not None
+        decomposition.decide_decomposability(h)
+        flat = [c for p in h.generators for c in p]
+        assert sum(values == flat for values in calls) == 1, h
+    assert finite >= 9
+
+
 def test_vertices_and_edges_need_no_rank(monkeypatch):
     assert not hasattr(diagram, "rank")
 
     def refuse(m):
         raise AssertionError("rank called")
 
-    for module in [m for name, m in sys.modules.items() if name.startswith("pshdiag")]:
-        if getattr(module, "rank", None) is linalg.rank:
-            monkeypatch.setattr(module, "rank", refuse)
+    patch_bindings(monkeypatch, linalg.rank, refuse)
     for dim, seed in CLOUD_CASES:
         for pts in clouds(dim, seed):
             compact_graph(canonicalize(dim, pts))

@@ -4,19 +4,26 @@
 The facet search must find the same tight sets in the same order, with
 normals equal up to a positive factor; products and powers must be equal
 polynomials; canonicalize must give equal diagrams and raise the same
-errors with the same messages, and det equal values.  Every facet entry,
+errors with the same messages, and det equal values; Newton numbers and
+the axis test, read on a diagram's integer rows, must equal those read on
+its `Fraction` generators.  Every facet entry,
 coefficient, generator coordinate and determinant must be a `Fraction`:
 equal values alone would not catch a plain int leaking out.
 """
 
+import hashlib
+import json
+import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
 import fraction_kernels
 from pshdiag import diagram as dg
-from pshdiag import linalg, parse_polynomial, poly_add, poly_mul, poly_pow, polynomial, polynomials, volume
+from pshdiag import linalg, measures, parse_polynomial, poly_add, poly_mul, poly_pow, polynomial, polynomials, volume
+from pshdiag.cli import EXIT_OK, EXIT_SEMANTIC, execute
 from pshdiag.errors import PshDiagError
 from pshdiag.polynomials import _const, _Parser
 from pshdiag.volume import _cone_facets
@@ -256,6 +263,134 @@ def test_det_matches_fraction_kernel():
     assert singular > 50 and swapped > 50
     assert linalg.det([]) == 1
     assert linalg.det([[F(0), F(1)], [F(1), F(0)]]) == -1
+
+
+def integer_form_cases(dim, seed, count=40):
+    """Seeded diagrams, each canonicalized and again built directly from its
+    generators: lattice points, the same scaled by a rational, and points
+    with distinct denominators; some with a point on every axis, some with
+    the origin, and dominated points that canonicalize drops."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        pts = [tuple(rng.randint(0, 6) for _ in range(dim)) for _ in range(rng.randint(1, 8 if dim < 4 else 6))]
+        if i % 3 == 0:
+            pts += [tuple(rng.randint(1, 6) * (j == k) for j in range(dim)) for k in range(dim)]
+        pts += [tuple(x + rng.randint(0, 2) for x in rng.choice(pts)) for _ in range(2)]  # dominated
+        if i % 10 == 7:
+            pts.append((0,) * dim)
+        if i % 4 == 1:
+            c = F(rng.randint(1, 9), rng.randint(2, 7))
+            pts = [tuple(c * x for x in p) for p in pts]
+        elif i % 4 == 3:
+            pts = [tuple(x + F(rng.randint(0, 1), rng.randint(2, 40)) * bool(x) for x in p) for p in pts]
+        g = dg.canonicalize(dim, pts)
+        out.append((len(set(pts)), g))
+        out.append((len(g.generators), dg.Diagram(dim, g.generators)))
+    return out
+
+
+@pytest.mark.parametrize("dim,seed", [(1, 81), (2, 82), (3, 83), (4, 84)])
+def test_integer_rows_match_fraction_kernels(dim, seed):
+    seen = {"finite": 0, "infinite": 0, "origin": 0, "dropped": 0, "rational": 0, "lattice": 0}
+    for points, g in integer_form_cases(dim, seed):
+        s, rows = g.ints
+        # s is the least common denominator, and each row is a generator times s
+        assert s == math.lcm(*(c.denominator for p in g.generators for c in p)), g
+        assert len(rows) == len(g.generators), g
+        for p, row in zip(g.generators, rows):
+            assert all(type(x) is int for x in row), g
+            assert tuple(F(x, s) for x in row) == p, g
+        assert dg.touches_all_axes(g) == fraction_kernels.touches_all_axes(g), g
+        got, want = measures.newton_number(g).value, fraction_kernels.newton_number(g)
+        assert got == want, g
+        assert want is None or type(got) is F, g
+        seen["infinite" if want is None else "finite"] += 1
+        seen["origin"] += g.generators == ((0,) * dim,)
+        seen["dropped"] += len(g.generators) < points
+        seen["lattice" if s == 1 else "rational"] += 1
+    assert min(seen.values()) >= 4 if dim > 1 else seen["infinite"] == 0, seen
+
+
+@pytest.mark.parametrize("dim,seed", [(1, 85), (2, 86), (3, 87), (4, 88)])
+def test_axis_test_matches_fraction_kernel_on_any_points(dim, seed):
+    # generators built directly need not be vertices: the origin among other
+    # points, points on the axes and points off them
+    rng = random.Random(seed)
+    seen = {True: 0, False: 0}
+    for i in range(60):
+        pts = {tuple(F(rng.randint(0, 3), rng.randint(1, 3)) * (rng.random() < 0.6) for _ in range(dim))
+               for _ in range(rng.randint(1, 6))}
+        if i % 5 == 0:
+            pts.add((F(0),) * dim)
+        g = dg.Diagram(dim, tuple(pts))
+        want = fraction_kernels.touches_all_axes(g)
+        assert dg.touches_all_axes(g) == want, g
+        seen[want] += 1
+    assert min(seen.values()) >= 5 if dim > 1 else seen[False] == 0, seen
+
+
+def denominators(rng, count):
+    """count distinct 60-digit denominators."""
+    out = set()
+    while len(out) < count:
+        out.add(rng.randrange(10**59, 10**60))
+    return sorted(out)
+
+
+def raw_points_with_long_denominators():
+    """800 raw 2-D points, each coordinate over its own 60-digit denominator;
+    the first lies on the y-axis and the second on the x-axis."""
+    rng = random.Random(27)
+    d = denominators(rng, 1600)
+    pts = [[F(rng.randrange(50 * d[2 * i]), d[2 * i]), F(rng.randrange(50 * d[2 * i + 1]), d[2 * i + 1])]
+           for i in range(800)]
+    pts[0][0] = pts[1][1] = F(0)
+    return pts
+
+
+def chain_with_long_denominators(m=300):
+    """The convex chain (i, (m - 1 - i)^2), each vertex but the two on the
+    axes moved by 1/d_i in both coordinates, d_i distinct 60-digit numbers."""
+    rng = random.Random(28)
+    d = denominators(rng, m)
+    return [[F(i) + F(int(i > 0), d[i]), F((m - 1 - i) ** 2) + F(int(i < m - 1), d[i])] for i in range(m)]
+
+
+HOSTILE_ANSWERS = {
+    # sha256 of each answer's JSON with sorted keys, as the `Fraction` kernels gave them
+    ("raw", "newton-number"): (EXIT_OK, "1e8e011500d9b032d99acbaecdb53c6d493b673369c4c2651df01215c13b8ff1"),
+    ("raw", "decompose"): (EXIT_OK, "8a9ac6b2f2cd6c0cb3479b2c9c1d969fe6ed1b86fb9ab46d63dba6854c6cb5f5"),
+    ("chain", "newton-number"): (EXIT_SEMANTIC, "cb24bca93a27203ee0d2bcc60859784b16272e6bb203551fa0a3850acc6e6ee7"),
+    ("chain", "decompose"): (EXIT_SEMANTIC, "1c3fb6aa7c001b5aceacecd5fd82cb9a0d31e7fa747c4e6440474484586b587b"),
+}
+
+
+@pytest.mark.parametrize("name,build", [("raw", raw_points_with_long_denominators), ("chain", chain_with_long_denominators)])
+def test_long_denominators_keep_their_answers_and_time(name, build):
+    # The integer form is taken of a diagram's generators, never of raw
+    # points: a 2-D chain over one common denominator of the 800 raw points
+    # took 2.2 s.  Before the integer form the raw points took 0.021-0.023 s
+    # (newton-number) and 0.031-0.033 s (decompose), and the chain 1.4-1.6 s
+    # and 1.3-1.6 s (Python 3.11, 2-vCPU host).  The bounds are twice the
+    # chain's times, and 0.1 s for the raw points, where a timer of a few
+    # hundredths of a second would fail on any pause of the host.  The
+    # chain's Newton number has over MAX_DIGITS digits.
+    pts = build()
+    payload = {"diagram": {"dim": 2, "generators": [[str(c) for c in p] for p in pts]}}
+    bound = 3.0 if name == "chain" else 0.1
+    for command in ["newton-number", "decompose"]:
+        start = time.perf_counter()
+        answer, code = execute(command, payload)
+        assert time.perf_counter() - start < bound, command
+        digest = hashlib.sha256(json.dumps(answer, sort_keys=True).encode()).hexdigest()
+        assert (code, digest) == HOSTILE_ANSWERS[name, command], (command, str(answer)[:200])
+    g = dg.canonicalize(2, pts)
+    if name == "chain":
+        assert len(g.generators) == 300
+    else:  # a few vertices, each over its own long denominators
+        assert len(g.generators) == 4 and g.ints[0] > 10**300
+        assert measures.newton_number(g).value == fraction_kernels.newton_number(g)
 
 
 def test_int_rows_eliminate_exactly():
