@@ -9,8 +9,9 @@ Grammar for the text form (whitespace insignificant)::
     variable := "z" positive-integer
     rational := integer ("/" positive-integer)?
 
-A leading sign on the first term is accepted as a convenience.  A number
-or variable index has at most ``diagram.MAX_DIGITS`` digits.
+A leading sign on the first term is accepted as a convenience.  Digits
+are the ASCII ``0``-``9``; a number or variable index has at most
+``diagram.MAX_DIGITS`` of them.
 
 The parser builds an expression tree (``Tree``): products of powers
 over polynomials, a power being a product of one factor.  It multiplies
@@ -156,8 +157,7 @@ Monomial = tuple[Exponent, int | Fraction]
 
 # one token per match, the whole match; ``finditer`` skips the whitespace
 # between them, where no alternative matches
-_TOKEN = re.compile(r"(\d+)|(z\d+)|([+\-*^()/])|(\S)")
-_TOKEN_KINDS = (None, "int", "var", "op")  # by the number of the group that matched
+_TOKEN = re.compile(r"([0-9]+)|(z[0-9]+)|([+\-*^()/])|(\S)")
 
 # deepest parenthesis nesting accepted; each level costs four stack frames
 MAX_NESTING = 100
@@ -211,12 +211,17 @@ def _check_power(terms, k: int) -> None:
 
 
 class _Parser:
-    """The grammar above, read into an expression tree (see ``Tree``)."""
+    """The grammar above, read into an expression tree (see ``Tree``).
+
+    The text is one list of tokens (key, text, position), ended by the
+    sentinel (None, None, len(text)); the key is "#" for a number, "z"
+    for a variable and the character itself for an operator.  The rules
+    read ``tokens[i]`` and advance ``i`` past what they accept.
+    """
 
     def __init__(self, text: str, dim: int):
-        self.text = text
         self.dim = dim
-        self.tokens: list[tuple[str, str, int]] = []
+        self.tokens: list[tuple[str | None, str | None, int]] = []
         append = self.tokens.append
         for m in _TOKEN.finditer(text):
             group = m.lastindex  # the one group that matched
@@ -225,50 +230,37 @@ class _Parser:
             val = m[0]
             if group < 3 and len(val) > MAX_DIGITS:
                 check_digits(val, m.start())
-            append((_TOKEN_KINDS[group], val, m.start()))
+            append(("#" if group == 1 else val[0], val, m.start()))
+        append((None, None, len(text)))
         self.i = 0
         self.depth = 0
         self.zero = (0,) * dim
         self.units = [tuple(int(i == j) for i in range(dim)) for j in range(dim)]
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
-
-    def take(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, val, pos = self.take()
-        if kind != "op" or val != op:
-            raise PolynomialSyntaxError(f"expected {op!r}", pos)
-
     def parse(self) -> Tree:
         tree = self.expr()
-        kind, val, pos = self.peek()
-        if kind is not None:
+        key, val, pos = self.tokens[self.i]
+        if key is not None:
             raise PolynomialSyntaxError(f"unexpected token {val!r}", pos)
         return tree
 
     def expr(self) -> Tree:
         terms: list[tuple[bool, Tree]] = []
-        kind, val, _ = self.peek()
-        negative = False
-        if kind == "op" and val in "+-":
-            self.take()
-            negative = val == "-"
+        key = self.tokens[self.i][0]
+        if key == "+" or key == "-":
+            self.i += 1
         while True:
-            terms.append((negative, self.term()))
-            kind, val, _ = self.peek()
-            if kind != "op" or val not in "+-":
+            terms.append((key == "-", self.term()))
+            key = self.tokens[self.i][0]
+            if key != "+" and key != "-":
                 break
-            self.take()
-            negative = val == "-"
-        if len(terms) == 1 and not negative:
-            return terms[0][1]
-        if len(terms) == 1 and not isinstance(terms[0][1], Polynomial):
-            return Product(((_const(self.dim, Fraction(-1)), 1), (terms[0][1], 1)))  # a sign cancels nothing
+            self.i += 1
+        if len(terms) == 1:
+            negative, tree = terms[0]
+            if not negative:
+                return tree
+            if not isinstance(tree, Polynomial):
+                return Product(((_const(self.dim, Fraction(-1)), 1), (tree, 1)))  # a sign cancels nothing
         return _add(self.dim, [(negative, expand(t)) for negative, t in terms])
 
     def term(self) -> Tree:
@@ -284,10 +276,9 @@ class _Parser:
                     factors.append(self.leaf(mono))
                     mono = None
                 factors.append(f)
-            kind, val, _ = self.peek()
-            if kind != "op" or val != "*":
+            if self.tokens[self.i][0] != "*":
                 break
-            self.take()
+            self.i += 1
         if mono is not None:
             factors.append(self.leaf(mono))
         return factors[0] if len(factors) == 1 else Product(tuple((f, 1) for f in factors))
@@ -295,47 +286,48 @@ class _Parser:
     def factor(self) -> Tree | Monomial:
         """A tree, or a monomial (see ``base``)."""
         p = self.base()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            kind, val, pos = self.take()
-            if kind != "int":
-                raise NegativeExponent("exponent must be a nonnegative integer", pos)
-            k = int(val)
-            if type(p) is not tuple:
-                return Product(((p, k),))
-            if not _power_fits((p,), k):
-                return Product(((self.leaf(p), k),))
-            return tuple(k * x for x in p[0]), p[1] ** k
-        return p
+        if self.tokens[self.i][0] != "^":
+            return p
+        key, val, pos = self.tokens[self.i + 1]
+        if key != "#":
+            raise NegativeExponent("exponent must be a nonnegative integer", pos)
+        self.i += 2
+        k = int(val)
+        if type(p) is not tuple:
+            return Product(((p, k),))
+        if not _power_fits((p,), k):
+            return Product(((self.leaf(p), k),))
+        return tuple(k * x for x in p[0]), p[1] ** k
 
     def base(self) -> Tree | Monomial:
         """A tree, or a monomial for a constant, a variable or a parenthesized
         polynomial of at most one term."""
-        kind, val, pos = self.take()
-        if kind == "int":
-            num = int(val)
-            kind2, val2, _ = self.peek()
-            if kind2 == "op" and val2 == "/":
-                self.take()
-                kind3, val3, pos3 = self.take()
-                if kind3 != "int" or int(val3) == 0:
-                    raise PolynomialSyntaxError("expected positive integer denominator", pos3)
-                return self.zero, Fraction(num, int(val3))
-            return self.zero, num
-        if kind == "var":
+        key, val, pos = self.tokens[self.i]
+        self.i += 1
+        if key == "#":
+            if self.tokens[self.i][0] != "/":
+                return self.zero, int(val)
+            key, den, pos = self.tokens[self.i + 1]
+            if key != "#" or int(den) == 0:
+                raise PolynomialSyntaxError("expected positive integer denominator", pos)
+            self.i += 2
+            return self.zero, Fraction(int(val), int(den))
+        if key == "z":
             idx = int(val[1:])
             if idx < 1 or idx > self.dim:
                 raise UnknownVariable(f"variable {val} out of range for dimension {self.dim}", pos)
             return self.units[idx - 1], 1
-        if kind == "op" and val == "(":
+        if key == "(":
             if self.depth == MAX_NESTING:
                 raise PolynomialSyntaxError(
                     f"parentheses nested deeper than {MAX_NESTING}", pos
                 )
             self.depth += 1
             p = self.expr()
-            self.expect_op(")")
+            key, _, pos = self.tokens[self.i]
+            if key != ")":
+                raise PolynomialSyntaxError("expected ')'", pos)
+            self.i += 1
             self.depth -= 1
             if isinstance(p, Polynomial) and len(p.terms) <= 1:
                 return p.terms[0] if p.terms else (self.zero, 0)

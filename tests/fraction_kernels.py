@@ -25,6 +25,7 @@ compare them.
 from __future__ import annotations
 
 import functools
+import re
 from fractions import Fraction
 
 from pshdiag import polynomials
@@ -189,6 +190,12 @@ def monomial(tree: Tree) -> bool:
     return isinstance(tree, Polynomial) and len(tree.terms) <= 1
 
 
+# the tokens of the text grammar, kept apart from the package's own pattern:
+# a number, a variable, an operator or any other character, digits ASCII
+TOKEN = re.compile(r"([0-9]+)|(z[0-9]+)|([+\-*^()/])|(\S)")
+TOKEN_KINDS = (None, "int", "var", "op")  # by the number of the group that matched
+
+
 class Parser:
     """The text grammar of ``pshdiag.polynomials``, a `Polynomial` per token."""
 
@@ -196,14 +203,14 @@ class Parser:
         self.text = text
         self.dim = dim
         self.tokens: list[tuple[str, str, int]] = []
-        for m in polynomials._TOKEN.finditer(text):
+        for m in TOKEN.finditer(text):
             group = m.lastindex
             val, pos = m.group(group), m.start(group)
             if group == 4:
                 raise PolynomialSyntaxError(f"unexpected character {val!r}", pos)
             if group < 3:
                 check_digits(val, pos)
-            self.tokens.append((polynomials._TOKEN_KINDS[group], val, pos))
+            self.tokens.append((TOKEN_KINDS[group], val, pos))
         self.i = 0
         self.depth = 0
 

@@ -396,6 +396,13 @@ def with_each_text_command(text, dim):
         ("z1^z2", 2, "exponent must be a nonnegative integer (at position 3)"),
         ("(" * 101 + "z1" + ")" * 101, 1, "parentheses nested deeper than 100 (at position 100)"),
         ("z1 + 2*" + "7" * 5000, 1, "number with 5000 digits exceeds the limit of 4300 digits (at position 7)"),
+        ("z1 $ z2", 2, "unexpected character '$' (at position 3)"),
+        ("2/", 1, "expected positive integer denominator (at position 2)"),
+        ("z1^", 1, "exponent must be a nonnegative integer (at position 3)"),
+        ("", 1, "unexpected token None (at position 0)"),
+        # digits are ASCII: an Arabic-Indic or fullwidth three is no digit
+        ("z1^\u0663", 1, "unexpected character '\u0663' (at position 3)"),
+        ("z1^\uff13", 1, "unexpected character '\uff13' (at position 3)"),
     ],
 )
 def test_malformed_text_errors(text, dim, error):
