@@ -45,6 +45,24 @@ vanishes at a coordinate where p does not), so neither is a homothet.
 So every candidate verifies: the least one is verified once, and one
 that fails is a bug and raises ``VerificationFailure`` (exit 4).
 
+``verify_decomposition`` tests K1 + K2 = G without forming the sum, on
+the integer rows of ``Diagram.ints``.  For a >= 0 the least of a.x over
+a diagram is its least over the generators, and support functions add
+(Schneider, Convex Bodies, 1.7): the least over K1 + K2 is the least
+over K1 plus the least over K2.  A facet a.x >= b of G has a >= 0, so it
+holds on K1 + K2 exactly when those two least values sum to at least b;
+G is the intersection of its facets' half-spaces, so all of them hold
+exactly when K1 + K2 lies in G.  If every vertex of G is p + q for
+generators p of K1 and q of K2, then G = conv(vertices) + R^n_+ lies in
+K1 + K2, which is convex and closed under adding R^n_+.  Conversely, if
+K1 + K2 = G, each vertex v of G is the only point of G minimising some
+a.x, the minimisers over K1 + K2 are the sums of those over K1 and over
+K2, so both are single points, vertices and so generators, summing to
+v.  The two tests together are thus K1 + K2 = G when the generators of
+G are its vertices, as ``canonicalize`` returns them; a G built with a
+generator that is no vertex is not the canonical sum and fails.  A
+one-vertex G reads its n coordinate bounds as its facets.
+
 The plane reads the summand pairs off an LP sweep over S: each pair of
 edge scales pushed apart, both ways, by ``exactlp``.  From dimension 3 on
 they come from the type space, by exact linear algebra (Shephard,
@@ -76,6 +94,7 @@ the answers of the benchmark pools keep every byte.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,10 +104,10 @@ from .diagram import (
     Diagram,
     DiagramGraph,
     compact_graph,
+    diagram_of_rows,
     diagram_to_json,
+    is_canonical,
     is_homothetic_to,
-    minkowski_sum,
-    point,
     point_text,
     touches_all_axes,
 )
@@ -204,35 +223,47 @@ class SummandSystem:
             ub.append((row, 1))
         return eq, ub
 
-    def check(self, us, ts) -> None:
-        """Raise InfeasibleAssignment unless the assignment satisfies S.
+    def check(self, us, ts) -> tuple[int, list[tuple[int, ...]]]:
+        """Raise InfeasibleAssignment unless the assignment satisfies S;
+        return (a, U), the displacements u = U/a over their common
+        denominator.
 
-        The values are ints and `Fraction`s, as ``summands_of`` passes them.
-        Each edge equation u_i - u_j = -t d, d = v_j - v_i, is tested on
-        integers: with u = U/a, t = T/b and v = V/c over common
-        denominators, V/c the rows of ``Diagram.ints``, it reads
-        (U_i - U_j) b c = -T (V_j - V_i) a.
+        The values are ints and `Fraction`s, as ``summands_of`` passes
+        them.  One ``integral`` of u and one of t give the integer form
+        that ``check_rows`` tests.
+        """
+        a, flat = integral([x for u in us for x in u])
+        b, tt = integral(ts)
+        rest = iter(flat)
+        return self.check_rows(a, [tuple(itertools.islice(rest, len(u))) for u in us], b, tt)
+
+    def check_rows(self, a: int, us, b: int, ts) -> tuple[int, list[tuple[int, ...]]]:
+        """``check`` of the point u = us/a, t = ts/b, given as int rows; returns (a, us).
+
+        With v = V/c, the rows of ``Diagram.ints``, the bounds read
+        0 <= U c <= V a and 0 <= T <= b, and each edge equation
+        u_i - u_j = -t d, d = v_j - v_i, reads
+        (U_i - U_j) b c = -T (V_j - V_i) a.  Messages print the values.
         """
         n = self.base.dim
         if len(us) != self.num_vertices or len(ts) != self.num_edges:
             raise InfeasibleAssignment("assignment shape mismatch")
-        for u, v in zip(us, self.graph.vertices):
+        c, vv = self.base.ints
+        for u, v, w in zip(us, vv, self.graph.vertices):
             if len(u) != n:
                 raise InfeasibleAssignment("displacement dimension mismatch")
-            if any(c < 0 for c in u) or any(c > vk for c, vk in zip(u, v)):
-                raise InfeasibleAssignment(f"displacement {point_text(u)} outside [0, {point_text(v)}]")
-        a, uu = integral([x for u in us for x in u])
-        b, tt = integral(ts)
-        c, vv = self.base.ints
-        for t, tn, (i, j, _) in zip(ts, tt, self.graph.edges):
-            if t < 0 or t > 1:
-                raise InfeasibleAssignment(f"edge scale {t} outside [0, 1]")
+            if any(x < 0 or x * c > y * a for x, y in zip(u, v)):
+                text = point_text(Fraction(x, a) for x in u)
+                raise InfeasibleAssignment(f"displacement {text} outside [0, {point_text(w)}]")
+        for t, (i, j, _) in zip(ts, self.graph.edges):
+            if t < 0 or t > b:
+                raise InfeasibleAssignment(f"edge scale {Fraction(t, b)} outside [0, 1]")
             for k in range(n):
-                ik, jk = i * n + k, j * n + k
-                if (uu[ik] - uu[jk]) * b * c != -tn * (vv[j][k] - vv[i][k]) * a:
+                if (us[i][k] - us[j][k]) * b * c != -t * (vv[j][k] - vv[i][k]) * a:
                     raise InfeasibleAssignment(
                         f"edge ({i},{j}) constraint violated at coordinate {k}"
                     )
+        return a, us
 
 
 def summand_system(g: Diagram) -> SummandSystem:
@@ -250,20 +281,37 @@ def summands_of(system: SummandSystem, us, ts) -> tuple[Diagram, Diagram]:
     so some a in that set exposes u_i alone, and u_i is a vertex of K1;
     K1 has no vertices other than the u_i.  Each condition of S holds for
     (v - u, 1 - t) exactly when it holds for (u, t), so one check covers
-    K2 as well.
+    K2 as well.  Both sides are built from the integer form ``check``
+    returns (``_summands``).
     """
-    us = [exact(u) for u in us]
-    system.check(us, exact(ts))
-    co = {tuple(vk - uk for vk, uk in zip(v, u)) for v, u in zip(system.graph.vertices, us)}
+    return _summands(system, *system.check([exact(u) for u in us], exact(ts)))
+
+
+def _summands(system: SummandSystem, a: int, us) -> tuple[Diagram, Diagram]:
+    """``summands_of`` from the rows U of u = U/a: the distinct rows are
+    collected as int tuples, V d/c - U d/a those of v - u over
+    d = lcm(a, c), and each side becomes a `Fraction` diagram once, with
+    its ``ints`` (``diagram_of_rows``)."""
+    c, vs = system.base.ints
+    d = math.lcm(a, c)
+    x, y = d // a, d // c
+    co = {tuple(y * vk - x * uk for vk, uk in zip(v, u)) for v, u in zip(vs, us)}
     n = system.base.dim
-    return Diagram(n, tuple(map(point, set(us)))), Diagram(n, tuple(map(point, co)))
+    return diagram_of_rows(n, a, set(us)), diagram_of_rows(n, d, co)
 
 
 def verify_decomposition(g: Diagram, k1: Diagram, k2: Diagram) -> bool:
-    """Soundness anchor: exact sum identity plus both-sided non-homothety."""
+    """Soundness anchor: K1 + K2 = G, and neither summand a homothet of G.
+
+    The sum identity is tested on the integer rows of ``Diagram.ints``,
+    with no sum formed (``_sums_to``, proved in the module docstring):
+    every facet of G holds on K1 + K2, and every vertex of G is a sum of
+    generators of K1 and K2.  A G whose generators are not all vertices
+    is no sum, as ``canonicalize`` would return it, so it fails.
+    """
     if not (g.dim == k1.dim == k2.dim):
         raise DimensionMismatch("dimensions differ")
-    if minkowski_sum(k1, k2) != g:
+    if not _sums_to(g, k1, k2):
         return False
     if is_homothetic_to(k1, g) is not None:
         return False
@@ -272,11 +320,43 @@ def verify_decomposition(g: Diagram, k1: Diagram, k2: Diagram) -> bool:
     return True
 
 
+def _sums_to(g: Diagram, k1: Diagram, k2: Diagram) -> bool:
+    """K1 + K2 = G, for G canonical, on the rows of each ``ints``.
+
+    A facet a.x >= b of G holds on K1 + K2 when the least a.P over K1's
+    rows P = s1 x and the least a.Q over K2's rows Q = s2 x have
+    min a.P s2 + min a.Q s1 >= b s1 s2.  One vertex has its n coordinate
+    bounds for facets, so it starts no search.  For the vertices, every
+    row is scaled to d = lcm(s, s1, s2), and each vertex minus each row
+    of K1 is looked up among K2's.
+    """
+    s, vs = g.ints
+    if len(vs) == 1:
+        facets = [(tuple(s * (j == k) for j in range(g.dim)), c, None) for k, c in enumerate(vs[0])]
+    elif is_canonical(g):
+        facets = g.facets
+    else:
+        return False
+    (s1, ps), (s2, qs) = k1.ints, k2.ints
+    for a, b, _ in facets:
+        h1 = min(sum(map(operator.mul, a, p)) for p in ps)
+        h2 = min(sum(map(operator.mul, a, q)) for q in qs)
+        if h1 * s2 + h2 * s1 < b * s1 * s2:
+            return False
+    d = math.lcm(s, s1, s2)
+    x, y, z = d // s, d // s1, d // s2
+    second = {tuple(z * c for c in q) for q in qs}
+    firsts = [tuple(y * c for c in p) for p in ps]
+    return all(
+        any(tuple(x * c - e for c, e in zip(v, p)) in second for p in firsts) for v in vs
+    )
+
+
 # --- decision procedure ----------------------------------------------------
 
 
 def _is_lattice(g: Diagram) -> bool:
-    return all(c.denominator == 1 for p in g.generators for c in p)
+    return g.ints[0] == 1
 
 
 def _witness_key(pair):
@@ -540,21 +620,24 @@ def _type_space_candidates(system: SummandSystem):
         u0 = [0] * n
         for c, k in enumerate(axes, width):
             u0[k] = x[c]
-        us, ts = _ray_point(vs, ds, steps, [x[c] for c in classes], scale, u0)
+        lifted = _ray_point(vs, ds, steps, [x[c] for c in classes], scale, u0)
         try:
-            candidates.append(_ordered(*summands_of(system, us, ts)))
+            candidates.append(_ordered(*_summands(system, *system.check_rows(*lifted))))
         except InfeasibleAssignment as exc:
             raise VerificationFailure(f"type-space ray outside S: {exc}") from exc
     return candidates
 
 
 def _ray_point(vs, ds, steps, ts, scale: int, u0):
-    """The point (u, t) of S on a ray of L: edge scales ts and u_0 = u0.
+    """The point (u, t) of S on a ray of L, edge scales ts and u_0 = u0, as
+    int rows (a, U, b, T) with u = U/a and t = T/b.
 
-    ``vs``, ``ds`` and u are the vertices, the edges and the displaced
-    vertices times ``scale``; u runs from u_0 along the tree ``steps``.
-    Each axis of u is shifted to least 0, a move along L, and (u, t) is
-    scaled by the largest lambda with lambda u <= v and lambda t <= 1.
+    ``vs``, ``ds`` and the rows are the vertices, the edges and the
+    displaced vertices times ``scale``; u runs from u_0 along the tree
+    ``steps``.  Each axis of u is shifted to least 0, a move along L, and
+    (u, t) is scaled by the largest lambda = p/q with lambda u <= v and
+    lambda t <= 1: the least of the ratios v_ik / u_ik and 1 / t_e,
+    compared by cross-multiplying.
     """
     us = [u0] + [None] * (len(vs) - 1)
     for j, i, e, sign in steps:
@@ -564,12 +647,15 @@ def _ray_point(vs, ds, steps, ts, scale: int, u0):
         low = min(u[k] for u in us)
         for u in us:
             u[k] -= low
-    lam = min(
-        [Fraction(vk, uk) for u, v in zip(us, vs) for uk, vk in zip(u, v) if uk > 0]
-        + [Fraction(1, t) for t in ts if t > 0]
-    )
-    q = lam / scale
-    return [tuple(q * c for c in u) for u in us], [lam * t for t in ts]
+    p, q = 1, 0  # lambda = p/q, infinite to start
+    for u, v in zip(us, vs):
+        for uk, vk in zip(u, v):
+            if uk > 0 and vk * q < p * uk:
+                p, q = vk, uk
+    for t in ts:
+        if t > 0 and q < p * t:
+            p, q = 1, t
+    return q * scale, [tuple(p * c for c in u) for u in us], q, [p * t for t in ts]
 
 
 def classify_extreme(u: SingularityInput) -> ExtremityReport:

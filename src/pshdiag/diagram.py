@@ -21,8 +21,10 @@ sorted, deduplicated and searched on Python ints; only what it keeps
 becomes `Fraction`.  A diagram's kernels read one integer form of its
 generators, ``ints``: their least common denominator s and each
 generator times s.  Newton numbers, the axis test, the plane's facets,
-the support and Lelong values and the summand system all read these
-rows, and each answer becomes a `Fraction` once, at the end.  The form
+the support and Lelong values, the summand system and the test of a
+decomposition all read these rows, and each answer becomes a `Fraction`
+once, at the end; a summand built from rows (``diagram_of_rows``) comes
+with its form already set.  The form
 is taken of a diagram's own generators only, never of the raw points
 ``canonicalize`` is given: one common denominator of many points with
 large distinct denominators would make every chain test work on numbers
@@ -32,6 +34,7 @@ of their combined size.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import re
 import sys
@@ -59,7 +62,8 @@ Point = tuple[Fraction, ...]
 
 # Most generators a diagram read from JSON may list, and most generator
 # pairs ``minkowski_sum`` may add, since every pair sum goes to
-# ``canonicalize``.  20,000 random lattice generators take about 0.07 s
+# ``canonicalize``; ``verify_decomposition`` forms no sum, so it guards
+# the ``sum`` command alone.  20,000 random lattice generators take about 0.07 s
 # through newton-number in 2-D and 0.5 s in 3-D, where all of them go to
 # the facet search (Python 3.11, 2-vCPU host); inputs in the tests list up
 # to 20,000 and in the benchmark pools 16.
@@ -210,13 +214,57 @@ def canonicalize(dim: int, raw_points) -> Diagram:
             keep.append(p)
         return Diagram(dim, tuple(map(point, keep)))
     facets = Diagram(dim, tuple(pts)).facets
-    on = _incidence([t for _, _, t in facets], len(pts))
-    keep = [i for i, f in enumerate(on) if len(f) >= dim and least_face(f, frozenset([i])) == {i}]
+    keep = _vertices(dim, facets, len(pts))
     g = Diagram(dim, tuple(point(pts[i]) for i in keep))
     if len(keep) < len(pts):  # renumber; when every point is a vertex the numbers stand
         index = {i: k for k, i in enumerate(keep)}  # each kept point's place among the vertices
         facets = tuple((a, b, frozenset(index[i] for i in t if i in index)) for a, b, t in facets)
     object.__setattr__(g, "facets", facets)
+    return g
+
+
+def _vertices(dim: int, facets, m: int) -> list[int]:
+    """The indices of the m generators that are vertices, by their facets.
+
+    Only a generator on at least dim facets can be a vertex of the
+    full-dimensional diagram, so the others skip ``volume.least_face``.
+    """
+    on = _incidence([t for _, _, t in facets], m)
+    return [i for i, f in enumerate(on) if len(f) >= dim and least_face(f, frozenset([i])) == {i}]
+
+
+def is_canonical(g: Diagram) -> bool:
+    """True iff every generator of g is a vertex of its diagram, no two equal.
+
+    One generator is its own vertex.  In the plane the rows of ``ints``
+    must be the chain ``canonicalize`` keeps: x rising, y falling and
+    every turn strictly convex; otherwise each generator must be a vertex
+    by the facets (``_vertices``).
+    """
+    rows = g.ints[1]
+    if len(rows) == 1:
+        return True
+    if g.dim != 2:
+        return len(_vertices(g.dim, g.facets, len(rows))) == len(rows)
+    if any(bx <= ax or by >= ay for (ax, ay), (bx, by) in zip(rows, rows[1:])):
+        return False
+    return all(
+        (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0
+        for (ax, ay), (bx, by), (cx, cy) in zip(rows, rows[1:], rows[2:])
+    )
+
+
+def diagram_of_rows(dim: int, s: int, rows) -> Diagram:
+    """The diagram whose generators are the distinct int rows over s, with
+    ``ints`` set: the rows and s are divided by the gcd of them all, which
+    leaves s the lcm of the generators' denominators.  The rows must be
+    the diagram's vertices, as ``canonicalize`` would return them.
+    """
+    h = math.gcd(s, *itertools.chain.from_iterable(rows))
+    rows = sorted(rows if h == 1 else {tuple(c // h for c in r) for r in rows})
+    s //= h
+    g = Diagram(dim, tuple(tuple(Fraction(c, s) for c in r) for r in rows))
+    object.__setattr__(g, "ints", (s, tuple(rows)))
     return g
 
 

@@ -38,7 +38,9 @@ once and build one `Fraction` per output term.  The parser reads a run of
 monomial factors (a constant, a variable, a power of one within the power
 budget, or a parenthesized polynomial of at most one term) as one
 (exponent, coefficient) pair, so a monomial term such as ``3*z1^2*z3`` is
-one term with no product at all.  A parsed sum is validated once.
+one term with no product at all.  A sum takes these pairs as they are, and
+only a monomial that stays in the tree becomes a leaf with a `Fraction`
+coefficient (``leaf``).  A parsed sum is validated once.
 
 The budgets are checked where the work is done: MAX_TERM_PAIRS by
 ``_mul_ints`` before each product (and by ``newton_support`` on vertex
@@ -242,9 +244,10 @@ class _Parser:
         key, val, pos = self.tokens[self.i]
         if key is not None:
             raise PolynomialSyntaxError(f"unexpected token {val!r}", pos)
-        return tree
+        return self.leaf(tree) if type(tree) is tuple else tree
 
-    def expr(self) -> Tree:
+    def expr(self) -> Tree | Monomial:
+        """A tree, or a monomial for one unsigned term that is one (see ``term``)."""
         terms: list[tuple[bool, Tree]] = []
         key = self.tokens[self.i][0]
         if key == "+" or key == "-":
@@ -259,12 +262,13 @@ class _Parser:
             negative, tree = terms[0]
             if not negative:
                 return tree
-            if not isinstance(tree, Polynomial):
+            if type(tree) is Product:
                 return Product(((_const(self.dim, Fraction(-1)), 1), (tree, 1)))  # a sign cancels nothing
-        return _add(self.dim, [(negative, expand(t)) for negative, t in terms])
+        return _add(self.dim, [(negative, t if type(t) is tuple else expand(t)) for negative, t in terms])
 
-    def term(self) -> Tree:
-        """Factors in the order written, each run of monomial factors folded into one."""
+    def term(self) -> Tree | Monomial:
+        """Factors in the order written, each run of monomial factors folded
+        into one; a term of monomial factors only is their monomial."""
         factors: list[Tree] = []
         mono = None  # the product of the monomial factors since the last other one
         while True:
@@ -279,6 +283,8 @@ class _Parser:
             if self.tokens[self.i][0] != "*":
                 break
             self.i += 1
+        if not factors:
+            return mono
         if mono is not None:
             factors.append(self.leaf(mono))
         return factors[0] if len(factors) == 1 else Product(tuple((f, 1) for f in factors))
@@ -329,12 +335,15 @@ class _Parser:
                 raise PolynomialSyntaxError("expected ')'", pos)
             self.i += 1
             self.depth -= 1
+            if type(p) is tuple:
+                return p if p[1] else (self.zero, 0)
             if isinstance(p, Polynomial) and len(p.terms) <= 1:
                 return p.terms[0] if p.terms else (self.zero, 0)
             return p
         raise PolynomialSyntaxError(f"unexpected token {val!r}", pos)
 
     def leaf(self, mono: Monomial) -> Polynomial:
+        """The monomial as a tree leaf, its coefficient a `Fraction`."""
         e, c = mono
         return Polynomial(self.dim, ((e, Fraction(c)),) if c else ())
 
@@ -392,17 +401,18 @@ def _const(dim: int, c: Fraction) -> Polynomial:
 
 
 def _add(dim: int, terms) -> Polynomial:
-    """The sum of the (negated, polynomial) terms.
+    """The sum of the (negated, polynomial or monomial) terms.
 
-    It is summed on one integer table over the lcm of their denominators,
-    with one ``Fraction`` per output term (``_over``).
+    A monomial comes as the parser reads it, its coefficient an int or a
+    `Fraction`.  The sum is taken on one integer table over the lcm of the
+    denominators, with one ``Fraction`` per output term (``_over``).
     """
-    den = math.lcm(*(c.denominator for _, p in terms for _, c in p.terms))
+    signed = [(negative, e, c) for negative, p in terms for e, c in ((p,) if type(p) is tuple else p.terms)]
+    den = math.lcm(*(c.denominator for _, _, c in signed))
     sums: IntTerms = {}
-    for negative, p in terms:
-        for e, c in p.terms:
-            x = c.numerator * (den // c.denominator)
-            sums[e] = sums.get(e, 0) + (-x if negative else x)
+    for negative, e, c in signed:
+        x = c.numerator * (den // c.denominator)
+        sums[e] = sums.get(e, 0) + (-x if negative else x)
     return _over(dim, {e: x for e, x in sums.items() if x}, den)
 
 

@@ -18,8 +18,13 @@ diagrams and raise the same errors; ``pshdiag.linalg.det`` must
 return equal values; and ``pshdiag.measures.newton_number`` and
 ``pshdiag.diagram.touches_all_axes``, which read a diagram's integer rows
 (``Diagram.ints``), must return the values of ``newton_number`` and
-``touches_all_axes`` here, which read its `Fraction` generators.  Tests
-compare them.
+``touches_all_axes`` here, which read its `Fraction` generators.
+``pshdiag.decomposition.verify_decomposition``, which reads the sum
+identity off G's facets on integer rows, must give the answer of
+``verify_decomposition`` here, which canonicalizes the pairwise sums;
+and ``pshdiag.decomposition._ray_point`` with the pair built from its int
+rows must give the point and pair of ``ray_point`` and ``summands_of``
+here, which scale and test `Fraction`s.  Tests compare them.
 """
 
 from __future__ import annotations
@@ -29,10 +34,11 @@ import re
 from fractions import Fraction
 
 from pshdiag import polynomials
-from pshdiag.diagram import Diagram, Point, check_digits, point, point_text
+from pshdiag.diagram import Diagram, Point, check_digits, is_homothetic_to, minkowski_sum, point, point_text
 from pshdiag.errors import (
     DimensionMismatch,
     EmptyInput,
+    InfeasibleAssignment,
     NegativeCoordinate,
     NegativeExponent,
     PolynomialSyntaxError,
@@ -40,7 +46,7 @@ from pshdiag.errors import (
     UnknownVariable,
     UnsupportedDimension,
 )
-from pshdiag.linalg import Matrix, dot, frac_rows, rref
+from pshdiag.linalg import Matrix, dot, exact, frac_rows, rref
 from pshdiag.polynomials import MAX_NESTING, Polynomial, Product, Terms, Tree, _const, polynomial
 from pshdiag.volume import MAX_RAY_TESTS, diagram_facets, least_face, triangulate_face
 
@@ -404,3 +410,58 @@ def newton_number(g: Diagram) -> Fraction | None:
             for simplex in simplices:
                 total += abs(det([list(g.generators[i]) for i in simplex]))
     return total
+
+
+def check(system, us, ts) -> None:
+    """``SummandSystem.check`` over `Fraction`s: the same tests in the same
+    order, with the same messages."""
+    n = system.base.dim
+    if len(us) != system.num_vertices or len(ts) != system.num_edges:
+        raise InfeasibleAssignment("assignment shape mismatch")
+    for u, v in zip(us, system.graph.vertices):
+        if len(u) != n:
+            raise InfeasibleAssignment("displacement dimension mismatch")
+        if any(c < 0 for c in u) or any(c > vk for c, vk in zip(u, v)):
+            raise InfeasibleAssignment(f"displacement {point_text(u)} outside [0, {point_text(v)}]")
+    for t, (i, j, d) in zip(ts, system.graph.edges):
+        if t < 0 or t > 1:
+            raise InfeasibleAssignment(f"edge scale {t} outside [0, 1]")
+        for k in range(n):
+            if us[i][k] - us[j][k] != -t * d[k]:
+                raise InfeasibleAssignment(f"edge ({i},{j}) constraint violated at coordinate {k}")
+
+
+def summands_of(system, us, ts) -> tuple[Diagram, Diagram]:
+    """The distinct u_i and v_i - u_i of a point of S, as `Fraction` diagrams."""
+    us = [exact(u) for u in us]
+    check(system, us, exact(ts))
+    co = {tuple(vk - uk for vk, uk in zip(v, u)) for v, u in zip(system.graph.vertices, us)}
+    n = system.base.dim
+    return Diagram(n, tuple(map(point, set(us)))), Diagram(n, tuple(map(point, co)))
+
+
+def ray_point(vs, ds, steps, ts, scale: int, u0):
+    """``_ray_point`` scaled by a `Fraction` lambda: the point (u, t) as values."""
+    us = [list(u0)] + [None] * (len(vs) - 1)
+    for j, i, e, sign in steps:
+        step = sign * ts[e]
+        us[j] = [a + step * d for a, d in zip(us[i], ds[e])]
+    for k in range(len(u0)):
+        low = min(u[k] for u in us)
+        for u in us:
+            u[k] -= low
+    lam = min(
+        [Fraction(vk, uk) for u, v in zip(us, vs) for uk, vk in zip(u, v) if uk > 0]
+        + [Fraction(1, t) for t in ts if t > 0]
+    )
+    q = lam / scale
+    return [tuple(q * c for c in u) for u in us], [lam * t for t in ts]
+
+
+def verify_decomposition(g: Diagram, k1: Diagram, k2: Diagram) -> bool:
+    """The canonical pairwise sum equals G, and neither summand is a homothet of G."""
+    if not (g.dim == k1.dim == k2.dim):
+        raise DimensionMismatch("dimensions differ")
+    if minkowski_sum(k1, k2) != g:
+        return False
+    return is_homothetic_to(k1, g) is None and is_homothetic_to(k2, g) is None

@@ -50,7 +50,7 @@ def test_pool_answers_match_golden(workload, monkeypatch):
                 assert (code, result) == (want["code"], want["result"]), (command, payload)
                 sent += 1
     assert sent == {"hull": 1200, "decide": 640}[workload]
-    assert len(searches) <= {"hull": 288, "decide": 362}[workload]
+    assert len(searches) <= {"hull": 288, "decide": 234}[workload]
 
 
 def sha256(text: str) -> str:

@@ -895,8 +895,8 @@ class TestBatchReuse:
         ray_point = decomposition._ray_point
 
         def outside(*args):
-            us, ts = ray_point(*args)
-            return us, [t + 1 for t in ts]
+            a, us, b, ts = ray_point(*args)
+            return a, us, b, [t + b for t in ts]
 
         monkeypatch.setattr(decomposition, "_ray_point", outside)
         result, code = run_batch(manifest_of(SESSION[:2]))

@@ -412,10 +412,10 @@ class TestSplits:
 
     def test_translated_diagram_answers_with_one_search_of_its_facets(self, monkeypatch):
         # 18 lattice points of a 7-D plane, shifted by 2 on every axis: 15
-        # translation splits, built without a search, so one search reads
-        # the input, whose facets give its edges, and one the sum that
-        # verifies the witness, each over the 15 vertices and 7 axes; the 81
-        # compact edges form one class, so no elimination or type cone runs
+        # translation splits, built without a search, so one search over
+        # the 15 vertices and 7 axes reads the input, whose facets give its
+        # edges and verify the witness, which forms no sum; the 81 compact
+        # edges form one class, so no elimination or type cone runs
         rng = random.Random(0)
         gens = [[c + 2 for c in on_hyperplane(rng, 7, 4)] for _ in range(18)]
         searches = []
@@ -437,7 +437,7 @@ class TestSplits:
         assert (cert["verdict"], cert["method"]) == ("decomposable", "facet-pair-lp")
         assert cert["left"]["generators"] == [["0"] * 6 + ["1"]]
         assert len(cert["right"]["generators"]) == 15
-        assert searches == [7 + 15, 7 + 15]
+        assert searches == [7 + 15]
 
 
 class TestOracleAgreement:

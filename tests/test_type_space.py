@@ -286,8 +286,8 @@ def test_ray_outside_s_exit_4(monkeypatch):
     ray_point = decomposition._ray_point
 
     def outside(*args):
-        us, ts = ray_point(*args)
-        return [tuple(c + 5 for c in us[0]), *us[1:]], ts
+        a, us, b, ts = ray_point(*args)
+        return a, [tuple(c + 5 * a for c in us[0]), *us[1:]], b, ts
 
     monkeypatch.setattr(decomposition, "_ray_point", outside)
     result, code = execute(
