@@ -103,6 +103,7 @@ from . import exactlp
 from .diagram import (
     Diagram,
     DiagramGraph,
+    _translated,
     compact_graph,
     diagram_of_rows,
     diagram_to_json,
@@ -290,8 +291,8 @@ def summands_of(system: SummandSystem, us, ts) -> tuple[Diagram, Diagram]:
 def _summands(system: SummandSystem, a: int, us) -> tuple[Diagram, Diagram]:
     """``summands_of`` from the rows U of u = U/a: the distinct rows are
     collected as int tuples, V d/c - U d/a those of v - u over
-    d = lcm(a, c), and each side becomes a `Fraction` diagram once, with
-    its ``ints`` (``diagram_of_rows``)."""
+    d = lcm(a, c), and each side is stored as its rows
+    (``diagram_of_rows``)."""
     c, vs = system.base.ints
     d = math.lcm(a, c)
     x, y = d // a, d // c
@@ -359,19 +360,31 @@ def _is_lattice(g: Diagram) -> bool:
     return g.ints[0] == 1
 
 
-def _witness_key(pair):
+def _rows_over(g: Diagram, d: int):
+    """The rows of g over d, a multiple of its s: for one d they compare
+    as the generators do, since the generators are the rows over s."""
+    s, rows = g.ints
+    f = d // s
+    return rows if f == 1 else tuple(tuple(f * c for c in row) for row in rows)
+
+
+def _witness_key(pair, d: int):
+    """Lattice pairs first, then fewer generators, then the generators of
+    each side in lex order, read as rows over d, a multiple of every s."""
     k1, k2 = pair
     lattice = 0 if _is_lattice(k1) and _is_lattice(k2) else 1
     return (
         lattice,
-        len(k1.generators) + len(k2.generators),
-        k1.generators,
-        k2.generators,
+        len(k1.ints[1]) + len(k2.ints[1]),
+        _rows_over(k1, d),
+        _rows_over(k2, d),
     )
 
 
 def _ordered(k1: Diagram, k2: Diagram):
-    return (k1, k2) if k1.generators <= k2.generators else (k2, k1)
+    """The pair with the lex-least generators first."""
+    d = math.lcm(k1.ints[0], k2.ints[0])
+    return (k1, k2) if _rows_over(k1, d) <= _rows_over(k2, d) else (k2, k1)
 
 
 def _witness(g: Diagram, candidates, method: str) -> Decomposable:
@@ -380,7 +393,8 @@ def _witness(g: Diagram, candidates, method: str) -> Decomposable:
     Every candidate verifies (see the module docstring), so one that fails
     is a bug and raises ``VerificationFailure`` naming the method.
     """
-    k1, k2 = min(candidates, key=_witness_key)
+    d = math.lcm(*(k.ints[0] for pair in candidates for k in pair))
+    k1, k2 = min(candidates, key=lambda pair: _witness_key(pair, d))
     if not verify_decomposition(g, k1, k2):
         raise VerificationFailure(f"{method} witness failed verification")
     return Decomposable(k1, k2, method)
@@ -392,12 +406,11 @@ def _split(g: Diagram, x) -> tuple[Diagram, Diagram]:
     Neither side needs ``canonicalize``: a point has one vertex, and
     translating by -x moves each vertex of G to a vertex of G - x.
     """
-    rest = tuple(tuple(c - xc for c, xc in zip(p, x)) for p in g.generators)
-    return _ordered(Diagram(g.dim, (tuple(x),)), Diagram(g.dim, rest))
+    return _ordered(Diagram(g.dim, (x,)), _translated(g, [-c for c in x]))
 
 
 def _single_vertex_certificate(g: Diagram) -> Certificate:
-    p = g.generators[0]
+    s, (p,) = g.ints
     nz = [k for k, c in enumerate(p) if c > 0]
     if len(nz) < 2:
         # a monomial diagram on one axis (or the orthant itself) only
@@ -407,27 +420,31 @@ def _single_vertex_certificate(g: Diagram) -> Certificate:
             "single vertex supported on at most one axis",
         )
     # the point split {p_k e_k} + {p - p_k e_k} is the split of {p} by p_k e_k
-    shifts = [tuple(c if i == k else Fraction(0) for i, c in enumerate(p)) for k in nz]
+    shifts = [tuple(Fraction(c, s) if i == k else 0 for i, c in enumerate(p)) for k in nz]
     return _witness(g, [_split(g, x) for x in shifts], "point-split")
 
 
 def _is_axis_simplex(g: Diagram) -> bool:
     """One generator per axis, covering all axes (the weighted simplices)."""
-    if len(g.generators) != g.dim or not touches_all_axes(g):
+    rows = g.ints[1]
+    if len(rows) != g.dim or not touches_all_axes(g):
         return False
-    return all(len(row) - row.count(0) == 1 for row in g.ints[1])
+    return all(len(row) - row.count(0) == 1 for row in rows)
 
 
 def _translation_candidates(g: Diagram):
+    """The splits of G by m_k e_k for each m_k > 0, and by e_k as well when
+    m_k > 1, in axis order, then by (m_1, ..., m_n) when two or more m_k
+    are positive; m_k is the least coordinate k of G, read on the rows."""
     n = g.dim
-    mins = [min(p[k] for p in g.generators) for k in range(n)]
+    s, rows = g.ints
+    mins = [Fraction(min(col), s) for col in zip(*rows)]
     shifts = []
     for k, mk in enumerate(mins):
         if mk > 0:
-            unit = tuple(Fraction(int(i == k)) for i in range(n))
-            shifts.append(tuple(mk * c for c in unit))
+            shifts.append(tuple(mk if i == k else 0 for i in range(n)))
             if mk > 1:
-                shifts.append(unit)
+                shifts.append(tuple(int(i == k) for i in range(n)))
     if sum(1 for mk in mins if mk > 0) >= 2:
         shifts.append(tuple(mins))
     return [_split(g, x) for x in shifts]
@@ -475,17 +492,18 @@ def _edge_scale_candidates(system: SummandSystem):
     if results is None:
         # S is a nonempty bounded polytope (u = v/2, t = 1/2 fits)
         raise VerificationFailure("edge-scale LP over S is infeasible")
-    optima = set()
+    optima = set()  # each as its integer form (a, X), x = X/a
     for res in results:
         if res.status != exactlp.OPTIMAL:
             raise VerificationFailure(f"edge-scale LP over S is {res.status}")
         if res.value < 0:
-            optima.add(tuple(res.x))
+            a, flat = integral(res.x)
+            optima.add((a, tuple(flat)))
     candidates = []
-    for x in optima:
+    for a, x in optima:
         us = [x[i * n : (i + 1) * n] for i in range(m)]
         try:
-            candidates.append(_ordered(*summands_of(system, us, x[m * n :])))
+            candidates.append(_ordered(*_summands(system, *system.check_rows(a, us, a, x[m * n :]))))
         except InfeasibleAssignment as exc:
             raise VerificationFailure(f"edge-scale LP optimum outside S: {exc}") from exc
     return candidates
@@ -498,7 +516,7 @@ def decide_decomposability(g: Diagram) -> Certificate:
     Every Decomposable result has passed ``verify_decomposition``; an
     Indecomposable result names the exhaustive argument used.
     """
-    if len(g.generators) == 1:
+    if len(g.ints[1]) == 1:
         return _single_vertex_certificate(g)
     if _is_axis_simplex(g):
         # forced-translation argument: every summand of a weighted simplex
@@ -635,9 +653,15 @@ def _ray_point(vs, ds, steps, ts, scale: int, u0):
     ``vs``, ``ds`` and the rows are the vertices, the edges and the
     displaced vertices times ``scale``; u runs from u_0 along the tree
     ``steps``.  Each axis of u is shifted to least 0, a move along L, and
-    (u, t) is scaled by the largest lambda = p/q with lambda u <= v and
-    lambda t <= 1: the least of the ratios v_ik / u_ik and 1 / t_e,
-    compared by cross-multiplying.
+    (u, t) is scaled by lambda = 1 / max t, the largest with lambda t <= 1.
+    That lambda has lambda u <= v as well.  The edge equations and
+    0 <= lambda t <= 1 are all that the module docstring's argument uses,
+    so h_1(a) = min_i a.(lambda u_i) and h_2(a) = min_i a.(v_i - lambda u_i)
+    are support functions summing to h_G on the open orthant, and by
+    continuity at a = e_k: min_i (v_ik - lambda u_ik) = min_i v_ik -
+    min_i lambda u_ik = min_i v_ik >= 0, as the least u_ik is 0.  So no
+    ratio v_ik / u_ik bounds lambda; ``SummandSystem.check_rows`` still
+    tests u <= v, and a point outside S raises ``VerificationFailure``.
     """
     us = [u0] + [None] * (len(vs) - 1)
     for j, i, e, sign in steps:
@@ -647,15 +671,8 @@ def _ray_point(vs, ds, steps, ts, scale: int, u0):
         low = min(u[k] for u in us)
         for u in us:
             u[k] -= low
-    p, q = 1, 0  # lambda = p/q, infinite to start
-    for u, v in zip(us, vs):
-        for uk, vk in zip(u, v):
-            if uk > 0 and vk * q < p * uk:
-                p, q = vk, uk
-    for t in ts:
-        if t > 0 and q < p * t:
-            p, q = 1, t
-    return q * scale, [tuple(p * c for c in u) for u in us], q, [p * t for t in ts]
+    top = max(ts)
+    return top * scale, [tuple(u) for u in us], top, ts
 
 
 def classify_extreme(u: SingularityInput) -> ExtremityReport:

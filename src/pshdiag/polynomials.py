@@ -374,8 +374,8 @@ def serialize_polynomial(p: Polynomial) -> str:
         return "0"
     parts = []
     for e, c in sorted(p.terms, reverse=True):
-        check_printable(c)
         num, den = c.numerator, c.denominator
+        check_printable(num, den)
         size = abs(num)
         factors = []
         if size != den or not any(e):
@@ -591,7 +591,7 @@ def newton_support(tree: Tree, dim: int) -> list[Exponent]:
 
 
 def _vertices(dim: int, points: list[Exponent]) -> list[Exponent]:
-    return [tuple(map(int, v)) for v in canonicalize(dim, points).generators]
+    return list(canonicalize(dim, points).ints[1])  # the exponents are ints, so s is 1
 
 
 def index_of(p: Polynomial, a) -> Fraction:

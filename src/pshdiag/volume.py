@@ -1,11 +1,13 @@
 """Exact facets and volumes of polyhedra, by the double description method.
 
 ``diagram_facets`` is the one source of face data for diagrams, run once
-per diagram for ``Diagram.facets``: each facet comes with the generators
-tight on it, and vertices, compact edges and the triangulations behind
-Newton numbers are read off these incidences.  In the plane the facets
-are read off the canonical chain; the facet search serves every other
-dimension and ``polytope_volume``.  It starts from the dual rays of a
+per diagram for ``Diagram.facets``, and ``orthant_facets``, the search it
+runs outside the plane, gives ``diagram.canonicalize`` the facets of the
+points it is handed: each facet comes with the generators tight on it,
+and vertices, compact edges and the triangulations behind Newton numbers
+are read off these incidences.  In the plane the facets are read off the
+canonical chain; the facet search serves every other dimension and
+``polytope_volume``.  It starts from the dual rays of a
 diagram's cone in closed form, and only the cones of ``polytope_volume``
 take their start from ``rref``.  Exact throughout, and intended for
 n <= 4: the facet search runs on Python ints, each generator and ray a
@@ -135,12 +137,12 @@ def diagram_facets(g: Diagram) -> list[Facet]:
     on a generator's row, so it is (s a, s b).x >= c with gcd(s a, s b, c)
     = gcd(s, c).  The normal is the edge over its gcd, which shares most of
     s when the denominators are large, so no step multiplies two numbers of
-    the size of s.  Otherwise the cone searched is spanned by (e_k, 0) for
-    each recession direction, then (v, 1) for each generator.
+    the size of s.  Otherwise ``orthant_facets`` searches the rows, each
+    lifted to (row, s).
     """
     n = g.dim
+    s, rows = g.ints
     if n == 2:
-        s, rows = g.ints
         last = len(rows) - 1
         # each line as a primitive normal and the generators on it
         lines = [((1, 0), (0,))]
@@ -156,8 +158,18 @@ def diagram_facets(g: Diagram) -> list[Facet]:
             h = math.gcd(s, c)
             facets.append(((s // h * a, s // h * b), c // h, frozenset(tight)))
         return facets
-    gens = [tuple(int(j == k) for j in range(n + 1)) for k in range(n)]
-    gens += [tuple(v) + (1,) for v in g.generators]
+    return orthant_facets(n, [row + (s,) for row in rows])
+
+
+def orthant_facets(n: int, lifted: list[tuple]) -> list[Facet]:
+    """Facets (a, b, tight) of conv(points) + R^n_+, as ``diagram_facets``
+    gives them, from each point p lifted to a positive multiple of (p, 1).
+
+    The cone searched is spanned by (e_k, 0) for each recession direction,
+    then the lifted points; ``_cone_facets`` scales each to its primitive
+    int vector, so any positive multiple gives the same search.
+    """
+    gens = [tuple(int(j == k) for j in range(n + 1)) for k in range(n)] + lifted
     facets = []
     for normal, tight in _cone_facets(gens):
         c = tuple(normal[:n])  # normal is (c, -d): c.x - d >= 0 on the valid side

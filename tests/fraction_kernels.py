@@ -24,7 +24,12 @@ identity off G's facets on integer rows, must give the answer of
 ``verify_decomposition`` here, which canonicalizes the pairwise sums;
 and ``pshdiag.decomposition._ray_point`` with the pair built from its int
 rows must give the point and pair of ``ray_point`` and ``summands_of``
-here, which scale and test `Fraction`s.  Tests compare them.
+here, which scale and test `Fraction`s.  ``pshdiag.diagram.minkowski_sum``,
+``is_homothetic_to``, ``scale``, ``translate`` and ``diagram_to_json``
+and ``pshdiag.decomposition._split``, which read a diagram's stored
+integer rows, must give what ``minkowski_sum``, ``is_homothetic_to``,
+``scale``, ``translate``, ``diagram_to_json`` and ``split`` here give on
+its `Fraction` generators.  Tests compare them.
 """
 
 from __future__ import annotations
@@ -34,13 +39,23 @@ import re
 from fractions import Fraction
 
 from pshdiag import polynomials
-from pshdiag.diagram import Diagram, Point, check_digits, is_homothetic_to, minkowski_sum, point, point_text
+from pshdiag.diagram import (
+    MAX_DIGITS,
+    MAX_GENERATORS,
+    Diagram,
+    HomothetyWitness,
+    Point,
+    check_digits,
+    point,
+    point_text,
+)
 from pshdiag.errors import (
     DimensionMismatch,
     EmptyInput,
     InfeasibleAssignment,
     NegativeCoordinate,
     NegativeExponent,
+    NonpositiveScale,
     PolynomialSyntaxError,
     SingularMatrix,
     UnknownVariable,
@@ -465,3 +480,82 @@ def verify_decomposition(g: Diagram, k1: Diagram, k2: Diagram) -> bool:
     if minkowski_sum(k1, k2) != g:
         return False
     return is_homothetic_to(k1, g) is None and is_homothetic_to(k2, g) is None
+
+
+def minkowski_sum(g1: Diagram, g2: Diagram) -> Diagram:
+    """``canonicalize`` here of every pairwise sum of `Fraction` generators."""
+    if g1.dim != g2.dim:
+        raise DimensionMismatch(f"{g1.dim} != {g2.dim}")
+    pairs = len(g1.generators) * len(g2.generators)
+    if pairs > MAX_GENERATORS:
+        raise UnsupportedDimension(
+            f"sum of {pairs} generator pairs exceeds the budget of {MAX_GENERATORS}"
+        )
+    sums = [tuple(x + y for x, y in zip(p, q)) for p in g1.generators for q in g2.generators]
+    return canonicalize(g1.dim, sums)
+
+
+def scale(g: Diagram, c) -> Diagram:
+    c = Fraction(c)
+    if c <= 0:
+        raise NonpositiveScale(f"scale factor must be positive, got {c}")
+    return Diagram(g.dim, tuple(tuple(c * x for x in p) for p in g.generators))
+
+
+def translate(g: Diagram, x) -> Diagram:
+    x = _check_point(x, g.dim)
+    if any(c < 0 for c in x):
+        raise NegativeCoordinate(f"translation {point_text(x)} must be nonnegative")
+    return Diagram(g.dim, tuple(tuple(a + b for a, b in zip(p, x)) for p in g.generators))
+
+
+def split(g: Diagram, x) -> tuple[Diagram, Diagram]:
+    """{x} and G - x on `Fraction` generators, the side with the lex-least generators first."""
+    rest = Diagram(g.dim, tuple(tuple(c - xc for c, xc in zip(p, x)) for p in g.generators))
+    point_side = Diagram(g.dim, (point(x),))
+    return (point_side, rest) if point_side.generators <= rest.generators else (rest, point_side)
+
+
+def is_homothetic_to(a: Diagram, b: Diagram) -> HomothetyWitness | None:
+    """A = c*B + x with c > 0 and x >= 0, on `Fraction` generators: c is
+    forced by the first vertex difference, or for one vertex is its least
+    coordinate ratio."""
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"{a.dim} != {b.dim}")
+    va, vb = a.generators, b.generators
+    if len(va) != len(vb):
+        return None
+    n = a.dim
+    if len(va) == 1:
+        pa, pb = va[0], vb[0]
+        if all(c == 0 for c in pb):
+            return HomothetyWitness(Fraction(1), pa)
+        c = min(Fraction(pa[k], pb[k]) for k in range(n) if pb[k] != 0)
+        if c <= 0:
+            return None
+        return HomothetyWitness(c, tuple(pa[k] - c * pb[k] for k in range(n)))
+    da = tuple(va[1][k] - va[0][k] for k in range(n))
+    db = tuple(vb[1][k] - vb[0][k] for k in range(n))
+    k0 = next(k for k in range(n) if db[k] != 0)
+    c = Fraction(da[k0], db[k0])
+    if c <= 0:
+        return None
+    x = tuple(va[0][k] - c * vb[0][k] for k in range(n))
+    if any(xi < 0 for xi in x):
+        return None
+    for pa, pb in zip(va, vb):
+        if any(pa[k] != c * pb[k] + x[k] for k in range(n)):
+            return None
+    return HomothetyWitness(c, x)
+
+
+def diagram_to_json(g: Diagram) -> dict:
+    """Each `Fraction` generator coordinate printed by ``str``; a part of
+    over MAX_DIGITS digits raises ``UnsupportedDimension``."""
+    for p in g.generators:
+        for c in p:
+            if max(abs(c.numerator), c.denominator) >= 10**MAX_DIGITS:
+                raise UnsupportedDimension(
+                    f"the answer holds a number of over {MAX_DIGITS} digits, the most one may print"
+                )
+    return {"dim": g.dim, "generators": [[str(c) for c in p] for p in g.generators]}

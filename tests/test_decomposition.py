@@ -121,20 +121,21 @@ class TestSummandSystem:
         assert len(cases) >= 150
 
     def test_sweep_checks_each_optimum_once(self, monkeypatch):
-        # one check of S covers both summands of an optimum
+        # one check of S covers both summands of an optimum; the sweep
+        # hands each optimum's integer form to check_rows directly
         checks = []
-        check = decomposition.SummandSystem.check
+        check = decomposition.SummandSystem.check_rows
 
-        def counting(self, us, ts):
+        def counting(self, a, us, b, ts):
             checks.append(1)
-            return check(self, us, ts)
+            return check(self, a, us, b, ts)
 
         total = 0
         for g in sweep_diagrams(random.Random(19)):
             args, kwargs = sweep_call(g)
             optima = {tuple(res.x) for res in exactlp.solve_lp(*args, **kwargs) if res.value < 0}
             with monkeypatch.context() as patch:
-                patch.setattr(decomposition.SummandSystem, "check", counting)
+                patch.setattr(decomposition.SummandSystem, "check_rows", counting)
                 candidates = decomposition._edge_scale_candidates(summand_system(g))
             assert len(checks) == len(candidates) == len(optima), g
             total += len(checks)
