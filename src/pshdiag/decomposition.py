@@ -35,8 +35,12 @@ point of S with (u, t), and the two support functions sum to G's, so
 K1 + K2 = G.  K1 = c*G + x would force u_i = c v_i + x and every
 t_e = c, so unequal scales rule out homothets on both sides.
 
-The other two kinds of candidate verify as plainly.  A translation split
-{x} + (G - x) of a diagram with two or more vertices sums to G, since
+The other two kinds of candidate are points of S with every t_e = 0,
+built as the rays are (``_pair``): a translation split {x} + (G - x) is
+u_i = x for every i, and a point split of a single vertex p the point
+u = p_k e_k.  Their scales are equal, so the argument above does not
+rule out homothets, and they verify as plainly on their own.  A
+translation split of a diagram with two or more vertices sums to G, since
 adding {x} is a translation; {x} has one vertex, so it is no homothet of
 G, and G - x = c*G + y forces c = 1 and y = -x, a negative translation.
 A point split {p_k e_k} + {p - p_k e_k} of a single vertex p off the axes
@@ -103,7 +107,6 @@ from . import exactlp
 from .diagram import (
     Diagram,
     DiagramGraph,
-    _translated,
     compact_graph,
     diagram_of_rows,
     diagram_to_json,
@@ -224,22 +227,9 @@ class SummandSystem:
             ub.append((row, 1))
         return eq, ub
 
-    def check(self, us, ts) -> tuple[int, list[tuple[int, ...]]]:
-        """Raise InfeasibleAssignment unless the assignment satisfies S;
-        return (a, U), the displacements u = U/a over their common
-        denominator.
-
-        The values are ints and `Fraction`s, as ``summands_of`` passes
-        them.  One ``integral`` of u and one of t give the integer form
-        that ``check_rows`` tests.
-        """
-        a, flat = integral([x for u in us for x in u])
-        b, tt = integral(ts)
-        rest = iter(flat)
-        return self.check_rows(a, [tuple(itertools.islice(rest, len(u))) for u in us], b, tt)
-
     def check_rows(self, a: int, us, b: int, ts) -> tuple[int, list[tuple[int, ...]]]:
-        """``check`` of the point u = us/a, t = ts/b, given as int rows; returns (a, us).
+        """Raise InfeasibleAssignment unless the point u = us/a, t = ts/b,
+        given as int rows, satisfies S; return (a, us).
 
         With v = V/c, the rows of ``Diagram.ints``, the bounds read
         0 <= U c <= V a and 0 <= T <= b, and each edge equation
@@ -274,31 +264,45 @@ def summand_system(g: Diagram) -> SummandSystem:
 def summands_of(system: SummandSystem, us, ts) -> tuple[Diagram, Diagram]:
     """The summand pair (K1, K2) of a point (u, t) of S, checked once.
 
-    K1's vertices are the distinct u_i and K2's the distinct v_i - u_i, so
-    no hull is computed.  For u in S each u_i minimises a.x over
-    K1 = conv(u) + R^n_+ for every a in the open normal cone of v_i (the
-    module docstring: h(a) = a.u_i there), an open set of directions.
-    Faces of K1 of positive dimension have normal cones of lower dimension,
-    so some a in that set exposes u_i alone, and u_i is a vertex of K1;
-    K1 has no vertices other than the u_i.  Each condition of S holds for
-    (v - u, 1 - t) exactly when it holds for (u, t), so one check covers
-    K2 as well.  Both sides are built from the integer form ``check``
-    returns (``_summands``).
+    The values are ints and `Fraction`s.  One ``integral`` of u and one of
+    t give the integer form that ``check_rows`` tests, and ``_summands``
+    builds the pair from it.  K1's vertices are the distinct u_i and K2's
+    the distinct v_i - u_i, so no hull is computed.  For u in S each u_i
+    minimises a.x over K1 = conv(u) + R^n_+ for every a in the open normal
+    cone of v_i (the module docstring: h(a) = a.u_i there), an open set of
+    directions.  Faces of K1 of positive dimension have normal cones of
+    lower dimension, so some a in that set exposes u_i alone, and u_i is a
+    vertex of K1; K1 has no vertices other than the u_i.  Each condition
+    of S holds for (v - u, 1 - t) exactly when it holds for (u, t), so one
+    check covers K2 as well.
     """
-    return _summands(system, *system.check([exact(u) for u in us], exact(ts)))
+    us = [exact(u) for u in us]
+    a, flat = integral([x for u in us for x in u])
+    b, tt = integral(exact(ts))
+    rest = iter(flat)
+    us = [tuple(itertools.islice(rest, len(u))) for u in us]
+    return _summands(system.base, *system.check_rows(a, us, b, tt))
 
 
-def _summands(system: SummandSystem, a: int, us) -> tuple[Diagram, Diagram]:
-    """``summands_of`` from the rows U of u = U/a: the distinct rows are
-    collected as int tuples, V d/c - U d/a those of v - u over
-    d = lcm(a, c), and each side is stored as its rows
+def _summands(g: Diagram, a: int, us) -> tuple[Diagram, Diagram]:
+    """``summands_of`` from the rows U of u = U/a, read on ``g.ints``: the
+    distinct rows are collected as int tuples, V d/c - U d/a those of
+    v - u over d = lcm(a, c), and each side is stored as its rows
     (``diagram_of_rows``)."""
-    c, vs = system.base.ints
+    c, vs = g.ints
     d = math.lcm(a, c)
     x, y = d // a, d // c
     co = {tuple(y * vk - x * uk for vk, uk in zip(v, u)) for v, u in zip(vs, us)}
-    n = system.base.dim
-    return diagram_of_rows(n, a, set(us)), diagram_of_rows(n, d, co)
+    return diagram_of_rows(g.dim, a, set(us)), diagram_of_rows(g.dim, d, co)
+
+
+def _pair(g: Diagram, a: int, us) -> tuple[Diagram, Diagram]:
+    """The candidate pair of the point u = U/a of S: ``_summands``, the
+    side with the lex-least generators first.  It reads only ``g.ints``,
+    so a single vertex builds no graph and starts no facet search."""
+    k1, k2 = _summands(g, a, us)
+    d = math.lcm(k1.ints[0], k2.ints[0])
+    return (k1, k2) if _rows_over(k1, d) <= _rows_over(k2, d) else (k2, k1)
 
 
 def verify_decomposition(g: Diagram, k1: Diagram, k2: Diagram) -> bool:
@@ -381,12 +385,6 @@ def _witness_key(pair, d: int):
     )
 
 
-def _ordered(k1: Diagram, k2: Diagram):
-    """The pair with the lex-least generators first."""
-    d = math.lcm(k1.ints[0], k2.ints[0])
-    return (k1, k2) if _rows_over(k1, d) <= _rows_over(k2, d) else (k2, k1)
-
-
 def _witness(g: Diagram, candidates, method: str) -> Decomposable:
     """The least candidate pair by ``_witness_key``, once it passes verification.
 
@@ -400,15 +398,6 @@ def _witness(g: Diagram, candidates, method: str) -> Decomposable:
     return Decomposable(k1, k2, method)
 
 
-def _split(g: Diagram, x) -> tuple[Diagram, Diagram]:
-    """The pair {x} + (G - x), in witness order, for x <= every vertex of G.
-
-    Neither side needs ``canonicalize``: a point has one vertex, and
-    translating by -x moves each vertex of G to a vertex of G - x.
-    """
-    return _ordered(Diagram(g.dim, (x,)), _translated(g, [-c for c in x]))
-
-
 def _single_vertex_certificate(g: Diagram) -> Certificate:
     s, (p,) = g.ints
     nz = [k for k, c in enumerate(p) if c > 0]
@@ -419,9 +408,9 @@ def _single_vertex_certificate(g: Diagram) -> Certificate:
             METHOD_SIMPLEX_FACET,
             "single vertex supported on at most one axis",
         )
-    # the point split {p_k e_k} + {p - p_k e_k} is the split of {p} by p_k e_k
-    shifts = [tuple(Fraction(c, s) if i == k else 0 for i, c in enumerate(p)) for k in nz]
-    return _witness(g, [_split(g, x) for x in shifts], "point-split")
+    # the point split {p_k e_k} + {p - p_k e_k} is the point u = p_k e_k of S
+    points = [tuple(c if i == k else 0 for i, c in enumerate(p)) for k in nz]
+    return _witness(g, [_pair(g, s, [x]) for x in points], "point-split")
 
 
 def _is_axis_simplex(g: Diagram) -> bool:
@@ -435,19 +424,20 @@ def _is_axis_simplex(g: Diagram) -> bool:
 def _translation_candidates(g: Diagram):
     """The splits of G by m_k e_k for each m_k > 0, and by e_k as well when
     m_k > 1, in axis order, then by (m_1, ..., m_n) when two or more m_k
-    are positive; m_k is the least coordinate k of G, read on the rows."""
+    are positive; m_k is the least coordinate k of G.  The split by x is
+    the point u_i = x, t = 0 of S, with x an int row over s."""
     n = g.dim
     s, rows = g.ints
-    mins = [Fraction(min(col), s) for col in zip(*rows)]
-    shifts = []
+    mins = [min(col) for col in zip(*rows)]
+    points = []
     for k, mk in enumerate(mins):
         if mk > 0:
-            shifts.append(tuple(mk if i == k else 0 for i in range(n)))
-            if mk > 1:
-                shifts.append(tuple(int(i == k) for i in range(n)))
+            points.append(tuple(mk if i == k else 0 for i in range(n)))
+            if mk > s:
+                points.append(tuple(s * (i == k) for i in range(n)))
     if sum(1 for mk in mins if mk > 0) >= 2:
-        shifts.append(tuple(mins))
-    return [_split(g, x) for x in shifts]
+        points.append(tuple(mins))
+    return [_pair(g, s, [x] * len(rows)) for x in points]
 
 
 def _edge_scale_candidates(system: SummandSystem):
@@ -503,7 +493,7 @@ def _edge_scale_candidates(system: SummandSystem):
     for a, x in optima:
         us = [x[i * n : (i + 1) * n] for i in range(m)]
         try:
-            candidates.append(_ordered(*_summands(system, *system.check_rows(a, us, a, x[m * n :]))))
+            candidates.append(_pair(system.base, *system.check_rows(a, us, a, x[m * n :])))
         except InfeasibleAssignment as exc:
             raise VerificationFailure(f"edge-scale LP optimum outside S: {exc}") from exc
     return candidates
@@ -546,10 +536,11 @@ def _decide_general(g: Diagram) -> Certificate:
     )
 
 
-def _scale_classes(graph: DiagramGraph) -> list[int]:
+def _scale_classes(edges, near) -> list[int]:
     """The class of each compact edge, numbered in edge order: the edges of
-    every compact 3-cycle are joined by union-find, as their scales are equal."""
-    parent = list(range(len(graph.edges)))
+    every compact 3-cycle are joined by union-find, as their scales are
+    equal.  near[i][j] is the edge (i, j)."""
+    parent = list(range(len(edges)))
 
     def find(e):
         while parent[e] != e:
@@ -557,16 +548,11 @@ def _scale_classes(graph: DiagramGraph) -> list[int]:
             e = parent[e]
         return e
 
-    index = {(i, j): e for e, (i, j, _) in enumerate(graph.edges)}
-    near = [set() for _ in graph.vertices]
-    for i, j, _ in graph.edges:
-        near[i].add(j)
-        near[j].add(i)
-    for (i, j), e in index.items():
-        for k in near[i] & near[j]:
+    for e, (i, j, _) in enumerate(edges):
+        for k in near[i].keys() & near[j].keys():
             if k > j:
                 root = find(e)
-                for f in (index[i, k], index[j, k]):
+                for f in (near[i][k], near[j][k]):
                     parent[find(f)] = root
     roots: dict[int, int] = {}
     return [roots.setdefault(find(e), len(roots)) for e in range(len(parent))]
@@ -580,14 +566,17 @@ def _type_space_candidates(system: SummandSystem):
     each axis where some vertex is 0, all times the lcm of the vertices'
     denominators, the s of ``Diagram.ints``.  Along a BFS tree from
     vertex 0 each u_i is a form in the columns; each edge off the tree
-    gives n rows, and each v_ik = 0 the row u_ik = 0.  The null space of the rows is L, one-to-one on the
-    scales, as every u_0 column is pinned by an axis row.  Raises
-    ``UnsupportedDimension`` when the rows by columns exceed
-    ``MAX_TYPE_SPACE_CELLS``, before the rows are built.
+    gives n rows, and each v_ik = 0 the row u_ik = 0.  The null space of
+    the rows is L, one-to-one on the scales, as every u_0 column is pinned
+    by an axis row.  Raises ``UnsupportedDimension`` when the rows by
+    columns exceed ``MAX_TYPE_SPACE_CELLS``, before the rows are built.
     """
     graph = system.graph
     n, m = system.base.dim, system.num_vertices
-    classes = _scale_classes(graph)
+    near = [{} for _ in range(m)]  # near[i][j] = e for each compact edge e = (i, j)
+    for e, (i, j, _) in enumerate(graph.edges):
+        near[i][j] = near[j][i] = e
+    classes = _scale_classes(graph.edges, near)
     width = max(classes, default=-1) + 1
     if width < 2:
         return []  # one scale for every edge
@@ -600,32 +589,26 @@ def _type_space_candidates(system: SummandSystem):
             f"type-space elimination over {cells} matrix cells exceeds the budget "
             f"of {MAX_TYPE_SPACE_CELLS}"
         )
-    ds = [[b - a for a, b in zip(vs[i], vs[j])] for i, j, _ in graph.edges]
-    near = [[] for _ in range(m)]
-    for e, (i, j, _) in enumerate(graph.edges):
-        near[i].append((j, e, 1))
-        near[j].append((i, e, -1))
     forms = [None] * m
     forms[0] = [[0] * cols for _ in range(n)]
     for c, k in enumerate(axes, width):
         forms[0][k][c] = 1
     order = [0]
-    steps = []  # the tree edges (j, i, e, sign) in BFS order: u_j = u_i + sign t_e d_e
+    tree = set()
     for i in order:
-        for j, e, sign in near[i]:
-            if forms[j] is None:
+        for j, e in near[i].items():
+            if forms[j] is None:  # u_j = u_i + t_e (v_j - v_i)
                 forms[j] = [row[:] for row in forms[i]]
-                for row, dk in zip(forms[j], ds[e]):
-                    row[classes[e]] += sign * dk
-                steps.append((j, i, e, sign))
+                for row, a, b in zip(forms[j], vs[i], vs[j]):
+                    row[classes[e]] += b - a
+                tree.add(e)
                 order.append(j)
-    tree = {e for *_, e, _ in steps}
     rows = []
     for e, (i, j, _) in enumerate(graph.edges):
         if e not in tree:
-            for a, b, dk in zip(forms[i], forms[j], ds[e]):
-                row = [y - x for x, y in zip(a, b)]
-                row[classes[e]] -= dk
+            for fi, fj, a, b in zip(forms[i], forms[j], vs[i], vs[j]):
+                row = [y - x for x, y in zip(fi, fj)]
+                row[classes[e]] -= b - a
                 rows.append(row)
     rows += [form[k] for form, v in zip(forms, vs) for k in axes if v[k] == 0]
     _, basis = int_kernel(rows, cols)
@@ -635,24 +618,22 @@ def _type_space_candidates(system: SummandSystem):
     candidates = []
     for z, _ in _cone_facets(gens):
         x = [sum(map(operator.mul, z, col)) for col in zip(*basis)]
-        u0 = [0] * n
-        for c, k in enumerate(axes, width):
-            u0[k] = x[c]
-        lifted = _ray_point(vs, ds, steps, [x[c] for c in classes], scale, u0)
+        lifted = _ray_point(forms, x, [x[c] for c in classes], scale)
         try:
-            candidates.append(_ordered(*_summands(system, *system.check_rows(*lifted))))
+            candidates.append(_pair(system.base, *system.check_rows(*lifted)))
         except InfeasibleAssignment as exc:
             raise VerificationFailure(f"type-space ray outside S: {exc}") from exc
     return candidates
 
 
-def _ray_point(vs, ds, steps, ts, scale: int, u0):
-    """The point (u, t) of S on a ray of L, edge scales ts and u_0 = u0, as
-    int rows (a, U, b, T) with u = U/a and t = T/b.
+def _ray_point(forms, x, ts, scale: int):
+    """The point (u, t) of S on the ray x of L, edge scales ts, as int rows
+    (a, U, b, T) with u = U/a and t = T/b.
 
-    ``vs``, ``ds`` and the rows are the vertices, the edges and the
-    displaced vertices times ``scale``; u runs from u_0 along the tree
-    ``steps``.  Each axis of u is shifted to least 0, a move along L, and
+    ``forms`` are the tree forms of ``_type_space_candidates``, and u_i is
+    forms[i].x: the tree's edge equations hold by construction and the
+    others because x lies in L.  The rows are the displaced vertices times
+    ``scale``.  Each axis of u is shifted to least 0, a move along L, and
     (u, t) is scaled by lambda = 1 / max t, the largest with lambda t <= 1.
     That lambda has lambda u <= v as well.  The edge equations and
     0 <= lambda t <= 1 are all that the module docstring's argument uses,
@@ -663,16 +644,10 @@ def _ray_point(vs, ds, steps, ts, scale: int, u0):
     ratio v_ik / u_ik bounds lambda; ``SummandSystem.check_rows`` still
     tests u <= v, and a point outside S raises ``VerificationFailure``.
     """
-    us = [u0] + [None] * (len(vs) - 1)
-    for j, i, e, sign in steps:
-        step = sign * ts[e]
-        us[j] = [a + step * d for a, d in zip(us[i], ds[e])]
-    for k in range(len(u0)):
-        low = min(u[k] for u in us)
-        for u in us:
-            u[k] -= low
+    us = [[sum(map(operator.mul, row, x)) for row in form] for form in forms]
+    lows = [min(col) for col in zip(*us)]
     top = max(ts)
-    return top * scale, [tuple(u) for u in us], top, ts
+    return top * scale, [tuple(c - low for c, low in zip(u, lows)) for u in us], top, ts
 
 
 def classify_extreme(u: SingularityInput) -> ExtremityReport:

@@ -299,21 +299,15 @@ def is_canonical(g: Diagram) -> bool:
     """True iff every generator of g is a vertex of its diagram, no two equal.
 
     One generator is its own vertex.  In the plane the rows of ``ints``
-    must be the chain ``canonicalize`` keeps: x rising, y falling and
-    every turn strictly convex; otherwise each generator must be a vertex
-    by the facets (``_vertices``).
+    must be the chain ``_vertex_set`` keeps of them; otherwise each
+    generator must be a vertex by the facets (``_vertices``).
     """
     rows = g.ints[1]
     if len(rows) == 1:
         return True
-    if g.dim != 2:
-        return len(_vertices(g.dim, g.facets, len(rows))) == len(rows)
-    if any(bx <= ax or by >= ay for (ax, ay), (bx, by) in zip(rows, rows[1:])):
-        return False
-    return all(
-        (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0
-        for (ax, ay), (bx, by), (cx, cy) in zip(rows, rows[1:], rows[2:])
-    )
+    if g.dim == 2:
+        return _vertex_set(2, list(rows), 1)[0] == list(rows)
+    return len(_vertices(g.dim, g.facets, len(rows))) == len(rows)
 
 
 def diagram_of_rows(dim: int, s: int, rows, facets=None) -> Diagram:
@@ -415,16 +409,11 @@ def scale(g: Diagram, c) -> Diagram:
 
 
 def translate(g: Diagram, x) -> Diagram:
+    """G + x on the rows over d = lcm(s, r), r the lcm of x's denominators:
+    a translation keeps the vertices and their order."""
     x = _check_point(x, g.dim)
     if any(c < 0 for c in x):
         raise NegativeCoordinate(f"translation {point_text(x)} must be nonnegative")
-    return _translated(g, x)
-
-
-def _translated(g: Diagram, x) -> Diagram:
-    """G + x for a point x of ints and `Fraction`s, of any sign, on the rows
-    over d = lcm(s, r), r the lcm of x's denominators: a translation keeps
-    the vertices and their order."""
     s, rows = g.ints
     r, xs = integral(x)
     d = math.lcm(s, r)

@@ -25,11 +25,11 @@ identity off G's facets on integer rows, must give the answer of
 and ``pshdiag.decomposition._ray_point`` with the pair built from its int
 rows must give the point and pair of ``ray_point`` and ``summands_of``
 here, which scale and test `Fraction`s.  ``pshdiag.diagram.minkowski_sum``,
-``is_homothetic_to``, ``scale``, ``translate`` and ``diagram_to_json``
-and ``pshdiag.decomposition._split``, which read a diagram's stored
-integer rows, must give what ``minkowski_sum``, ``is_homothetic_to``,
-``scale``, ``translate``, ``diagram_to_json`` and ``split`` here give on
-its `Fraction` generators.  Tests compare them.
+``is_homothetic_to``, ``scale``, ``translate`` and ``diagram_to_json``,
+and ``pshdiag.decomposition._pair`` of a split's point of S, which read a
+diagram's stored integer rows, must give what ``minkowski_sum``,
+``is_homothetic_to``, ``scale``, ``translate``, ``diagram_to_json`` and
+``split`` here give on its `Fraction` generators.  Tests compare them.
 """
 
 from __future__ import annotations
@@ -428,8 +428,8 @@ def newton_number(g: Diagram) -> Fraction | None:
 
 
 def check(system, us, ts) -> None:
-    """``SummandSystem.check`` over `Fraction`s: the same tests in the same
-    order, with the same messages."""
+    """``SummandSystem.check_rows`` over `Fraction`s: the same tests in the
+    same order, with the same messages."""
     n = system.base.dim
     if len(us) != system.num_vertices or len(ts) != system.num_edges:
         raise InfeasibleAssignment("assignment shape mismatch")
@@ -456,7 +456,8 @@ def summands_of(system, us, ts) -> tuple[Diagram, Diagram]:
 
 
 def ray_point(vs, ds, steps, ts, scale: int, u0):
-    """``_ray_point`` scaled by a `Fraction` lambda: the point (u, t) as values."""
+    """``_ray_point`` scaled by a `Fraction` lambda: the point (u, t) as
+    values, u run from u0 along the tree ``steps``."""
     us = [list(u0)] + [None] * (len(vs) - 1)
     for j, i, e, sign in steps:
         step = sign * ts[e]

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import types
 from fractions import Fraction as F
@@ -21,11 +22,14 @@ from pshdiag import (
     weighted_simplex,
 )
 from pshdiag import decomposition, diagram, exactlp, volume
-from pshdiag.cli import EXIT_INTERNAL, EXIT_OK, execute
-from pshdiag.decomposition import _decide_general, _ordered, _split, _translation_candidates
+from pshdiag.cli import EXIT_INTERNAL, EXIT_OK, execute, run_batch
+from pshdiag.decomposition import _decide_general, _pair, _translation_candidates
 from pshdiag.errors import InfeasibleAssignment
+from pshdiag.linalg import integral
 
+import fraction_kernels
 from oracle2d import decomposable_oracle
+from test_bench_golden import load_corpus, sha256
 from test_canonicalize_oracle import on_hyperplane
 from test_exactlp import sweep_call, sweep_diagrams
 from test_face_oracles import random_diagrams
@@ -33,6 +37,18 @@ from test_face_oracles import random_diagrams
 
 def D(*pts):
     return canonicalize(2, pts)
+
+
+def split(g, x):
+    """The split {x} + (G - x), for x <= every vertex of G: the point
+    u_i = x, t = 0 of S, through ``_pair``."""
+    a, row = integral(x)
+    return _pair(g, a, [tuple(row)] * len(g.ints[1]))
+
+
+def ordered(k1, k2):
+    """The pair with the lex-least generators first."""
+    return (k1, k2) if k1.generators <= k2.generators else (k2, k1)
 
 
 class TestSummandSystem:
@@ -361,7 +377,7 @@ class TestDecide:
 
 
 class TestSplits:
-    """Translation and point splits are built as translates, without a facet search."""
+    """Translation and point splits are built as points of S, without a facet search."""
 
     @staticmethod
     def _cases():
@@ -386,7 +402,7 @@ class TestSplits:
             n = g.dim
             for x in shifts:
                 rest = [tuple(c - xc for c, xc in zip(p, x)) for p in g.generators]
-                assert _split(g, x) == _ordered(canonicalize(n, [x]), canonicalize(n, rest))
+                assert split(g, x) == ordered(canonicalize(n, [x]), canonicalize(n, rest))
                 checked += 1
             for pair in _translation_candidates(g):
                 assert pair == tuple(canonicalize(n, k.generators) for k in pair)
@@ -396,7 +412,7 @@ class TestSplits:
 
     def test_builders_search_no_facets(self, monkeypatch):
         cases = list(self._cases())
-        expected = [(_translation_candidates(g), [_split(g, x) for x in xs]) for g, xs in cases]
+        expected = [(_translation_candidates(g), [split(g, x) for x in xs]) for g, xs in cases]
 
         def refuse(*args):
             raise AssertionError("a split reached a facet search")
@@ -406,10 +422,78 @@ class TestSplits:
             patch.setattr(diagram, "canonicalize", refuse)
             for (g, shifts), (translations, splits) in zip(cases, expected):
                 assert _translation_candidates(g) == translations
-                assert [_split(g, x) for x in shifts] == splits
+                assert [split(g, x) for x in shifts] == splits
         # in the plane the point split is verified without a search as well
         cert = decide_decomposability(D((2, 3)))
         assert cert.method == "point-split"
+
+    def test_splits_are_points_of_s(self, monkeypatch):
+        # the split {x} + (G - x) is the point u_i = x, t = 0 of S: it passes
+        # check_rows, and its pair is the Fraction reference's; the
+        # builders' own points are rows over s, and their pairs are the
+        # reference's splits by those points, in the same order
+        built = []
+        monkeypatch.setattr(decomposition, "_witness", lambda g, candidates, method: built.append(candidates))
+        checked = builders = 0
+        for g, shifts in self._cases():
+            system = summand_system(g)
+            s, rows = g.ints
+            m, zeros = len(rows), [0] * system.num_edges
+            mins = [min(col) for col in zip(*rows)]
+            if m == 1:  # the point splits p_k e_k, when two or more p_k > 0
+                points = [tuple(c if i == k else 0 for i, c in enumerate(mins)) for k in range(g.dim) if mins[k]]
+                points = points if len(points) >= 2 else []
+                built.clear()
+                decomposition._single_vertex_certificate(g)
+                got = built[0] if points else []
+            else:  # m_k e_k, e_k when m_k > 1, then (m_1, ..., m_n)
+                points = []
+                for k, mk in enumerate(mins):
+                    if mk:
+                        points.append(tuple(mk * (i == k) for i in range(g.dim)))
+                        if mk > s:
+                            points.append(tuple(s * (i == k) for i in range(g.dim)))
+                if sum(map(bool, mins)) >= 2:
+                    points.append(tuple(mins))
+                got = _translation_candidates(g)
+            for row in points:
+                assert system.check_rows(s, [row] * m, 1, zeros) == (s, [row] * m)
+            xs = [tuple(F(c, s) for c in row) for row in points]
+            assert got == [fraction_kernels.split(g, x) for x in xs], g
+            builders += len(points)
+            for x in shifts:
+                a, row = integral(x)
+                system.check_rows(a, [tuple(row)] * m, 1, zeros)
+                assert split(g, x) == fraction_kernels.split(g, x), (g, x)
+                checked += 1
+        assert checked >= 150 and builders >= 40
+
+    def test_pools_answer_without_the_diagram_constructor(self, monkeypatch):
+        # no candidate builder calls Diagram(...): with the constructor
+        # refused once the inputs are read, both images of every decide
+        # request and session manifest answer as golden
+        corpus = load_corpus()
+        requests = []
+        for workload in ("decide", "session"):
+            golden = corpus.load_golden(workload)
+            for variants in corpus.pools(workload).values():
+                for images in variants:
+                    for command, payload in images:
+                        want = golden[corpus.request_key(command, payload)]
+                        requests.append((workload, command, json.loads(json.dumps(payload)), want))
+
+        def refuse(self, *args):
+            raise AssertionError("a candidate builder called Diagram()")
+
+        monkeypatch.setattr(diagram.Diagram, "__init__", refuse)
+        for workload, command, payload, want in requests:
+            if workload == "decide":
+                assert execute(command, payload) == (want["result"], want["code"]), payload
+            else:
+                result, code = run_batch(payload)
+                assert code == want["code"]
+                assert sha256(json.dumps(result, indent=2, sort_keys=True) + "\n") == want["sha256"]
+        assert len(requests) == 640 + 768
 
     def test_translated_diagram_answers_with_one_search_of_its_facets(self, monkeypatch):
         # 18 lattice points of a 7-D plane, shifted by 2 on every axis: 15

@@ -23,7 +23,7 @@ from pshdiag import (
     translate,
     weighted_simplex,
 )
-from pshdiag.diagram import HomothetyWitness, rational_from_json
+from pshdiag.diagram import HomothetyWitness, is_canonical, rational_from_json
 from pshdiag.errors import (
     DimensionMismatch,
     EmptyInput,
@@ -52,6 +52,37 @@ class TestCanonicalize:
     def test_three_vertex_chain(self):
         g = canonicalize(2, [(3, 0), (2, 1), (1, 1), (0, 2)])
         assert g.generators == ((F(0), F(2)), (F(1), F(1)), (F(3), F(0)))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_is_canonical_agrees_with_canonicalize(self, dim):
+        # rows are canonical iff canonicalize keeps every one of them: on
+        # duplicates, dominated points, collinear triples, non-convex turns
+        # and seeded rows
+        fixed = {
+            2: [
+                ([(0, 3), (1, 1), (3, 0)], True),
+                ([(0, 2), (1, 1), (2, 0)], False),  # collinear
+                ([(0, 4), (2, 3), (3, 0)], False),  # a non-convex turn
+                ([(0, 2), (1, 2)], False),  # dominated
+                ([(1, 1), (1, 1)], False),  # duplicate
+            ],
+            3: [
+                ([(2, 0, 0), (0, 2, 0), (0, 0, 2)], True),
+                ([(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0)], False),  # on an edge
+                ([(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)], False),  # a non-convex turn
+                ([(1, 1, 1), (1, 2, 1)], False),  # dominated
+                ([(1, 0, 1), (1, 0, 1)], False),  # duplicate
+            ],
+        }[dim]
+        rng = random.Random(60 + dim)
+        seeded = [[tuple(rng.randint(0, 6) for _ in range(dim)) for _ in range(rng.randint(1, 6))] for _ in range(300)]
+        answers = []
+        for rows, want in fixed + [(rows, None) for rows in seeded]:
+            g = Diagram(dim, rows)
+            canonical = canonicalize(dim, rows).ints[1] == g.ints[1]
+            assert is_canonical(g) == canonical and want in (None, canonical), rows
+            answers.append(canonical)
+        assert answers.count(True) >= 60 and answers.count(False) >= 60
 
     def test_errors(self):
         with pytest.raises(EmptyInput):

@@ -164,15 +164,43 @@ def test_one_vertex_in_three_and_four_dimensions():
         assert [both(g, *pair) for pair in cases] == [True, True, False, False, False, True], p
 
 
+def tree_walk(system, x):
+    """The arguments of ``fraction_kernels.ray_point`` for the ray x, built
+    from ``system.graph`` with a walk of its own: the vertices and the
+    edge directions times s, the BFS tree from vertex 0 as steps
+    (j, i, e, sign), u_j = u_i + sign t_e d_e, the edge scales, s, and u_0
+    read off x's columns for the axes where some vertex is 0, which come
+    last."""
+    s, vs = system.base.ints
+    edges = system.graph.edges
+    ds = [[b - a for a, b in zip(vs[i], vs[j])] for i, j, _ in edges]
+    near = [[] for _ in vs]
+    for e, (i, j, _) in enumerate(edges):
+        near[i].append((j, e, 1))
+        near[j].append((i, e, -1))
+    order, steps = [0], []
+    for i in order:
+        for j, e, sign in near[i]:
+            if j not in order:
+                order.append(j)
+                steps.append((j, i, e, sign))
+    n = system.base.dim
+    axes = [k for k in range(n) if any(v[k] == 0 for v in vs)]
+    u0 = [0] * n
+    for c, k in enumerate(axes, len(x) - len(axes)):
+        u0[k] = x[c]
+    return vs, ds, steps, s, u0
+
+
 def test_ray_points_and_pairs_match_the_fraction_reference(monkeypatch):
     # every ray of the seeded 3-D and 4-D clouds and sums: the same point
     # and the same pair, whose ints are those of its generators
     rays = []
     ray_point = decomposition._ray_point
 
-    def recording(vs, ds, steps, ts, scale, u0):
-        rays.append((vs, ds, steps, list(ts), scale, list(u0)))
-        return ray_point(vs, ds, steps, ts, scale, u0)
+    def recording(forms, x, ts, scale):
+        rays.append((list(x), list(ts), scale, ray_point(forms, x, ts, scale)))
+        return rays[-1][-1]
 
     monkeypatch.setattr(decomposition, "_ray_point", recording)
     count = 0
@@ -182,12 +210,13 @@ def test_ray_points_and_pairs_match_the_fraction_reference(monkeypatch):
         system = summand_system(g)
         rays.clear()
         decomposition._type_space_candidates(system)
-        for vs, ds, steps, ts, s, u0 in rays:
-            a, us, b, tt = ray_point(vs, ds, steps, ts, s, list(u0))
-            want_us, want_ts = fraction_kernels.ray_point(vs, ds, steps, ts, s, list(u0))
+        for x, ts, s, (a, us, b, tt) in rays:
+            vs, ds, steps, scale, u0 = tree_walk(system, x)
+            assert s == scale
+            want_us, want_ts = fraction_kernels.ray_point(vs, ds, steps, ts, scale, u0)
             assert [tuple(F(c, a) for c in u) for u in us] == want_us
             assert [F(t, b) for t in tt] == want_ts
-            pair = decomposition._summands(system, *system.check_rows(a, us, b, tt))
+            pair = decomposition._summands(g, *system.check_rows(a, us, b, tt))
             assert pair == fraction_kernels.summands_of(system, want_us, want_ts)
             for k in pair:
                 assert k.ints == Diagram(k.dim, k.generators).ints
