@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -28,7 +29,6 @@ from pshdiag.polynomials import _const, _Parser
 from pshdiag.volume import _cone_facets
 from test_canonicalize_oracle import on_hyperplane, undominated
 from test_face_oracles import homogenized
-from timing import least_units
 
 
 def assert_same_search(gens):
@@ -372,27 +372,19 @@ def test_long_denominators_keep_their_answers_and_time(name, build):
     # points: a 2-D chain over one common denominator of the 800 raw points
     # took 2.2 s.  Before the integer form the raw points took 0.021-0.023 s
     # (newton-number) and 0.031-0.033 s (decompose), and the chain 1.4-1.6 s
-    # and 1.3-1.6 s (Python 3.11, 2-vCPU host).  The bounds were then set at
-    # twice the chain's times, 3 s, and at 0.1 s for the raw points, where a
-    # timer of a few hundredths of a second would fail on any pause of the
-    # host.  They are taken in units of ``timing.reference_loop``, 4.2-4.5 ms
-    # on that host, so that a slower host scales them: 660 and 22 units.
-    # There the raw points now take 5-9 units (newton-number) and 4-7.5
-    # (decompose), and the chain 93-190 and 28-56.  Each command answers as
-    # before on every run, and one of three runs is within its bound.  The
+    # and 1.3-1.6 s (Python 3.11, 2-vCPU host).  The bounds are twice the
+    # chain's times, and 0.1 s for the raw points, where a timer of a few
+    # hundredths of a second would fail on any pause of the host.  The
     # chain's Newton number has over MAX_DIGITS digits.
     pts = build()
     payload = {"diagram": {"dim": 2, "generators": [[str(c) for c in p] for p in pts]}}
-    bound = 660 if name == "chain" else 22
+    bound = 3.0 if name == "chain" else 0.1
     for command in ["newton-number", "decompose"]:
-
-        def check(result):
-            answer, code = result
-            digest = hashlib.sha256(json.dumps(answer, sort_keys=True).encode()).hexdigest()
-            assert (code, digest) == HOSTILE_ANSWERS[name, command], (command, str(answer)[:200])
-
-        units = least_units(lambda: execute(command, payload), check, bound)
-        assert units < bound, (command, units)
+        start = time.perf_counter()
+        answer, code = execute(command, payload)
+        assert time.perf_counter() - start < bound, command
+        digest = hashlib.sha256(json.dumps(answer, sort_keys=True).encode()).hexdigest()
+        assert (code, digest) == HOSTILE_ANSWERS[name, command], (command, str(answer)[:200])
     g = dg.canonicalize(2, pts)
     if name == "chain":
         assert len(g.generators) == 300

@@ -7,9 +7,12 @@ keeps the versions that run on the generators, and every answer here must
 be theirs.
 """
 
+import gc
 import hashlib
 import json
 import random
+import statistics
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -32,7 +35,6 @@ from pshdiag.diagram import (
 from pshdiag.errors import UnsupportedDimension
 from pshdiag.linalg import integral
 from pshdiag.volume import diagram_facets
-from timing import least_units
 
 KINDS = ("lattice", "rational", "mixed")
 
@@ -181,8 +183,23 @@ def hostile_chain(m=3000):
     return {"dim": 2, "generators": [[str(c) for c in p] for p in pts]}
 
 
+def reference_loop():
+    """Seconds taken by a fixed piece of pure-Python work, `Fraction`
+    arithmetic and dict updates, as ``bench/harness.py`` times the host."""
+    start = time.perf_counter()
+    for _ in range(4):
+        total = F(0)
+        for i in range(1, 200):
+            total += F(i, i + 7) * F(3, i + 1)
+        counts = {}
+        for i in range(1500):
+            key = (i % 97, i % 13)
+            counts[key] = counts.get(key, 0) + i
+    return time.perf_counter() - start
+
+
 # Exit code, sha256 of the answer's JSON with sorted keys, and time bound
-# for each command on the hostile chain, in units of ``timing.reference_loop``
+# for each command on the hostile chain, in units of ``reference_loop``
 # (the median of 7 loops just before the command), so that a slower host
 # scales the bound with it.  The answers are those the `Fraction`
 # generators gave; there, over 8 runs each, the commands took 32-60 units
@@ -199,7 +216,19 @@ HOSTILE = {
 
 
 def test_hostile_chain_keeps_answers_and_time():
-    # each command answers as before, and one of three runs is within its bound
+    # each command answers as before, and one of three runs is within its
+    # bound, so that a pause of the host alone does not fail it; the
+    # objects earlier tests left are frozen out of the collector's passes,
+    # as the parent's times were taken in a fresh process
+    gc.collect()
+    gc.freeze()
+    try:
+        check_hostile_chain()
+    finally:
+        gc.unfreeze()
+
+
+def check_hostile_chain():
     chain = hostile_chain()
     payloads = {
         "sum": {"a": chain, "b": chain},
@@ -209,11 +238,12 @@ def test_hostile_chain_keeps_answers_and_time():
         "indicator": {"diagram": chain, "t": ["-1", "-2"]},
     }
     for command, (code, digest, bound) in HOSTILE.items():
-
-        def check(result):
-            answer, got = result
+        units = []
+        while len(units) < 3 and (not units or min(units) >= bound):
+            unit = statistics.median(reference_loop() for _ in range(7))
+            start = time.perf_counter()
+            answer, got = execute(command, payloads[command])
+            units.append((time.perf_counter() - start) / unit)
             text = json.dumps(answer, sort_keys=True)
             assert (got, hashlib.sha256(text.encode()).hexdigest()) == (code, digest), (command, text[:200])
-
-        units = least_units(lambda: execute(command, payloads[command]), check, bound)
-        assert units < bound, (command, units)
+        assert min(units) < bound, (command, units)
