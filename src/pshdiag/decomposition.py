@@ -594,14 +594,15 @@ def _type_space_candidates(system: SummandSystem):
     for c, k in enumerate(axes, width):
         forms[0][k][c] = 1
     order = [0]
-    tree = set()
+    tree = {}  # tree[e] = (i, j, v_j - v_i) in BFS order: u_j = u_i + t_e (v_j - v_i)
     for i in order:
         for j, e in near[i].items():
-            if forms[j] is None:  # u_j = u_i + t_e (v_j - v_i)
+            if forms[j] is None:
+                d = [b - a for a, b in zip(vs[i], vs[j])]
                 forms[j] = [row[:] for row in forms[i]]
-                for row, a, b in zip(forms[j], vs[i], vs[j]):
-                    row[classes[e]] += b - a
-                tree.add(e)
+                for row, dk in zip(forms[j], d):
+                    row[classes[e]] += dk
+                tree[e] = i, j, d
                 order.append(j)
     rows = []
     for e, (i, j, _) in enumerate(graph.edges):
@@ -618,7 +619,8 @@ def _type_space_candidates(system: SummandSystem):
     candidates = []
     for z, _ in _cone_facets(gens):
         x = [sum(map(operator.mul, z, col)) for col in zip(*basis)]
-        lifted = _ray_point(forms, x, [x[c] for c in classes], scale)
+        u0 = [sum(map(operator.mul, row, x)) for row in forms[0]]
+        lifted = _ray_point(tree, u0, [x[c] for c in classes], scale)
         try:
             candidates.append(_pair(system.base, *system.check_rows(*lifted)))
         except InfeasibleAssignment as exc:
@@ -626,16 +628,16 @@ def _type_space_candidates(system: SummandSystem):
     return candidates
 
 
-def _ray_point(forms, x, ts, scale: int):
-    """The point (u, t) of S on the ray x of L, edge scales ts, as int rows
-    (a, U, b, T) with u = U/a and t = T/b.
+def _ray_point(tree, u0, ts, scale: int):
+    """The point (u, t) of S on a ray of L, edge scales ts and u_0 = u0, as
+    int rows (a, U, b, T) with u = U/a and t = T/b.
 
-    ``forms`` are the tree forms of ``_type_space_candidates``, and u_i is
-    forms[i].x: the tree's edge equations hold by construction and the
-    others because x lies in L.  The rows are the displaced vertices times
-    ``scale``.  Each axis of u is shifted to least 0, a move along L, and
-    (u, t) is scaled by lambda = 1 / max t, the largest with lambda t <= 1.
-    That lambda has lambda u <= v as well.  The edge equations and
+    u runs from u_0 along the BFS ``tree`` of ``_type_space_candidates``,
+    whose edge equations it meets; the others hold because the ray lies in
+    L.  The rows are the displaced vertices times ``scale``.  Each axis of
+    u is shifted to least 0, a move along L, and (u, t) is scaled by
+    lambda = 1 / max t, the largest with lambda t <= 1.  That lambda has
+    lambda u <= v as well.  The edge equations and
     0 <= lambda t <= 1 are all that the module docstring's argument uses,
     so h_1(a) = min_i a.(lambda u_i) and h_2(a) = min_i a.(v_i - lambda u_i)
     are support functions summing to h_G on the open orthant, and by
@@ -644,10 +646,12 @@ def _ray_point(forms, x, ts, scale: int):
     ratio v_ik / u_ik bounds lambda; ``SummandSystem.check_rows`` still
     tests u <= v, and a point outside S raises ``VerificationFailure``.
     """
-    us = [[sum(map(operator.mul, row, x)) for row in form] for form in forms]
+    us = [u0] + [None] * len(tree)
+    for e, (i, j, d) in tree.items():
+        us[j] = [a + ts[e] * dk for a, dk in zip(us[i], d)]
     lows = [min(col) for col in zip(*us)]
     top = max(ts)
-    return top * scale, [tuple(c - low for c, low in zip(u, lows)) for u in us], top, ts
+    return top * scale, [tuple(map(operator.sub, u, lows)) for u in us], top, ts
 
 
 def classify_extreme(u: SingularityInput) -> ExtremityReport:

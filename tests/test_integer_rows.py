@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fraction_kernels
-from pshdiag import decomposition
 from pshdiag.cli import EXIT_OK, EXIT_SEMANTIC, execute
 from pshdiag.diagram import (
     MAX_DIGITS,
@@ -33,8 +32,8 @@ from pshdiag.diagram import (
     translate,
 )
 from pshdiag.errors import UnsupportedDimension
-from pshdiag.linalg import integral
 from pshdiag.volume import diagram_facets
+from test_decomposition import split
 
 KINDS = ("lattice", "rational", "mixed")
 
@@ -112,9 +111,7 @@ def test_splits_match_fraction_reference(dim):
         shifts = [tuple(mins)] + [tuple(m * F(rng.randint(0, 4), 4) for m in mins) for _ in range(3)]
         shifts += [tuple(c if i == k else 0 for i, c in enumerate(mins)) for k in range(dim)]
         for x in shifts:
-            # the split {x} + (G - x) is the point u_i = x, t = 0 of S
-            a, row = integral(x)
-            got = decomposition._pair(g, a, [tuple(row)] * len(g.ints[1]))
+            got = split(g, x)
             assert got == fraction_kernels.split(g, x), (g, x)
             for side in got:
                 assert_stored_form(side)

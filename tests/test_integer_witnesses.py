@@ -164,13 +164,11 @@ def test_one_vertex_in_three_and_four_dimensions():
         assert [both(g, *pair) for pair in cases] == [True, True, False, False, False, True], p
 
 
-def tree_walk(system, x):
-    """The arguments of ``fraction_kernels.ray_point`` for the ray x, built
-    from ``system.graph`` with a walk of its own: the vertices and the
-    edge directions times s, the BFS tree from vertex 0 as steps
-    (j, i, e, sign), u_j = u_i + sign t_e d_e, the edge scales, s, and u_0
-    read off x's columns for the axes where some vertex is 0, which come
-    last."""
+def tree_walk(system):
+    """The tree of ``fraction_kernels.ray_point``, built from
+    ``system.graph`` with a walk of its own: the vertices and the edge
+    directions times s, the BFS tree from vertex 0 as steps
+    (j, i, e, sign), u_j = u_i + sign t_e d_e, and s."""
     s, vs = system.base.ints
     edges = system.graph.edges
     ds = [[b - a for a, b in zip(vs[i], vs[j])] for i, j, _ in edges]
@@ -184,12 +182,7 @@ def tree_walk(system, x):
             if j not in order:
                 order.append(j)
                 steps.append((j, i, e, sign))
-    n = system.base.dim
-    axes = [k for k in range(n) if any(v[k] == 0 for v in vs)]
-    u0 = [0] * n
-    for c, k in enumerate(axes, len(x) - len(axes)):
-        u0[k] = x[c]
-    return vs, ds, steps, s, u0
+    return vs, ds, steps, s
 
 
 def test_ray_points_and_pairs_match_the_fraction_reference(monkeypatch):
@@ -198,8 +191,8 @@ def test_ray_points_and_pairs_match_the_fraction_reference(monkeypatch):
     rays = []
     ray_point = decomposition._ray_point
 
-    def recording(forms, x, ts, scale):
-        rays.append((list(x), list(ts), scale, ray_point(forms, x, ts, scale)))
+    def recording(tree, u0, ts, scale):
+        rays.append((list(u0), list(ts), scale, ray_point(tree, u0, ts, scale)))
         return rays[-1][-1]
 
     monkeypatch.setattr(decomposition, "_ray_point", recording)
@@ -210,8 +203,8 @@ def test_ray_points_and_pairs_match_the_fraction_reference(monkeypatch):
         system = summand_system(g)
         rays.clear()
         decomposition._type_space_candidates(system)
-        for x, ts, s, (a, us, b, tt) in rays:
-            vs, ds, steps, scale, u0 = tree_walk(system, x)
+        for u0, ts, s, (a, us, b, tt) in rays:
+            vs, ds, steps, scale = tree_walk(system)
             assert s == scale
             want_us, want_ts = fraction_kernels.ray_point(vs, ds, steps, ts, scale, u0)
             assert [tuple(F(c, a) for c in u) for u in us] == want_us
