@@ -14,7 +14,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import diagram as dg
 from . import measures
@@ -26,6 +25,7 @@ from .decomposition import (
     decide_decomposability,
 )
 from .errors import PshDiagError, UnsupportedDimension, VerificationFailure
+from .linalg import exact
 from .reuse import batch_scope
 
 EXIT_OK = 0
@@ -186,7 +186,7 @@ def _staircase(generators: list[list[str]]) -> str:
     """ASCII sketch of a 2-D diagram's vertex chain, from its generator texts."""
     height = 10
     width = 2 * height
-    points = [[Fraction(c) for c in p] for p in generators]
+    points = [exact(p) for p in generators]
     span = max(max(c for p in points for c in p), 1)
     grid = [[" "] * width for _ in range(height)]
     for p in points:

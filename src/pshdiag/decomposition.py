@@ -264,10 +264,11 @@ def summand_system(g: Diagram) -> SummandSystem:
 def summands_of(system: SummandSystem, us, ts) -> tuple[Diagram, Diagram]:
     """The summand pair (K1, K2) of a point (u, t) of S, checked once.
 
-    The values are ints and `Fraction`s.  One ``integral`` of u and one of
-    t give the integer form that ``check_rows`` tests, and ``_summands``
-    builds the pair from it.  K1's vertices are the distinct u_i and K2's
-    the distinct v_i - u_i, so no hull is computed.  For u in S each u_i
+    The values are read by ``linalg.exact``, so a float or a bool raises
+    ``TypeError``.  One ``integral`` of u and one of t give the integer
+    form that ``check_rows`` tests, and ``_summands`` builds the pair from
+    it.  K1's vertices are the distinct u_i and K2's the distinct
+    v_i - u_i, so no hull is computed.  For u in S each u_i
     minimises a.x over K1 = conv(u) + R^n_+ for every a in the open normal
     cone of v_i (the module docstring: h(a) = a.u_i there), an open set of
     directions.  Faces of K1 of positive dimension have normal cones of
@@ -303,6 +304,16 @@ def _pair(g: Diagram, a: int, us) -> tuple[Diagram, Diagram]:
     k1, k2 = _summands(g, a, us)
     d = math.lcm(k1.ints[0], k2.ints[0])
     return (k1, k2) if _rows_over(k1, d) <= _rows_over(k2, d) else (k2, k1)
+
+
+def _checked_pair(system: SummandSystem, phase: str, a: int, us, b: int, ts):
+    """``_pair`` of the point (u, t) = (us/a, ts/b), a candidate the phase
+    built, after ``check_rows``: a point outside S is a fault of the
+    program, a ``VerificationFailure`` that names the phase."""
+    try:
+        return _pair(system.base, *system.check_rows(a, us, b, ts))
+    except InfeasibleAssignment as exc:
+        raise VerificationFailure(f"{phase} outside S: {exc}") from exc
 
 
 def verify_decomposition(g: Diagram, k1: Diagram, k2: Diagram) -> bool:
@@ -492,10 +503,7 @@ def _edge_scale_candidates(system: SummandSystem):
     candidates = []
     for a, x in optima:
         us = [x[i * n : (i + 1) * n] for i in range(m)]
-        try:
-            candidates.append(_pair(system.base, *system.check_rows(a, us, a, x[m * n :])))
-        except InfeasibleAssignment as exc:
-            raise VerificationFailure(f"edge-scale LP optimum outside S: {exc}") from exc
+        candidates.append(_checked_pair(system, "edge-scale LP optimum", a, us, a, x[m * n :]))
     return candidates
 
 
@@ -621,10 +629,7 @@ def _type_space_candidates(system: SummandSystem):
         x = [sum(map(operator.mul, z, col)) for col in zip(*basis)]
         u0 = [sum(map(operator.mul, row, x)) for row in forms[0]]
         lifted = _ray_point(tree, u0, [x[c] for c in classes], scale)
-        try:
-            candidates.append(_pair(system.base, *system.check_rows(*lifted)))
-        except InfeasibleAssignment as exc:
-            raise VerificationFailure(f"type-space ray outside S: {exc}") from exc
+        candidates.append(_checked_pair(system, "type-space ray", *lifted))
     return candidates
 
 

@@ -84,11 +84,6 @@ _PRINT_LIMIT = 10**MAX_DIGITS
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def point(coords) -> Point:
-    """The coordinates as `Fraction`s: a `Fraction` as it is, any other value through `Fraction`."""
-    return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
-
-
 def point_text(coords) -> str:
     """A point as messages print it, such as (-1, 2) or (1/2, 0)."""
     return "(" + ", ".join(map(str, coords)) + ")"
@@ -108,7 +103,10 @@ class Diagram:
     ints: tuple[int, tuple[tuple[int, ...], ...]]
 
     def __init__(self, dim: int, generators):
-        s, rows = _integer_form(tuple(generators))
+        """The generators are read and checked as ``canonicalize`` reads
+        them (``_points``), and kept as given, duplicates and non-vertices
+        too."""
+        s, rows = _integer_form(_points(dim, generators))
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "ints", (s, tuple(sorted(rows))))
 
@@ -184,14 +182,29 @@ class DiagramGraph:
     edges: tuple[tuple[int, int, Point], ...]
 
 
-def _check_length(p: tuple, dim: int) -> tuple:
+def _point(p, dim: int) -> tuple:
+    """The coordinates read by ``linalg.exact``; ``DimensionMismatch`` unless there are dim."""
+    p = exact(p)
     if len(p) != dim:
         raise DimensionMismatch(f"point of length {len(p)}, expected {dim}")
     return p
 
 
-def _check_point(p, dim: int) -> Point:
-    return _check_length(point(p), dim)
+def _points(dim: int, raw_points) -> list[tuple]:
+    """The points read by ``_point``, for a dimension dim >= 1: a typed
+    error unless dim is an int, there is a point, and no coordinate is
+    negative."""
+    if type(dim) is not int:
+        raise TypeError(f"the dimension must be an int, got {dim!r}")
+    if dim < 1:
+        raise DimensionMismatch(f"dimension must be >= 1, got {dim}")
+    pts = [_point(p, dim) for p in raw_points]
+    if not pts:
+        raise EmptyInput("at least one generator is required")
+    for p in pts:
+        if any(c < 0 for c in p):
+            raise NegativeCoordinate(f"negative coordinate in {point_text(p)}")
+    return pts
 
 
 def member_of_hull(p: Point, points: list[Point]) -> bool:
@@ -201,7 +214,7 @@ def member_of_hull(p: Point, points: list[Point]) -> bool:
     n = len(p)
     m = len(points)
     # variables: lambda_i >= 0, sum = 1, sum lambda_i q_i <= p componentwise
-    eq = [([Fraction(1)] * m, Fraction(1))]
+    eq = [([1] * m, 1)]
     ub = [([q[k] for q in points], p[k]) for k in range(n)]
     return exactlp.solve_lp(m, eq=eq, ub=ub, nonneg=True) is not None
 
@@ -209,25 +222,19 @@ def member_of_hull(p: Point, points: list[Point]) -> bool:
 def canonicalize(dim: int, raw_points) -> Diagram:
     """Minimal generator set (the vertices) of conv(raw_points) + R^n_+.
 
-    Idempotent and independent of input order.  An int or `Fraction`
-    coordinate is used as it is given and any other goes through
-    `Fraction`; ints and Fractions compare and hash alike, so the sort, the
-    deduplication and the vertex search (``_vertex_set``) run on ints for a
-    lattice support.  Only the points kept are scaled to the integer form:
+    Idempotent and independent of input order.  The points are read and
+    checked by ``_points``: each coordinate through ``linalg.exact``, so an
+    int or `Fraction` is used as it is given, a rational string goes
+    through `Fraction`, and a float or a bool raises ``TypeError``.  Ints
+    and Fractions compare and hash alike, so the sort, the deduplication
+    and the vertex search (``_vertex_set``) run on ints for a lattice
+    support.  Only the points kept are scaled to the integer form:
     s, the lcm of their denominators, and each times s.  A common
     denominator of all the raw points is never taken, as many points with
     large distinct denominators would make every test work on numbers of
     their combined size.
     """
-    if dim < 1:
-        raise DimensionMismatch(f"dimension must be >= 1, got {dim}")
-    pts = [_check_length(exact(p), dim) for p in raw_points]
-    if not pts:
-        raise EmptyInput("at least one generator is required")
-    for p in pts:
-        if any(c < 0 for c in p):
-            raise NegativeCoordinate(f"negative coordinate in {point_text(p)}")
-    keep, facets = _vertex_set(dim, sorted(set(pts)), 1)
+    keep, facets = _vertex_set(dim, sorted(set(_points(dim, raw_points))), 1)
     return _stored(dim, *_integer_form(keep), facets)
 
 
@@ -348,7 +355,7 @@ def _incidence(tights: list[frozenset[int]], m: int) -> list[list[frozenset[int]
 
 
 def contains(g: Diagram, p) -> bool:
-    p = _check_point(p, g.dim)
+    p = _point(p, g.dim)
     return all(dot(a, p) >= b for a, b, _ in g.facets)
 
 
@@ -362,15 +369,15 @@ def _extreme_dot(g: Diagram, a: Point, pick) -> Fraction:
 
 def support_value(g: Diagram, t) -> Fraction:
     """Support function sup{<t, a> : a in the diagram} for t <= 0."""
-    t = _check_point(t, g.dim)
+    t = _point(t, g.dim)
     if any(c > 0 for c in t):
         raise PositiveDirection(f"direction {point_text(t)} has a positive component")
     return _extreme_dot(g, t, max)
 
 
-def weight(coords) -> tuple[Fraction, ...]:
-    """The coordinates as `Fraction`s; ``NonpositiveWeight`` unless all are positive."""
-    a = tuple(Fraction(c) for c in coords)
+def weight(coords) -> tuple:
+    """The coordinates read by ``linalg.exact``; ``NonpositiveWeight`` unless all are positive."""
+    a = exact(coords)
     if any(c <= 0 for c in a):
         raise NonpositiveWeight(f"weight {point_text(a)} must be strictly positive")
     return a
@@ -378,7 +385,7 @@ def weight(coords) -> tuple[Fraction, ...]:
 
 def lelong_directional(g: Diagram, a) -> Fraction:
     """min over generators of <a, gen>, for a strictly positive weight."""
-    return _extreme_dot(g, weight(_check_point(a, g.dim)), min)
+    return _extreme_dot(g, weight(_point(a, g.dim)), min)
 
 
 def minkowski_sum(g1: Diagram, g2: Diagram) -> Diagram:
@@ -399,7 +406,7 @@ def minkowski_sum(g1: Diagram, g2: Diagram) -> Diagram:
 
 
 def scale(g: Diagram, c) -> Diagram:
-    c = Fraction(c)
+    (c,) = exact([c])
     if c <= 0:
         raise NonpositiveScale(f"scale factor must be positive, got {c}")
     # positive scaling preserves both the vertex property and lex order
@@ -411,7 +418,7 @@ def scale(g: Diagram, c) -> Diagram:
 def translate(g: Diagram, x) -> Diagram:
     """G + x on the rows over d = lcm(s, r), r the lcm of x's denominators:
     a translation keeps the vertices and their order."""
-    x = _check_point(x, g.dim)
+    x = _point(x, g.dim)
     if any(c < 0 for c in x):
         raise NegativeCoordinate(f"translation {point_text(x)} must be nonnegative")
     s, rows = g.ints

@@ -22,9 +22,11 @@ The update is sparse: each row r is scaled to pv*r, and r[col]*y is
 subtracted only at the columns where the pivot row holds y != 0 (15 % of
 a pivot row's entries on the benchmark's `decide` pool, 22 % on
 `session`).  That gives the integers of the dense pv*r - r[col]*pivot_row,
-so the invariant holds as stated.  Int and `Fraction` coefficients are
-read as they are, and any other through `Fraction`; answers are built
-only from the basic structural columns, every other x_j being 0.
+so the invariant holds as stated.  Coefficients are read by
+``linalg.exact``: ints and `Fraction`s as they are, rational strings
+through `Fraction`, and a float or a bool raises ``TypeError``.  Answers
+are built only from the basic structural columns, every other x_j being
+0.
 
 One call solves one constraint system: phase 1 finds a feasible basis once,
 and phase 2 minimises each objective from that basis.  Problem sizes

@@ -1,4 +1,12 @@
-"""Small exact linear algebra routines over `fractions.Fraction`.
+"""Small exact linear algebra routines over `fractions.Fraction`, and
+``exact``, the package's one reader of values given from outside.
+
+``exact`` keeps ints and `Fraction`s as they are, reads rational strings
+and other rationals through `Fraction`, and refuses floats, complex
+numbers and bools with ``TypeError``, as JSON input refuses them: a binary
+float such as 0.1 is not the rational its text shows.  Every public
+function that takes numbers reads them through it.  ``rref`` and ``det``
+read their rows so.
 
 Everything here is dense Gaussian elimination at desk scale; no pivoting
 heuristics are needed because the arithmetic is exact.  ``int_det`` is
@@ -12,6 +20,7 @@ an integer null basis of an int matrix, without fractions.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 
 Vector = tuple[Fraction, ...]
@@ -19,7 +28,8 @@ Matrix = list[list[Fraction]]
 
 
 def frac_rows(rows) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
+    """The rows, read by ``exact``, as `Fraction`s."""
+    return [list(map(Fraction, exact(row))) for row in rows]
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -54,11 +64,12 @@ def rank(m: Matrix) -> int:
 
 
 def det(m: Matrix) -> Fraction:
-    """The determinant: ``int_det`` of the rows, each scaled to integers (``integral``)."""
+    """The determinant: ``int_det`` of the rows, each read by ``exact`` and
+    scaled to integers (``integral``)."""
     scale = 1
     a = []
     for row in m:
-        s, ints = integral(row)
+        s, ints = integral(exact(row))
         scale *= s
         a.append(ints)
     return Fraction(int_det(a), scale)
@@ -123,8 +134,16 @@ def dot(a, b) -> Fraction:
 
 
 def exact(values) -> tuple:
-    """The values, each int or `Fraction` as given and any other through `Fraction`."""
-    return tuple(v if type(v) is int or type(v) is Fraction else Fraction(v) for v in values)
+    """The values as exact rationals: each int or `Fraction` as given, a
+    string or any other rational through `Fraction`.  ``TypeError`` names
+    any other value, such as a float, a complex number or a bool."""
+    return tuple(v if type(v) is int or type(v) is Fraction else _rational(v) for v in values)
+
+
+def _rational(v) -> Fraction:
+    if isinstance(v, str) or isinstance(v, numbers.Rational) and not isinstance(v, bool):
+        return Fraction(v)
+    raise TypeError(f"exact values are ints, Fractions or rational strings, got {v!r}")
 
 
 def integral(values) -> tuple[int, list[int]]:

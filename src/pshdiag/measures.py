@@ -39,20 +39,14 @@ INFINITE = NewtonNumberResult(None)
 
 def weighted_simplex(a) -> Diagram:
     """Diagram {x >= 0 : <x, a> >= 1}; generators e_k / a_k."""
-    a = weight(a)
-    n = len(a)
-    gens = []
-    for k in range(n):
-        p = [Fraction(0)] * n
-        p[k] = 1 / a[k]
-        gens.append(tuple(p))
-    return canonicalize(n, gens)
+    return intercept_simplex([Fraction(1, c) for c in weight(a)])
 
 
 def intercept_simplex(b) -> Diagram:
     """Diagram with axis intercepts b_k; generators b_k * e_k."""
     b = weight(b)
-    return weighted_simplex([1 / c for c in b])
+    n = len(b)
+    return canonicalize(n, [tuple(c if j == k else 0 for j in range(n)) for k, c in enumerate(b)])
 
 
 def newton_number(g: Diagram) -> NewtonNumberResult:

@@ -62,12 +62,10 @@ from .diagram import (
     MAX_DIGITS,
     MAX_DIM,
     Diagram,
-    Point,
     canonicalize,
     check_digits,
     check_printable,
     dim_from_json,
-    point,
     rational_from_json,
     weight,
 )
@@ -81,7 +79,7 @@ from .errors import (
     UnsupportedDimension,
     ZeroPolynomial,
 )
-from .linalg import det, frac_rows, integral
+from .linalg import det, dot, exact, integral
 from .reuse import once_per_batch
 
 Exponent = tuple[int, ...]
@@ -105,10 +103,14 @@ class Polynomial:
 
 
 def polynomial(dim: int, terms: Terms) -> Polynomial:
-    clean = {tuple(e): Fraction(c) for e, c in terms.items() if c != 0}
+    """The polynomial of {exponent: coefficient}, each coefficient read by
+    ``linalg.exact``; an exponent holds ints, as the grammar's do."""
+    clean = {tuple(e): Fraction(c) for e, c in zip(terms, exact(terms.values())) if c != 0}
     for e in clean:
         if len(e) != dim:
             raise DimensionMismatch(f"exponent {e} has length {len(e)}, expected {dim}")
+        if any(type(k) is not int for k in e):
+            raise TypeError(f"exponent {e} must hold ints")
         if any(k < 0 for k in e):
             raise NegativeExponent(f"negative exponent in {e}", 0)
     return Polynomial(dim, tuple(sorted(clean.items())))
@@ -498,17 +500,17 @@ def poly_pow(p: Polynomial, k: int) -> Polynomial:
 def substitute_linear(p: Polynomial, m) -> Polynomial:
     """Expand p(M*zeta): row i of M gives z_i as a linear form in zeta.
 
-    One pass on integers.  Row v of M, scaled by the lcm s_v of its
-    denominators, is the linear form l_v as an integer table, and each
-    power l_v^k that a term uses is built once (``_pow_ints``), under the
-    budgets of ``poly_pow``.  A term c * z^e is the product of its powers
+    One pass on integers.  Row v of M, read by ``linalg.exact`` and scaled
+    by the lcm s_v of its denominators, is the linear form l_v as an
+    integer table, and each power l_v^k that a term uses is built once
+    (``_pow_ints``), under the budgets of ``poly_pow``.  A term c * z^e is the product of its powers
     in the order v = 0, ..., n-1, each under MAX_TERM_PAIRS, from c times
     the lcm of p's denominators.  Once every term is built, the terms are
     summed into one table over their common denominator, that lcm times
     s_v^t_v for each v, t_v the largest exponent of z_v in p, and each
     output coefficient is one ``Fraction``.
     """
-    rows = frac_rows(m)
+    rows = [exact(row) for row in m]
     n = p.dim
     if len(rows) != n or any(len(r) != n for r in rows):
         raise DimensionMismatch(f"matrix must be {n}x{n}")
@@ -545,10 +547,11 @@ def substitute_linear(p: Polynomial, m) -> Polynomial:
 # --- Newton data -----------------------------------------------------------
 
 
-def support_of(p: Polynomial) -> set[Point]:
+def support_of(p: Polynomial) -> set[Exponent]:
+    """The exponents of p's terms, as they are."""
     if p.is_zero():
         raise ZeroPolynomial("zero polynomial has empty support")
-    return {point(e) for e, _ in p.terms}
+    return {e for e, _ in p.terms}
 
 
 def diagram_of_input(u: SingularityInput) -> Diagram:
@@ -601,7 +604,7 @@ def index_of(p: Polynomial, a) -> Fraction:
         raise ZeroPolynomial("index of the zero polynomial is undefined")
     if len(a) != p.dim:
         raise DimensionMismatch(f"weight of length {len(a)}, expected {p.dim}")
-    return min(sum(ai * ei for ai, ei in zip(a, e)) for e, _ in p.terms)
+    return min(dot(a, e) for e, _ in p.terms)
 
 
 # --- serialization ---------------------------------------------------------

@@ -7,13 +7,14 @@ points it is handed: each facet comes with the generators tight on it,
 and vertices, compact edges and the triangulations behind Newton numbers
 are read off these incidences.  In the plane the facets are read off the
 canonical chain; the facet search serves every other dimension and
-``polytope_volume``.  It starts from the dual rays of a
-diagram's cone in closed form, and only the cones of ``polytope_volume``
-take their start from ``rref``.  Exact throughout, and intended for
-n <= 4: the facet search runs on Python ints, each generator and ray a
-positive integer multiple of its rational vector, which has the same
-signs, so every decision is that of the search over `Fraction`s; normals
-come out primitive, as the ints the search computes (entries with gcd 1).
+``polytope_volume``.  It starts from the dual rays of a diagram's cone in
+closed form; the cones of ``polytope_volume`` and the type cone of
+``decomposition._type_space_candidates`` take their start from ``rref``.
+Exact throughout, and intended for n <= 4: the facet search runs on
+Python ints, each generator and ray a positive integer multiple of its
+rational vector, which has the same signs, so every decision is that of
+the search over `Fraction`s; normals come out primitive, as the ints the
+search computes (entries with gcd 1).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import UnsupportedDimension, VerificationFailure
-from .linalg import det, dot, integral, rank, reduced, rref, solve_unique
+from .linalg import det, dot, exact, integral, rank, reduced, rref, solve_unique
 
 if TYPE_CHECKING:
     from .diagram import Diagram, Point
@@ -220,15 +221,14 @@ def triangulate_face(
 
 
 def enumerate_vertices(ineqs: list[tuple[tuple[Fraction, ...], Fraction]], n: int) -> list[Point]:
-    """All vertices of {x : a.x >= b for each (a, b)} (assumed bounded)."""
+    """All vertices of {x : a.x >= b for each (a, b)} (assumed bounded).
+
+    Each (a, b) is read by ``linalg.exact`` as one row, b last."""
+    rows = [exact((*a, b)) for a, b in ineqs]
     verts: set[Point] = set()
-    for subset in itertools.combinations(range(len(ineqs)), n):
-        rows = [list(ineqs[i][0]) for i in subset]
-        rhs = [ineqs[i][1] for i in subset]
-        x = solve_unique(rows, rhs)
-        if x is None:
-            continue
-        if all(dot(a, x) >= b for a, b in ineqs):
+    for subset in itertools.combinations(rows, n):
+        x = solve_unique([r[:-1] for r in subset], [r[-1] for r in subset])
+        if x is not None and all(dot(r, x) >= r[-1] for r in rows):  # dot reads r's first n
             verts.add(tuple(x))
     return sorted(verts)
 
@@ -236,11 +236,12 @@ def enumerate_vertices(ineqs: list[tuple[tuple[Fraction, ...], Fraction]], n: in
 def polytope_volume(vertices: list[Point], n: int) -> Fraction:
     """Euclidean volume of the convex hull of the vertices in R^n.
 
-    0 when the hull is not full-dimensional: when the points lifted to
-    (p, 1) span less than R^(n+1).
+    The vertices are read by ``linalg.exact``.  0 when the hull is not
+    full-dimensional: when the points lifted to (p, 1) span less than
+    R^(n+1).
     """
-    points = sorted(set(vertices))
-    lifted = [tuple(p) + (1,) for p in points]
+    points = sorted(set(map(exact, vertices)))
+    lifted = [p + (1,) for p in points]
     if rank(lifted) <= n:
         return Fraction(0)
     tights = [frozenset(t) for _, t in _cone_facets(lifted)]

@@ -46,7 +46,6 @@ from pshdiag.diagram import (
     HomothetyWitness,
     Point,
     check_digits,
-    point,
     point_text,
 )
 from pshdiag.errors import (
@@ -336,6 +335,11 @@ class Parser:
 
 def parse_tree(text: str, dim: int) -> Tree:
     return Parser(text, dim).parse()
+
+
+def point(coords) -> Point:
+    """The coordinates, read by ``linalg.exact``, as `Fraction`s."""
+    return tuple(map(Fraction, exact(coords)))
 
 
 def _check_point(p, dim: int) -> Point:

@@ -1,4 +1,5 @@
-"""An independent decomposability oracle for lattice diagrams in 3-D.
+"""An independent decomposability oracle for lattice diagrams in any
+dimension; the tests run it in 3-D and 4-D.
 
 It uses none of the package's LP, facet search or type-space code.  The
 facets of a cone come from the generator-subset search of

@@ -27,7 +27,6 @@ from pshdiag.diagram import (
     diagram_to_json,
     is_homothetic_to,
     minkowski_sum,
-    point,
     scale,
     translate,
 )
@@ -152,9 +151,9 @@ def test_equality_and_hash_follow_the_sorted_generators(data):
     if data.draw(st.booleans()):
         second = [tuple(F(c) for c in p) for p in second]
     g, h = Diagram(n, first), Diagram(n, second)
-    want = tuple(sorted(map(point, first)))
+    want = tuple(sorted(tuple(map(F, p)) for p in first))
     assert g.generators == want and all(type(c) is F for p in g.generators for c in p)
-    same = want == tuple(sorted(map(point, second)))
+    same = want == tuple(sorted(tuple(map(F, p)) for p in second))
     assert (g == h) == same
     if same:
         assert (hash(g), repr(g), str(g)) == (hash(h), repr(h), str(h))

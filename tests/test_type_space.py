@@ -224,6 +224,25 @@ class TestOracle3D:
         assert lattice_summand([(1, 2, 1), (2, 1, 1), (1, 1, 2)], 3) == [(0, 0, 1)]
 
 
+class TestOracle4D:
+    def test_verdicts_agree_with_the_oracle(self):
+        # the same agreement in 4-D: dense clouds give indecomposable
+        # diagrams of more than 4 vertices, sums decomposable ones
+        counts = {}
+        for kind, diagrams in (
+            ("cloud", [dense_cloud(4, s) for s in range(10)]),
+            ("sum", [small_sum(4, s) for s in range(10)]),
+        ):
+            for g in filter(general, diagrams):
+                cert = decide_decomposability(g)
+                found = lattice_summand([tuple(int(c) for c in p) for p in g.generators], 4)
+                assert (found is not None) == isinstance(cert, Decomposable), g
+                key = (kind, cert.verdict, len(g.generators) > 4)
+                counts[key] = counts.get(key, 0) + 1
+        assert counts["cloud", "indecomposable", True] >= 3
+        assert counts["sum", "decomposable", True] >= 5
+
+
 def sum_of_simplices(seed):
     """The sum of two 4-D simplices, axis entries 5 to 9 and the others 0 to 2."""
     rng = random.Random(seed)
